@@ -6,8 +6,8 @@ PGX_FORMAT) > config file (--config, else ./pgx.toml if present; simple
 KEY = VALUE lines) > built-in defaults.
 
 Exit codes: 0 verified / report emitted, 1 counterexample, 2 verified on an
-incomplete catalog, 3 input or resource error. Identical invocations produce
-byte-identical output.
+incomplete catalog, 3 input or resource error, 4 internal error (a failed
+consistency check). Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -498,6 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main_entry() -> None:

@@ -2,6 +2,8 @@
 
 Families are built as indexed models (residue tuples) with vectorized dense
 tables at or below the materialization cap and on-demand products above it.
+Dense tables are assembled in int32 from small lookup tables, so no builder
+computes a residue over all n^2 entries.
 Every constructor asserts its defining relations on the freshly built model.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
@@ -22,6 +24,7 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, InvariantError
 from .groups import DEFAULT_TABLE_CAP, GroupTable, read_cayley, validate
@@ -283,6 +286,21 @@ def parse_group_spec(text: str) -> GroupSpec:
 # Family constructors
 # ---------------------------------------------------------------------------
 
+def _addition_table(m: int) -> np.ndarray:
+    """(i + j) mod m as a read-only m-by-m int32 view: row i is the window
+    starting at i of 0..m-1 written twice."""
+    idx = np.arange(m, dtype=np.int32)
+    return sliding_window_view(np.concatenate([idx, idx]), m)[:m]
+
+
+def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndarray:
+    """Table on pairs (a, b), index a + nn*b with b in {0, 1}, of the product
+    (a1, 0)(a2, b2) = (a1 + a2, b2) and (a1, 1)(a2, b2) = (a1 + twist_b2[a2], 1 - b2),
+    first coordinates mod nn."""
+    add = _addition_table(nn)
+    return np.block([[add, add + nn], [add[:, twist0] + nn, add[:, twist1]]])
+
+
 def cyclic(m: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """Cyclic group Z_m under addition."""
     if m < 1:
@@ -290,9 +308,7 @@ def cyclic(m: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     name = f"C{m}"
     if m > cap:
         return GroupTable(m, 0, op=lambda a, b: (a + b) % m, name=name)
-    idx = np.arange(m, dtype=np.int64)
-    table = (idx[:, None] + idx[None, :]) % m
-    return GroupTable(m, 0, table=table, name=name,
+    return GroupTable(m, 0, table=_addition_table(m), name=name,
                       labels=[str(i) for i in range(m)])
 
 
@@ -306,7 +322,7 @@ def direct_product(g: GroupTable, h: GroupTable,
     name = f"{g.name}x{h.name}"
     identity = g.identity * h.size + h.identity
     if n <= cap:
-        tg = g.materialized(cap).table.astype(np.int64)
+        tg = g.materialized(cap).table
         th = h.materialized(cap).table
         table = (tg[:, None, :, None] * h.size + th[None, :, None, :]).reshape(n, n)
         labels = None
@@ -343,12 +359,10 @@ def modular_group(n: int, p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     ew = [pow(e, j, P) for j in range(p)]
     name = f"M({n},{p})"
     if N <= cap:
-        i_part = np.arange(N, dtype=np.int64) // p
-        j_part = np.arange(N, dtype=np.int64) % p
-        ew_arr = np.array(ew, dtype=np.int64)
-        i_out = (i_part[:, None] + i_part[None, :] * ew_arr[j_part][:, None]) % P
-        j_out = (j_part[:, None] + j_part[None, :]) % p
-        table = i_out * p + j_out
+        # index i*p + j; i2 * ew[j1] mod P is a p-by-P lookup table
+        twist = np.outer(ew, np.arange(P)) % P
+        i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
+        table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(N, N)
         labels = [f"a{i}b{j}" for i in range(P) for j in range(p)]
         g = GroupTable(N, 0, table=table, name=name, labels=labels)
     else:
@@ -393,13 +407,8 @@ def dihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     k = order // 2
     name = f"D{order}"
     if order <= cap:
-        idx = np.arange(order, dtype=np.int64)
-        r = idx % k
-        f = idx // k
-        r1, f1 = r[:, None], f[:, None]
-        r2, f2 = r[None, :], f[None, :]
-        r_out = np.where(f1 == 0, (r1 + r2) % k, (r1 - r2) % k)
-        table = r_out + k * (f1 ^ f2)
+        neg = -np.arange(k) % k
+        table = _two_coset_table(k, neg, neg)
         labels = [f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
         g = GroupTable(order, 0, table=table, name=name, labels=labels)
     else:
@@ -430,13 +439,8 @@ def generalized_quaternion(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTab
     half = nn // 2
     name = f"Q{order}"
     if order <= cap:
-        idx = np.arange(order, dtype=np.int64)
-        a = idx % nn
-        b = idx // nn
-        a1, b1 = a[:, None], b[:, None]
-        a2, b2 = a[None, :], b[None, :]
-        a_out = np.where(b1 == 0, (a1 + a2) % nn, (a1 - a2 + b2 * half) % nn)
-        table = a_out + nn * (b1 ^ b2)
+        idx = np.arange(nn)
+        table = _two_coset_table(nn, -idx % nn, (half - idx) % nn)
         if order == 8:
             labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
         else:
@@ -467,13 +471,8 @@ def semidihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     t = nn // 2 - 1
     name = f"SD{order}"
     if order <= cap:
-        idx = np.arange(order, dtype=np.int64)
-        a = idx % nn
-        b = idx // nn
-        a1, b1 = a[:, None], b[:, None]
-        a2, b2 = a[None, :], b[None, :]
-        a_out = np.where(b1 == 0, (a1 + a2) % nn, (a1 + a2 * t) % nn)
-        table = a_out + nn * (b1 ^ b2)
+        twist = np.arange(nn) * t % nn
+        table = _two_coset_table(nn, twist, twist)
         labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
         g = GroupTable(order, 0, table=table, name=name, labels=labels)
     else:
@@ -503,13 +502,12 @@ def heisenberg(p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     p2 = p * p
     name = f"He{p}"
     if n <= cap:
-        idx = np.arange(n, dtype=np.int64)
-        a = idx // p2
-        b = (idx // p) % p
-        c = idx % p
-        a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-        a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-        table = (((a1 + a2) % p) * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+        # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
+        add = _addition_table(p)
+        mul = np.outer(np.arange(p), np.arange(p)) % p
+        c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
+        table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
+                 + c_out[:, None, :, None, :, :]).reshape(n, n)
         labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
         g = GroupTable(n, 0, table=table, name=name, labels=labels)
     else:

@@ -16,6 +16,7 @@ from typing import Callable, IO, Sequence
 import numpy as np
 
 from .errors import InputError, InvariantError, ResourceError
+from .spectrum import factor
 
 DEFAULT_TABLE_CAP = 4096      # materialize the full table up to this order
 FULL_ASSOC_CAP = 256          # full associativity mandatory through this order
@@ -131,10 +132,25 @@ class GroupTable:
         return frozenset(seen)
 
     def element_orders(self) -> list[int]:
-        """Orders of all elements, as Python ints."""
-        if self._table is not None:
-            return _element_orders_dense(self._table, self.identity).tolist()
-        return [self.element_order(a) for a in range(self.size)]
+        """Orders of all elements, as Python ints.
+
+        On a dense table, by Lagrange: o(x) divides |G|, so for each p^a
+        exactly dividing |G| the p-part of o(x) is the least p^j with
+        (x^(|G|/p^a))^(p^j) = e. On-demand products walk each element.
+        """
+        if self._table is None:
+            return [self.element_order(a) for a in range(self.size)]
+        table, e, n = self._table, self.identity, self.size
+        orders = np.ones(n, dtype=np.int64)
+        for p, a in factor(n):
+            y = _powers(table, np.arange(n), n // p ** a, e)
+            for _ in range(a):
+                orders[y != e] *= p
+                y = _powers(table, y, p, e)
+            if (y != e).any():
+                raise InvariantError(f"{self.name}: some element x has x^{n} != e; "
+                                     "not a group table")
+        return orders.tolist()
 
     def label(self, a: int) -> str:
         self._check_index(a)
@@ -162,28 +178,15 @@ class GroupTable:
         return f"GroupTable({self.name!r}, order={self.size}, {kind})"
 
 
-def _element_orders_dense(table: np.ndarray, identity: int) -> np.ndarray:
-    """Vectorized successive multiplication: order of every element at once."""
-    n = table.shape[0]
-    orders = np.zeros(n, dtype=np.int64)
-    base = np.arange(n)
-    cur = base.copy()
-    k = 1
-    hit = cur == identity
-    orders[base[hit]] = k
-    keep = ~hit
-    base, cur = base[keep], cur[keep]
-    while base.size:
-        k += 1
-        if k > n:
-            raise InvariantError("element powers never reach the identity; not a group table")
-        cur = table[cur, base]
-        hit = cur == identity
-        if hit.any():
-            orders[base[hit]] = k
-            keep = ~hit
-            base, cur = base[keep], cur[keep]
-    return orders
+def _powers(table: np.ndarray, x: np.ndarray, m: int, identity: int) -> np.ndarray:
+    """x^m for every entry of the index array x, by binary powering."""
+    result = np.full_like(x, identity)
+    while m:
+        if m & 1:
+            result = table[result, x]
+        x = table[x, x]
+        m >>= 1
+    return result
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The directed power graph has an arc x -> y exactly when y is a positive power
 of x and y != x; the undirected power graph joins x and y when either is a
-power of the other. Both are derived from one boolean membership matrix
-M[i, j] = (j lies in the cyclic subgroup generated by i), built by a
-vectorized successive-power scan over the dense Cayley table.
+power of the other. Both follow from the cyclic subgroups, found in one pass
+over the dense Cayley table that walks each of them once by successive
+multiplication: x reaches the members of <x>, and x, y are mutual exactly
+when they generate the same cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -21,46 +22,46 @@ _CAP_HINT = ("; spectrum formulas (stats/spectrum commands) handle groups of "
              "any size without building the graph")
 
 
-def _require_within_cap(g: GroupTable, cap: int) -> None:
+def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int]]]:
+    """(generators, members) of each cyclic subgroup of g, found greedily: for
+    each element x not yet assigned, walk x, x^2, ... to e; the members of
+    order o(x) generate <x>. Raises InvariantError unless each walk first
+    returns to e at step o(x) and the generators partition the elements."""
     if g.size > cap:
         raise ResourceError(
             f"{g.name}: order {g.size} exceeds the brute-force cap {cap}" + _CAP_HINT)
+    g = g.materialized(cap)
+    table, e = g.table, g.identity
+    orders = g.element_orders()
+    assigned: set[int] = set()
+    subgroups = []
+    for x in range(g.size):
+        if x in assigned:
+            continue
+        members = [x]
+        while members[-1] != e and len(members) <= orders[x]:
+            members.append(table.item(members[-1], x))
+        if len(members) != orders[x] or members[-1] != e:
+            raise InvariantError(f"{g.name}: powers of element {x} do not first "
+                                 f"return to the identity at its order {orders[x]}")
+        gens = [y for y in members if orders[y] == orders[x]]
+        if assigned.intersection(gens):
+            raise InvariantError(f"{g.name}: an element of <{x}> generates two "
+                                 "different cyclic subgroups")
+        assigned.update(gens)
+        subgroups.append((gens, members))
+    if len(assigned) != g.size:
+        raise InvariantError(f"{g.name}: cyclic subgroup generators miss an element")
+    return subgroups
 
 
-def _closure_matrix(g: GroupTable, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element orders and the membership matrix M[i, j] = (j in <i>).
-
-    Walks g^1, g^2, ... for all elements simultaneously, compacting away
-    elements whose cycle has closed.
-    """
-    _require_within_cap(g, cap)
-    table = g.materialized(cap).table
-    n = g.size
-    identity = g.identity
-    orders = np.zeros(n, dtype=np.int64)
-    member = np.zeros((n, n), dtype=bool)
-    base = np.arange(n)
-    cur = np.arange(n)
-    k = 1
-    while base.size:
-        member[base, cur] = True
-        done = cur == identity
-        if done.any():
-            orders[base[done]] = k
-            base = base[~done]
-            cur = cur[~done]
-            if base.size == 0:
-                break
-        cur = table[cur, base]
-        k += 1
-        if k > n:
-            raise InvariantError(
-                f"{g.name}: some element produced more than {n} distinct powers; "
-                "the table is not a group")
-    if not member.diagonal().all():
-        raise InvariantError(f"{g.name}: an element fell outside its own cyclic "
-                             "subgroup; the scan is corrupted")
-    return orders, member
+def _arc_matrix(g: GroupTable, cap: int) -> np.ndarray:
+    """A[i, j] = (j in <i> and j != i), filled from the cyclic subgroups."""
+    arc = np.zeros((g.size, g.size), dtype=bool)
+    for gens, members in _cyclic_subgroups(g, cap):
+        arc[np.ix_(gens, members)] = True
+    np.fill_diagonal(arc, False)
+    return arc
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,36 +103,31 @@ class UndirectedPowerGraph:
 
 
 def build_directed(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> DirectedPowerGraph:
-    orders, member = _closure_matrix(g, cap)
-    off = member.copy()
-    np.fill_diagonal(off, False)
-    arcs = np.argwhere(off)
-    mutual = np.argwhere(np.triu(member & member.T, 1))
+    arc = _arc_matrix(g, cap)
+    arcs = np.argwhere(arc)
+    mutual = np.argwhere(np.triu(arc & arc.T))
     labels = tuple(g.labels) if g.labels is not None else None
     return DirectedPowerGraph(g.size, arcs, mutual, labels, g.name)
 
 
 def build_undirected(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> UndirectedPowerGraph:
-    _, member = _closure_matrix(g, cap)
-    sym = member | member.T
-    np.fill_diagonal(sym, False)
-    edges = np.argwhere(np.triu(sym, 1))
+    arc = _arc_matrix(g, cap)
+    edges = np.argwhere(np.triu(arc | arc.T))
     labels = tuple(g.labels) if g.labels is not None else None
     return UndirectedPowerGraph(g.size, edges, labels, g.name)
 
 
 def oracle_counts(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, int]:
-    """(arcs, mutual pairs, undirected edges) counted from the explicit graph,
-    without materializing pair lists. This is the check against the spectrum
-    formulas, so it deliberately shares no arithmetic with them."""
-    _, member = _closure_matrix(g, cap)
+    """(arcs, mutual pairs, undirected edges) counted from the cyclic subgroups
+    without building the graph. This is the check against the spectrum
+    formulas, so it shares no arithmetic with them: each generator x of a
+    cyclic subgroup C has |C| - 1 arcs, and C has gen(C) choose 2 mutual
+    pairs, with gen(C) counted rather than taken from a totient."""
+    subgroups = _cyclic_subgroups(g, cap)
     n = g.size
-    arcs = int(member.sum()) - n
-    mutual_twice = int((member & member.T).sum()) - n
-    sym_twice = int((member | member.T).sum()) - n
-    if mutual_twice % 2 or sym_twice % 2:
-        raise InvariantError(f"{g.name}: membership matrix gave an odd pair count")
-    return arcs, mutual_twice // 2, sym_twice // 2
+    reach = sum(len(gens) * len(members) for gens, members in subgroups)
+    gen_sq = sum(len(gens) ** 2 for gens, _ in subgroups)
+    return reach - n, (gen_sq - n) // 2, (2 * reach - gen_sq - n) // 2
 
 
 def degree_sequence(graph: DirectedPowerGraph | UndirectedPowerGraph) -> list[int]:

@@ -98,6 +98,14 @@ def test_stats_bad_spec_is_an_input_error(run_cli):
     assert code == 3 and "cannot read" in err
 
 
+def test_failed_consistency_check_is_an_internal_error(run_cli, tmp_path):
+    path = tmp_path / "loop.cayley"
+    path.write_text("order 3\nidentity 0\n0 1 2\n1 1 0\n2 0 1\n")   # 1^3 != 0
+    code, out, err = run_cli("stats", f"file:{path}")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

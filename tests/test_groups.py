@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from pgx.constructors import cyclic, generalized_quaternion
+from pgx.constructors import build_group, cyclic, generalized_quaternion, parse_group_spec
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import GroupTable, read_cayley, validate, write_cayley
 
@@ -83,6 +83,14 @@ def test_element_orders_dense_and_lazy_agree():
     assert not lazy.has_table
     assert dense.element_orders() == lazy.element_orders()
     assert lazy.product(7, 8) == 15
+
+
+@pytest.mark.parametrize("text", ["C1", "C2", "C60", "C64", "D30", "Q16", "SD32",
+                                  "M(4,3)", "He5", "Ab(2;2,1,1)", "C9xC3xC4", "Q8xC6"])
+def test_element_orders_by_lagrange_match_successive_multiplication(text):
+    g = build_group(parse_group_spec(text))
+    assert g.has_table
+    assert g.element_orders() == [g.element_order(a) for a in range(g.size)]
 
 
 def test_element_order_diverges_on_non_group():

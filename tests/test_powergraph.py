@@ -3,6 +3,7 @@
 import io
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pgx.spectrum import (
     totient,
     undirected_edges,
 )
+from test_groups import NONASSOCIATIVE_LOOP
 
 K2 = np.array([[0, 1], [1, 0]])
 
@@ -143,6 +145,56 @@ def test_closure_scan_rejects_non_group_tables():
     t = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]])   # row 1 never reaches 0
     with pytest.raises(InvariantError):
         build_directed(GroupTable(3, 0, table=t))
+
+
+CENSUS_16 = sorted((Path(__file__).resolve().parent.parent / "census" / "16").glob("*.cayley"))
+
+
+@pytest.mark.parametrize("text", GRAPH_SPECS + [
+    pytest.param(f"file:{p}", id=f"census-16-{p.stem}") for p in CENSUS_16])
+def test_oracle_counts_match_graphs_and_cyclic_subgroup_sets(text):
+    g = build_group(parse_group_spec(text))
+    directed = build_directed(g)
+    undirected = build_undirected(g)
+    subgroup = [g.cyclic_subgroup(a) for a in range(g.size)]
+    pairs = list(combinations(range(g.size), 2))
+    from_sets = (
+        sum(len(z) for z in subgroup) - g.size,
+        sum(subgroup[a] == subgroup[b] for a, b in pairs),
+        sum(a in subgroup[b] or b in subgroup[a] for a, b in pairs),
+    )
+    assert oracle_counts(g) == from_sets == (
+        directed.num_arcs, directed.num_mutual, undirected.num_edges)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]]),
+    NONASSOCIATIVE_LOOP,
+], ids=["powers-miss-identity", "nonassociative-loop"])
+def test_orders_and_oracle_reject_non_group_tables(table):
+    g = GroupTable(len(table), 0, table=table)
+    with pytest.raises(InvariantError):
+        g.element_orders()
+    with pytest.raises(InvariantError):
+        oracle_counts(g)
+
+
+# Loops (Latin squares with identity 0) on which x^|G| = e for every x under
+# binary powering, so element orders exist, but successive powers disagree.
+@pytest.mark.parametrize("rows,message", [
+    ([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 0, 3],
+      [3, 2, 5, 4, 1, 0], [4, 3, 0, 5, 2, 1], [5, 4, 1, 0, 3, 2]],
+     "do not first return to the identity"),
+    ([[0, 1, 2, 3, 4, 5, 6, 7], [1, 3, 4, 2, 0, 7, 5, 6], [2, 6, 5, 1, 3, 4, 7, 0],
+      [3, 2, 0, 5, 7, 6, 1, 4], [4, 0, 6, 7, 5, 3, 2, 1], [5, 7, 3, 6, 1, 0, 4, 2],
+      [6, 5, 7, 4, 2, 1, 0, 3], [7, 4, 1, 0, 6, 2, 3, 5]],
+     "generates two different cyclic subgroups"),
+], ids=["walk-misses-order", "generator-claimed-twice"])
+def test_oracle_walk_rejects_inconsistent_powers(rows, message):
+    g = GroupTable(len(rows), 0, table=np.array(rows))
+    g.element_orders()
+    with pytest.raises(InvariantError, match=message):
+        oracle_counts(g)
 
 
 # ---------------------------------------------------------------------------
