@@ -40,6 +40,11 @@ STATS_SPECS = (
     "C3xAb(5;1,1)", "Ab(3;1,1)xC5xC11", "Ab(3;1,1)xAb(5;1,1,1)",
 )
 GRAPH_SPECS = ("Q8", "He3", "SD32", "M(4,2)xC3")
+VERIFY_CLAIMS = (
+    ("main-theorem", "--n", "675"), ("main-theorem", "--n", "3375"),
+    ("prop-2.2", "--p", "3", "--n", "4"), ("prop-2.8", "--p", "3", "--n", "3"),
+    ("lemma-2.4",), ("lemma-2.5",), ("cor-2.6",),
+)
 CENSUS = ("--census-dir", "census")
 
 
@@ -48,8 +53,14 @@ def golden_calls() -> list[list[str]]:
     calls += [["graph", s, kind, fmt] for s in GRAPH_SPECS
               for kind in ("directed", "undirected") for fmt in ("dot", "edge-csv")]
     calls.append(["verify", "prop-2.8", "--p", "2", "--n", "4", *CENSUS])
+    calls += [["verify", *claim, *CENSUS] for claim in VERIFY_CLAIMS]
+    calls.append(["verify", "main-theorem", "--n", "675", "--format", "json", *CENSUS])
+    calls.append(["verify", "prop-2.8", "--p", "3", "--n", "3", "--format", "csv", *CENSUS])
     calls.append(["scan", "conjecture-2.9", "--n-max", "3000", *CENSUS])
     calls.append(["census", "ingest", "census"])
+    # above the cap: stats falls back to spectra alone, graph refuses (exit 3)
+    calls.append(["stats", "C5000", *CENSUS])
+    calls.append(["graph", "C6", "directed", "dot", "--brute-cap", "4"])
     return calls
 
 

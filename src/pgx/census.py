@@ -37,6 +37,7 @@ from .errors import InputError, InvariantError
 from .groups import DEFAULT_SEED
 from .spectrum import (
     OrderSpectrum,
+    factor,
     is_prime,
     mutual_edges,
     phi_cyclic_prime_power,
@@ -83,19 +84,7 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"factorize needs a positive integer, got {n!r}")
-    factors: list[tuple[int, int]] = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            a = 0
-            while rest % d == 0:
-                rest //= d
-                a += 1
-            factors.append((d, a))
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        factors.append((rest, 1))
+    factors = factor(n)
     s_index = next((i + 1 for i, (_, a) in enumerate(factors) if a > 1), None)
     return Factorization(n, tuple(factors), s_index)
 
@@ -208,6 +197,18 @@ def _verdict_for(ok: bool, completeness: Completeness) -> Verdict:
     return Verdict.VERIFIED
 
 
+def _argmax(candidates: list, score) -> tuple[list, int, list[str]]:
+    """Score each candidate's spectrum and sort by (-score, render()).
+
+    Returns the (score, candidate) list, the best score, and the rendered
+    candidates attaining it, in that order.
+    """
+    scored = sorted(((score(c.spectrum), c) for c in candidates),
+                    key=lambda t: (-t[0], t[1].render()))
+    best = scored[0][0]
+    return scored, best, [c.render() for v, c in scored if v == best]
+
+
 _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
             "source claim; it shares its order spectrum with C_(2^(n-1))xC2, "
             "so both sit in the expected maximizer set")
@@ -254,11 +255,8 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     p_s = f.s_prime
     expected_display = f"C{n // p_s}xC{p_s}"
     noncyclic = [m for m in members if not m.is_cyclic]
-    scored = sorted(((phi_sum(m.spectrum), m) for m in noncyclic),
-                    key=lambda t: (-t[0], t[1].render()))
-    best = scored[0][0]
+    scored, best, argmax = _argmax(noncyclic, phi_sum)
     expected_phi = phi_sum(expected.spectrum)
-    argmax = [m.render() for v, m in scored if v == best]
     ok = expected_phi == best
     rows = [{
         "member": m.render(),
@@ -296,9 +294,7 @@ def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, 
     noncyclic = [e for e in entries if not isinstance(e.spec, Cyclic)]
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
-    scored = sorted(((score(e.spectrum), e) for e in noncyclic),
-                    key=lambda t: (-t[0], t[1].render()))
-    best = scored[0][0]
+    scored, best, argmax = _argmax(noncyclic, score)
     rows = []
     for v, e in scored:
         s = e.spectrum
@@ -311,7 +307,6 @@ def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, 
             "argmax": v == best,
             "source": e.source,
         })
-    argmax = [e.render() for v, e in scored if v == best]
     return rows, best, argmax
 
 
@@ -392,17 +387,18 @@ def _primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
 
 
-def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """(p, m) -> (phi of C_(p^m), phi of C_(p^(m-1)) x C_p), exact integers."""
-    grid: dict[tuple[int, int], tuple[int, int]] = {}
+def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(p, m) -> (phi of C_(p^m), phi of C_(p^(m-1)) x C_p, phi of C_(p^(m-1)))
+    for m >= 2, exact integers."""
+    grid: dict[tuple[int, int], tuple[int, int, int]] = {}
     for p in _primes_up_to(p_max):
         cyc: dict[int, int] = {}
-        for m in range(0, m_max + 1):
+        for m in range(1, m_max + 1):
             cyc[m] = phi_sum(spectrum_cyclic(p ** m))
         for m in range(2, m_max + 1):
             split = phi_sum(spectrum_product(spectrum_cyclic(p ** (m - 1)),
                                              spectrum_cyclic(p)))
-            grid[(p, m)] = (cyc[m], split)
+            grid[(p, m)] = (cyc[m], split, cyc[m - 1])
     return grid
 
 
@@ -418,22 +414,16 @@ def verify_lemma_2_4(p_max: int = 97, m_max: int = 12) -> VerificationReport:
         raise InputError("need p_max >= 2 and m_max >= 2")
     rows = []
     bad = []
-    for p in _primes_up_to(p_max):
-        prev = phi_sum(spectrum_cyclic(p))
-        for m in range(2, m_max + 1):
-            cur = phi_sum(spectrum_cyclic(p ** m))
-            split = phi_sum(spectrum_product(spectrum_cyclic(p ** (m - 1)),
-                                             spectrum_cyclic(p)))
-            rec_i = cur == prev + totient(p ** m) ** 2
-            closed = cur == phi_cyclic_prime_power(p, m)
-            rec_ii = split == p * prev + (p - 1) * (p - 2)
-            row = {"p": p, "m": m, "phi_cyclic": cur, "phi_split": split,
-                   "recurrence_i": rec_i, "closed_form": closed,
-                   "recurrence_ii": rec_ii}
-            rows.append(row)
-            if not (rec_i and closed and rec_ii):
-                bad.append(row)
-            prev = cur
+    for (p, m), (cur, split, prev) in sorted(_phi_grid(p_max, m_max).items()):
+        rec_i = cur == prev + totient(p ** m) ** 2
+        closed = cur == phi_cyclic_prime_power(p, m)
+        rec_ii = split == p * prev + (p - 1) * (p - 2)
+        row = {"p": p, "m": m, "phi_cyclic": cur, "phi_split": split,
+               "recurrence_i": rec_i, "closed_form": closed,
+               "recurrence_ii": rec_ii}
+        rows.append(row)
+        if not (rec_i and closed and rec_ii):
+            bad.append(row)
     ok = not bad
     headline = (f"phi recurrences and closed form checked at "
                 f"{len(rows)} grid points (primes <= {p_max}, exponents 2..{m_max}): "
@@ -458,7 +448,7 @@ def verify_lemma_2_5(p_max: int = 97, m_max: int = 12) -> VerificationReport:
         raise InputError("need p_max >= 2 and m_max >= 2")
     rows = []
     bad = []
-    for (p, m), (cyc, split) in sorted(_phi_grid(p_max, m_max).items()):
+    for (p, m), (cyc, split, _) in sorted(_phi_grid(p_max, m_max).items()):
         lower = (p - 2) * split < cyc
         upper = cyc < p * split
         contractual = p != 2
@@ -506,9 +496,9 @@ def verify_cor_2_6(q_max: int = 97, t_max: int = 12) -> VerificationReport:
         contractual = p != 2
         violations = []
         for m in exponents:
-            l_p, a_p = grid[(p, m)]
+            l_p, a_p, _ = grid[(p, m)]
             for t in exponents:
-                l_q, a_q = grid[(q, t)]
+                l_q, a_q, _ = grid[(q, t)]
                 # strict ratio comparison without division: L_p/A_p < L_q/A_q
                 if not l_p * a_q < l_q * a_p:
                     violations.append((m, t))
@@ -650,11 +640,8 @@ def scan_conjecture_2_9(n_max: int, census_dir: str | Path | None = None
         expected_sylows = _expected_sylows(f)
         expected = next(m for m in members if m.sylow_specs == expected_sylows)
         noncyclic = [m for m in members if not m.is_cyclic]
-        scored = sorted(((undirected_edges(m.spectrum), m) for m in noncyclic),
-                        key=lambda t: (-t[0], t[1].render()))
-        best = scored[0][0]
+        scored, best, argmax = _argmax(noncyclic, undirected_edges)
         expected_edges = undirected_edges(expected.spectrum)
-        argmax = [m.render() for v, m in scored if v == best]
         holds = expected_edges == best
         if holds:
             supported += 1

@@ -1,9 +1,9 @@
 """Structured group families, the group-spec mini-language, and p-group catalogs.
 
-Families are built as indexed models (residue tuples) with vectorized dense
-tables at or below the materialization cap and on-demand products above it.
-Dense tables are assembled in int32 from small lookup tables, so no builder
-computes a residue over all n^2 entries.
+Families are built as indexed models (residue tuples), each law written once
+as a dense table assembled in int32 from small lookup tables, so no builder
+computes a residue over all n^2 entries. `build_group` refuses orders above
+the brute-force cap before anything n-by-n is allocated.
 Every constructor asserts its defining relations on the freshly built model.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from math import prod
 from pathlib import Path
 from typing import Union
 
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, InvariantError
-from .groups import DEFAULT_TABLE_CAP, GroupTable, read_cayley, validate
+from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap, read_cayley, validate
 from .spectrum import (
     OrderSpectrum,
     is_prime,
@@ -301,43 +302,23 @@ def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndar
     return np.block([[add, add + nn], [add[:, twist0] + nn, add[:, twist1]]])
 
 
-def cyclic(m: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def cyclic(m: int) -> GroupTable:
     """Cyclic group Z_m under addition."""
     if m < 1:
         raise InputError(f"cyclic group order must be positive, got {m}")
-    name = f"C{m}"
-    if m > cap:
-        return GroupTable(m, 0, op=lambda a, b: (a + b) % m, name=name)
-    return GroupTable(m, 0, table=_addition_table(m), name=name,
+    return GroupTable(m, 0, table=_addition_table(m), name=f"C{m}",
                       labels=[str(i) for i in range(m)])
 
 
-def direct_product(g: GroupTable, h: GroupTable,
-                   cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
-    """Direct product; index (a, b) <-> a * |h| + b.
-
-    Above the cap the product stays on-demand instead of materializing.
-    """
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """Direct product; index (a, b) <-> a * |h| + b."""
     n = g.size * h.size
-    name = f"{g.name}x{h.name}"
-    identity = g.identity * h.size + h.identity
-    if n <= cap:
-        tg = g.materialized(cap).table
-        th = h.materialized(cap).table
-        table = (tg[:, None, :, None] * h.size + th[None, :, None, :]).reshape(n, n)
-        labels = None
-        if g.labels is not None and h.labels is not None:
-            labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
-        return GroupTable(n, identity, table=table, name=name, labels=labels)
-
-    hs = h.size
-
-    def op(a: int, b: int) -> int:
-        a1, a2 = divmod(a, hs)
-        b1, b2 = divmod(b, hs)
-        return g.product(a1, b1) * hs + h.product(a2, b2)
-
-    return GroupTable(n, identity, op=op, name=name)
+    table = (g.table[:, None, :, None] * h.size + h.table[None, :, None, :]).reshape(n, n)
+    labels = None
+    if g.labels is not None and h.labels is not None:
+        labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
+    return GroupTable(n, g.identity * h.size + h.identity, table=table,
+                      name=f"{g.name}x{h.name}", labels=labels)
 
 
 def _assert_relation(cond: bool, name: str, relation: str) -> None:
@@ -345,7 +326,7 @@ def _assert_relation(cond: bool, name: str, relation: str) -> None:
         raise InvariantError(f"{name}: defining relation {relation} failed in the model")
 
 
-def modular_group(n: int, p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def modular_group(n: int, p: int) -> GroupTable:
     """Modular maximal-cyclic group of order p^n on pairs (i, j).
 
     Product: (i1,j1)*(i2,j2) = (i1 + i2*(1+p^(n-2))^j1 mod p^(n-1), j1+j2 mod p).
@@ -358,20 +339,12 @@ def modular_group(n: int, p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     e = 1 + p ** (n - 2)
     ew = [pow(e, j, P) for j in range(p)]
     name = f"M({n},{p})"
-    if N <= cap:
-        # index i*p + j; i2 * ew[j1] mod P is a p-by-P lookup table
-        twist = np.outer(ew, np.arange(P)) % P
-        i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
-        table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(N, N)
-        labels = [f"a{i}b{j}" for i in range(P) for j in range(p)]
-        g = GroupTable(N, 0, table=table, name=name, labels=labels)
-    else:
-        def op(x: int, y: int) -> int:
-            i1, j1 = divmod(x, p)
-            i2, j2 = divmod(y, p)
-            return ((i1 + i2 * ew[j1]) % P) * p + (j1 + j2) % p
-
-        g = GroupTable(N, 0, op=op, name=name)
+    # index i*p + j; i2 * ew[j1] mod P is a p-by-P lookup table
+    twist = np.outer(ew, np.arange(P)) % P
+    i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
+    table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(N, N)
+    labels = [f"a{i}b{j}" for i in range(P) for j in range(p)]
+    g = GroupTable(N, 0, table=table, name=name, labels=labels)
     a = 1 * p + 0
     b = 0 * p + (p - 1)
     b_inv = 0 * p + 1
@@ -382,8 +355,7 @@ def modular_group(n: int, p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     return g
 
 
-def abelian_from_partition(p: int, partition: tuple[int, ...] | list[int],
-                           cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def abelian_from_partition(p: int, partition: tuple[int, ...] | list[int]) -> GroupTable:
     """Direct product of cyclic p-power groups for a non-increasing partition.
 
     An empty partition yields the trivial group.
@@ -391,34 +363,25 @@ def abelian_from_partition(p: int, partition: tuple[int, ...] | list[int],
     spec = Abelian(p, tuple(partition))
     validate_spec(spec)
     if not spec.partition:
-        return cyclic(1, cap)
-    g = cyclic(p ** spec.partition[0], cap)
+        return cyclic(1)
+    g = cyclic(p ** spec.partition[0])
     for a in spec.partition[1:]:
-        g = direct_product(g, cyclic(p ** a, cap), cap)
+        g = direct_product(g, cyclic(p ** a))
     if len(spec.partition) > 1:
         g.name = render_spec(spec)
     return g
 
 
-def dihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def dihedral(order: int) -> GroupTable:
     """Dihedral group of the given (even) order, on pairs (rotation, flip)."""
     spec = Dihedral(order)
     validate_spec(spec)
     k = order // 2
     name = f"D{order}"
-    if order <= cap:
-        neg = -np.arange(k) % k
-        table = _two_coset_table(k, neg, neg)
-        labels = [f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
-        g = GroupTable(order, 0, table=table, name=name, labels=labels)
-    else:
-        def op(x: int, y: int) -> int:
-            r1, f1 = x % k, x // k
-            r2, f2 = y % k, y // k
-            r_out = (r1 + r2) % k if f1 == 0 else (r1 - r2) % k
-            return r_out + k * (f1 ^ f2)
-
-        g = GroupTable(order, 0, op=op, name=name)
+    neg = -np.arange(k) % k
+    table = _two_coset_table(k, neg, neg)
+    labels = [f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
+    g = GroupTable(order, 0, table=table, name=name, labels=labels)
     r_gen, s_gen = 1 % k, k
     _assert_relation(g.power(r_gen, k) == g.identity, name, "r^k = 1")
     _assert_relation(g.power(s_gen, 2) == g.identity, name, "s^2 = 1")
@@ -427,7 +390,7 @@ def dihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     return g
 
 
-def generalized_quaternion(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def generalized_quaternion(order: int) -> GroupTable:
     """Generalized quaternion group of order 2^n >= 8, on pairs (a, b).
 
     x = (1,0) has order 2^(n-1); y = (0,1) satisfies y^2 = x^(2^(n-2)) and
@@ -438,22 +401,13 @@ def generalized_quaternion(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTab
     nn = order // 2
     half = nn // 2
     name = f"Q{order}"
-    if order <= cap:
-        idx = np.arange(nn)
-        table = _two_coset_table(nn, -idx % nn, (half - idx) % nn)
-        if order == 8:
-            labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-        else:
-            labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
-        g = GroupTable(order, 0, table=table, name=name, labels=labels)
+    idx = np.arange(nn)
+    table = _two_coset_table(nn, -idx % nn, (half - idx) % nn)
+    if order == 8:
+        labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
     else:
-        def op(u: int, v: int) -> int:
-            a1, b1 = u % nn, u // nn
-            a2, b2 = v % nn, v // nn
-            a_out = (a1 + a2) % nn if b1 == 0 else (a1 - a2 + b2 * half) % nn
-            return a_out + nn * (b1 ^ b2)
-
-        g = GroupTable(order, 0, op=op, name=name)
+        labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
+    g = GroupTable(order, 0, table=table, name=name, labels=labels)
     x, y = 1, nn
     _assert_relation(g.power(x, nn) == g.identity, name, "x^(2^(n-1)) = 1")
     _assert_relation(g.power(y, 2) == g.power(x, half), name, "y^2 = x^(2^(n-2))")
@@ -463,26 +417,17 @@ def generalized_quaternion(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTab
     return g
 
 
-def semidihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def semidihedral(order: int) -> GroupTable:
     """Semidihedral group of order 2^n >= 16: y x y = x^(2^(n-2)-1)."""
     spec = Semidihedral(order)
     validate_spec(spec)
     nn = order // 2
     t = nn // 2 - 1
     name = f"SD{order}"
-    if order <= cap:
-        twist = np.arange(nn) * t % nn
-        table = _two_coset_table(nn, twist, twist)
-        labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
-        g = GroupTable(order, 0, table=table, name=name, labels=labels)
-    else:
-        def op(u: int, v: int) -> int:
-            a1, b1 = u % nn, u // nn
-            a2, b2 = v % nn, v // nn
-            a_out = (a1 + a2) % nn if b1 == 0 else (a1 + a2 * t) % nn
-            return a_out + nn * (b1 ^ b2)
-
-        g = GroupTable(order, 0, op=op, name=name)
+    twist = np.arange(nn) * t % nn
+    table = _two_coset_table(nn, twist, twist)
+    labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
+    g = GroupTable(order, 0, table=table, name=name, labels=labels)
     x, y = 1, nn
     _assert_relation(g.power(x, nn) == g.identity, name, "x^(2^(n-1)) = 1")
     _assert_relation(g.power(y, 2) == g.identity, name, "y^2 = 1")
@@ -491,7 +436,7 @@ def semidihedral(order: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     return g
 
 
-def heisenberg(p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
+def heisenberg(p: int) -> GroupTable:
     """Heisenberg group over Z_p (odd p): order p^3, exponent p.
 
     Triples (a, b, c) with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2).
@@ -501,24 +446,14 @@ def heisenberg(p: int, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     n = p ** 3
     p2 = p * p
     name = f"He{p}"
-    if n <= cap:
-        # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
-        add = _addition_table(p)
-        mul = np.outer(np.arange(p), np.arange(p)) % p
-        c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
-        table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
-                 + c_out[:, None, :, None, :, :]).reshape(n, n)
-        labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
-        g = GroupTable(n, 0, table=table, name=name, labels=labels)
-    else:
-        def op(u: int, v: int) -> int:
-            a1, r1 = divmod(u, p2)
-            b1, c1 = divmod(r1, p)
-            a2, r2 = divmod(v, p2)
-            b2, c2 = divmod(r2, p)
-            return (((a1 + a2) % p) * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-
-        g = GroupTable(n, 0, op=op, name=name)
+    # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
+    add = _addition_table(p)
+    mul = np.outer(np.arange(p), np.arange(p)) % p
+    c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
+    table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
+             + c_out[:, None, :, None, :, :]).reshape(n, n)
+    labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
+    g = GroupTable(n, 0, table=table, name=name, labels=labels)
     x = p2          # (1,0,0)
     y = p           # (0,1,0)
     z = 1           # (0,0,1)
@@ -552,27 +487,36 @@ def order_of_spec(spec: GroupSpec) -> int:
 
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
-    """Materialize a spec as a GroupTable (on-demand products above the cap)."""
+    """Build a spec's dense table. Orders above cap raise ResourceError before
+    anything n-by-n is allocated; each file: atom is read once."""
     validate_spec(spec)
+    atoms = _flatten(spec)
+    files = {a.path: read_cayley(a.path) for a in atoms if isinstance(a, FileTable)}
+    order = prod(files[a.path].size if isinstance(a, FileTable) else order_of_spec(a)
+                 for a in atoms)
+    check_brute_cap(render_spec(spec), order, cap)
+    return _build(spec, files)
+
+
+def _build(spec: GroupSpec, files: dict[str, GroupTable]) -> GroupTable:
     if isinstance(spec, Cyclic):
-        return cyclic(spec.m, cap)
+        return cyclic(spec.m)
     if isinstance(spec, Abelian):
-        return abelian_from_partition(spec.p, spec.partition, cap)
+        return abelian_from_partition(spec.p, spec.partition)
     if isinstance(spec, Modular):
-        return modular_group(spec.n, spec.p, cap)
+        return modular_group(spec.n, spec.p)
     if isinstance(spec, Dihedral):
-        return dihedral(spec.order, cap)
+        return dihedral(spec.order)
     if isinstance(spec, GeneralizedQuaternion):
-        return generalized_quaternion(spec.order, cap)
+        return generalized_quaternion(spec.order)
     if isinstance(spec, Semidihedral):
-        return semidihedral(spec.order, cap)
+        return semidihedral(spec.order)
     if isinstance(spec, Heisenberg):
-        return heisenberg(spec.p, cap)
+        return heisenberg(spec.p)
     if isinstance(spec, FileTable):
-        return read_cayley(spec.path)
+        return files[spec.path]
     if isinstance(spec, Product):
-        return direct_product(build_group(spec.left, cap),
-                              build_group(spec.right, cap), cap)
+        return direct_product(_build(spec.left, files), _build(spec.right, files))
     raise InputError(f"unknown spec {spec!r}")
 
 

@@ -1,24 +1,24 @@
 """Finite groups as indexed multiplication tables.
 
-Elements are the indices 0..n-1. Groups at or below the materialization cap
-carry a dense n-by-n table (numpy, read-only); larger structured groups keep
-an on-demand index product instead. Table entries are indices < n <= cap, so
-fixed-width storage cannot overflow; element orders and every statistic
-derived from them are plain Python integers.
+Elements are the indices 0..n-1 and every group carries a dense n-by-n
+table (numpy int32, read-only), so only groups up to the brute-force cap are
+ever built; larger groups are handled by their spectra alone. Table entries
+are indices < n, so fixed-width storage cannot overflow; element orders and
+every statistic derived from them are plain Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import InputError, InvariantError, ResourceError
 from .spectrum import factor
 
-DEFAULT_TABLE_CAP = 4096      # materialize the full table up to this order
+DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
 FULL_ASSOC_CAP = 256          # full associativity mandatory through this order
 DEFAULT_SAMPLE_TRIPLES = 10**6
 DEFAULT_SEED = 1729
@@ -27,29 +27,27 @@ DEFAULT_SEED = 1729
 class GroupTable:
     """A finite group on indices 0..size-1 with a designated identity.
 
-    Exactly one of `table` (dense numpy array) and `op` (index product
-    function) must be given. A constructed table is immutable; `name` and
-    `labels` are presentation metadata only.
+    `table` is the dense n-by-n product table. It is kept as given (no
+    copy) and made read-only; `name` and `labels` are presentation metadata
+    only.
     """
 
     def __init__(self, size: int, identity: int, *,
                  table: np.ndarray | None = None,
-                 op: Callable[[int, int], int] | None = None,
                  name: str = "G",
                  labels: Sequence[str] | None = None):
         if size < 1:
             raise InputError(f"group size must be positive, got {size}")
         if not 0 <= identity < size:
             raise InputError(f"identity index {identity} out of range for size {size}")
-        if (table is None) == (op is None):
-            raise InputError("exactly one of table and op must be provided")
-        if table is not None:
-            table = np.ascontiguousarray(table, dtype=np.int32)
-            if table.shape != (size, size):
-                raise InputError(f"table shape {table.shape} does not match size {size}")
-            if table.size and (table.min() < 0 or table.max() >= size):
-                raise InputError("table entries must be element indices")
-            table.setflags(write=False)
+        if table is None:
+            raise InputError("a group needs its product table")
+        table = np.asarray(table, dtype=np.int32)
+        if table.shape != (size, size):
+            raise InputError(f"table shape {table.shape} does not match size {size}")
+        if table.min() < 0 or table.max() >= size:
+            raise InputError("table entries must be element indices")
+        table.setflags(write=False)
         if labels is not None:
             labels = list(labels)
             if len(labels) != size:
@@ -58,21 +56,12 @@ class GroupTable:
         self.identity = identity
         self.name = name
         self.labels = labels
-        self._table = table
-        self._op = op
+        self.table = table
 
     @property
     def has_table(self) -> bool:
-        return self._table is not None
-
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            raise ResourceError(
-                f"{self.name} (order {self.size}) has no materialized table; "
-                "it exceeds the table cap"
-            )
-        return self._table
+        """Always True; kept for the benchmark's span counters, which read it."""
+        return True
 
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.size:
@@ -82,9 +71,7 @@ class GroupTable:
         """The group product of elements a and b."""
         self._check_index(a)
         self._check_index(b)
-        if self._table is not None:
-            return int(self._table[a, b])
-        return self._op(a, b)
+        return int(self.table[a, b])
 
     def power(self, a: int, m: int) -> int:
         """a^m for m >= 0, by binary exponentiation."""
@@ -134,13 +121,10 @@ class GroupTable:
     def element_orders(self) -> list[int]:
         """Orders of all elements, as Python ints.
 
-        On a dense table, by Lagrange: o(x) divides |G|, so for each p^a
-        exactly dividing |G| the p-part of o(x) is the least p^j with
-        (x^(|G|/p^a))^(p^j) = e. On-demand products walk each element.
+        By Lagrange: o(x) divides |G|, so for each p^a exactly dividing |G|
+        the p-part of o(x) is the least p^j with (x^(|G|/p^a))^(p^j) = e.
         """
-        if self._table is None:
-            return [self.element_order(a) for a in range(self.size)]
-        table, e, n = self._table, self.identity, self.size
+        table, e, n = self.table, self.identity, self.size
         orders = np.ones(n, dtype=np.int64)
         for p, a in factor(n):
             y = _powers(table, np.arange(n), n // p ** a, e)
@@ -156,26 +140,20 @@ class GroupTable:
         self._check_index(a)
         return self.labels[a] if self.labels is not None else str(a)
 
-    def materialized(self, cap: int = DEFAULT_TABLE_CAP) -> "GroupTable":
-        """This group with a dense table, building one if needed (gated by cap)."""
-        if self._table is not None:
-            return self
-        if self.size > cap:
-            raise ResourceError(
-                f"{self.name}: order {self.size} exceeds the table cap {cap}"
-            )
-        t = np.empty((self.size, self.size), dtype=np.int32)
-        for a in range(self.size):
-            t[a] = [self._op(a, b) for b in range(self.size)]
-        return GroupTable(self.size, self.identity, table=t,
-                          name=self.name, labels=self.labels)
-
     def __len__(self) -> int:
         return self.size
 
     def __repr__(self) -> str:
-        kind = "table" if self.has_table else "lazy"
-        return f"GroupTable({self.name!r}, order={self.size}, {kind})"
+        return f"GroupTable({self.name!r}, order={self.size}, table)"
+
+
+def check_brute_cap(name: str, order: int, cap: int) -> None:
+    """Refuse a brute-force computation on a group of order above cap."""
+    if order > cap:
+        raise ResourceError(
+            f"{name}: order {order} exceeds the brute-force cap {cap}; spectrum "
+            "formulas (stats/spectrum commands) handle groups of any size "
+            "without building the graph")
 
 
 def _powers(table: np.ndarray, x: np.ndarray, m: int, identity: int) -> np.ndarray:
@@ -311,7 +289,7 @@ def validate(g: GroupTable, mode: str = "auto", *,
         raise InputError(f"unknown validation mode {mode!r}")
     if mode == "auto":
         mode = "full" if g.size <= full_cap else "sampled"
-    t = g.materialized(cap=max(DEFAULT_TABLE_CAP, g.size)).table
+    t = g.table
     checks = ["identity", "latin-square", "inverses"]
     failure = _validate_structure(t, g.identity)
     if failure is None:
@@ -404,19 +382,15 @@ def read_cayley(path: str | Path) -> GroupTable:
 
 
 def write_cayley(g: GroupTable, sink: str | Path | IO[str]) -> None:
-    """Write g in the Cayley-table file format (materializes rows on demand)."""
+    """Write g in the Cayley-table file format."""
     own = isinstance(sink, (str, Path))
     fh = open(sink, "w") if own else sink
     try:
         fh.write(f"# {g.name}\n")
         fh.write(f"order {g.size}\n")
         fh.write(f"identity {g.identity}\n")
-        if g.has_table:
-            for row in g.table:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-        else:
-            for a in range(g.size):
-                fh.write(" ".join(str(g.product(a, b)) for b in range(g.size)) + "\n")
+        for row in g.table:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
         if g.labels is not None:
             for lab in g.labels:
                 if not lab or any(ch.isspace() for ch in lab):

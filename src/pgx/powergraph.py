@@ -15,11 +15,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InputError, InvariantError, ResourceError
-from .groups import DEFAULT_TABLE_CAP, GroupTable
-
-_CAP_HINT = ("; spectrum formulas (stats/spectrum commands) handle groups of "
-             "any size without building the graph")
+from .errors import InputError, InvariantError
+from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap
 
 
 def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int]]]:
@@ -27,10 +24,7 @@ def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int
     each element x not yet assigned, walk x, x^2, ... to e; the members of
     order o(x) generate <x>. Raises InvariantError unless each walk first
     returns to e at step o(x) and the generators partition the elements."""
-    if g.size > cap:
-        raise ResourceError(
-            f"{g.name}: order {g.size} exceeds the brute-force cap {cap}" + _CAP_HINT)
-    g = g.materialized(cap)
+    check_brute_cap(g.name, g.size, cap)
     table, e = g.table, g.identity
     orders = g.element_orders()
     assigned: set[int] = set()

@@ -1,5 +1,7 @@
 """Spec mini-language, family constructors, and p-group catalogs."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from pgx.constructors import (
     spectrum_of_spec,
     validate_spec,
 )
-from pgx.errors import InputError
+from pgx.errors import InputError, ResourceError
 from pgx.groups import read_cayley, validate, write_cayley
 from pgx.spectrum import OrderSpectrum, order_spectrum
 
@@ -147,12 +149,9 @@ def test_order_of_spec_reads_file_header(tmp_path):
 # Family constructors
 # ---------------------------------------------------------------------------
 
-def test_cyclic_labels_and_lazy_variant():
+def test_cyclic_labels():
     g = cyclic(5)
     assert g.name == "C5" and g.labels == ["0", "1", "2", "3", "4"]
-    lazy = cyclic(10, cap=4)
-    assert not lazy.has_table and lazy.labels is None
-    assert lazy.product(6, 7) == 3
 
 
 def test_direct_product_indexing_and_labels():
@@ -162,12 +161,6 @@ def test_direct_product_indexing_and_labels():
     # index (a, b) -> a*3 + b, componentwise product
     assert g.product(1 * 3 + 2, 1 * 3 + 2) == 0 * 3 + 1
     assert g.identity == 0
-
-
-def test_direct_product_stays_lazy_above_cap():
-    g = direct_product(cyclic(50), cyclic(50), cap=100)
-    assert not g.has_table and g.size == 2500
-    assert g.product(50 * 49 + 1, 50 + 49) == 0
 
 
 def test_quaternion_classical_labels():
@@ -217,25 +210,6 @@ def test_heisenberg_has_exponent_p():
     assert order_spectrum(g) == OrderSpectrum({1: 1, 5: 124})
 
 
-def test_lazy_family_constructors_agree_with_dense():
-    dense = dihedral(20)
-    lazy = dihedral(20, cap=4)
-    assert not lazy.has_table
-    assert np.array_equal(lazy.materialized(cap=20).table, dense.table)
-    dense_q = generalized_quaternion(16)
-    lazy_q = generalized_quaternion(16, cap=4)
-    assert np.array_equal(lazy_q.materialized(cap=16).table, dense_q.table)
-    dense_sd = semidihedral(16)
-    lazy_sd = semidihedral(16, cap=4)
-    assert np.array_equal(lazy_sd.materialized(cap=16).table, dense_sd.table)
-    dense_m = modular_group(3, 3)
-    lazy_m = modular_group(3, 3, cap=4)
-    assert np.array_equal(lazy_m.materialized(cap=27).table, dense_m.table)
-    dense_h = heisenberg(3)
-    lazy_h = heisenberg(3, cap=4)
-    assert np.array_equal(lazy_h.materialized(cap=27).table, dense_h.table)
-
-
 # ---------------------------------------------------------------------------
 # build_group and spectrum_of_spec
 # ---------------------------------------------------------------------------
@@ -261,9 +235,11 @@ def test_spectrum_of_spec_matches_brute_tally(text):
 
 
 def test_build_group_respects_cap():
-    g = build_group(parse_group_spec("C10xC10"), cap=4)
-    assert not g.has_table
-    assert g.product(10 * 3 + 4, 10 * 9 + 8) == 10 * 2 + 2
+    # refused from the spec alone: a table of this order could not be allocated
+    with pytest.raises(ResourceError) as err:
+        build_group(parse_group_spec("C1000000000000xC2"))
+    assert "order 2000000000000 exceeds the brute-force cap 4096" in str(err.value)
+    assert "spectrum formulas" in str(err.value)
 
 
 def test_build_group_from_file(tmp_path):
@@ -337,6 +313,20 @@ def test_catalog_ingests_census_tables(census_dir):
     ingested = [e for e in entries if isinstance(e.spec, FileTable)]
     assert [e.source for e in ingested] == ["d8xc2.cayley"]
     assert len({e.spectrum for e in entries}) == 9
+
+
+def test_census_script_models_match_shipped_tables(census_dir):
+    path = census_dir.parent / "scripts" / "make_order16_census.py"
+    spec = importlib.util.spec_from_file_location("make_order16_census", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for stem, build in (("c4rc4", script.c4_semidirect_c4),
+                        ("c4xc2rc2", script.c4xc2_semidirect_c2),
+                        ("d8oc4", script.d8_central_c4)):
+        g = build()
+        shipped = read_cayley(census_dir / "16" / f"{stem}.cayley")
+        assert g.identity == shipped.identity
+        assert np.array_equal(g.table, shipped.table), stem
 
 
 def test_catalog_census_duplicate_spectra_are_dropped(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pgx.constructors import build_group, cyclic, generalized_quaternion, parse_group_spec
-from pgx.errors import InputError, InvariantError, ResourceError
+from pgx.errors import InputError, InvariantError
 from pgx.groups import GroupTable, read_cayley, validate, write_cayley
 
 C3_TABLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -77,14 +77,6 @@ def test_index_and_exponent_validation():
         c6.power(2, -1)
 
 
-def test_element_orders_dense_and_lazy_agree():
-    dense = cyclic(60)
-    lazy = cyclic(60, cap=10)
-    assert not lazy.has_table
-    assert dense.element_orders() == lazy.element_orders()
-    assert lazy.product(7, 8) == 15
-
-
 @pytest.mark.parametrize("text", ["C1", "C2", "C60", "C64", "D30", "Q16", "SD32",
                                   "M(4,3)", "He5", "Ab(2;2,1,1)", "C9xC3xC4", "Q8xC6"])
 def test_element_orders_by_lagrange_match_successive_multiplication(text):
@@ -94,7 +86,7 @@ def test_element_orders_by_lagrange_match_successive_multiplication(text):
 
 
 def test_element_order_diverges_on_non_group():
-    projection = GroupTable(3, 0, op=lambda a, b: a)
+    projection = GroupTable(3, 0, table=[[0, 0, 0], [1, 1, 1], [2, 2, 2]])
     with pytest.raises(InvariantError):
         projection.element_order(1)
 
@@ -106,7 +98,7 @@ def test_element_order_must_divide_group_order():
 
 
 # ---------------------------------------------------------------------------
-# Construction and materialization
+# Construction
 # ---------------------------------------------------------------------------
 
 def test_constructor_rejects_bad_arguments():
@@ -114,8 +106,6 @@ def test_constructor_rejects_bad_arguments():
         GroupTable(0, 0, table=np.zeros((0, 0), dtype=int))
     with pytest.raises(InputError):
         GroupTable(3, 3, table=C3_TABLE)
-    with pytest.raises(InputError):
-        GroupTable(3, 0, table=C3_TABLE, op=lambda a, b: a)
     with pytest.raises(InputError):
         GroupTable(3, 0)
     with pytest.raises(InputError):
@@ -126,17 +116,11 @@ def test_constructor_rejects_bad_arguments():
         GroupTable(3, 0, table=C3_TABLE, labels=["a", "b"])
 
 
-def test_materialization_cap():
-    lazy = cyclic(300, cap=10)
-    with pytest.raises(ResourceError):
-        lazy.materialized(cap=256)
-    with pytest.raises(ResourceError):
-        lazy.table
-    dense = lazy.materialized(cap=300)
-    assert dense.has_table and dense.product(299, 1) == 0
-    assert dense.materialized() is dense
-    assert "lazy" in repr(lazy) and "table" in repr(dense)
-    assert len(lazy) == 300
+def test_len_and_repr():
+    g = cyclic(300)
+    assert g.product(299, 1) == 0
+    assert "table" in repr(g)
+    assert len(g) == 300
 
 
 def test_table_is_read_only():
@@ -224,14 +208,6 @@ def test_cayley_round_trip_with_labels(tmp_path):
     assert np.array_equal(back.table, q8.table)
     assert back.labels == list(q8.labels)
     assert validate(back, mode="full").ok
-
-
-def test_cayley_round_trip_lazy_group(tmp_path):
-    lazy = cyclic(10, cap=4)
-    path = tmp_path / "c10.cayley"
-    write_cayley(lazy, path)
-    back = read_cayley(path)
-    assert np.array_equal(back.table, cyclic(10).table)
 
 
 def test_cayley_comments_and_whitespace(tmp_path):
