@@ -61,6 +61,11 @@ def golden_calls() -> list[list[str]]:
     # above the cap: stats falls back to spectra alone, graph refuses (exit 3)
     calls.append(["stats", "C5000", *CENSUS])
     calls.append(["graph", "C6", "directed", "dot", "--brute-cap", "4"])
+    # the formula workload's shapes: a large prime factor, a large order, a wide scan
+    calls.append(["stats", "C442637112103xSD32", *CENSUS])
+    calls.append(["spectrum", "C1000000000039xC105", *CENSUS])
+    calls.append(["verify", "main-theorem", "--n", "999999", *CENSUS])
+    calls.append(["scan", "conjecture-2.9", "--n-max", "10000", "--format", "csv", *CENSUS])
     return calls
 
 

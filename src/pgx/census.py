@@ -16,7 +16,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
+from math import prod
 from pathlib import Path
 
 from .constructors import (
@@ -48,6 +49,7 @@ from .spectrum import (
     stats_from_spectrum,
     totient,
     undirected_edges,
+    undirected_from_sums,
 )
 
 
@@ -95,11 +97,28 @@ def factorize(n: int) -> Factorization:
 
 @dataclass(frozen=True)
 class CensusMember:
-    """One nilpotent group of order n: a Sylow catalog entry per prime."""
+    """One nilpotent group of order n: a Sylow catalog entry per prime.
 
-    sylow_specs: tuple[GroupSpec, ...]
-    spectrum: OrderSpectrum
-    sources: tuple[str, ...]
+    sigma and phi are its element-order and totient sums, the products of its
+    Sylow entries' values: both are multiplicative over coprime direct
+    products (Lemma 2.1). The full spectrum is convolved when first read.
+    """
+
+    sylows: tuple[CatalogEntry, ...]
+    sigma: int
+    phi: int
+
+    @cached_property
+    def spectrum(self) -> OrderSpectrum:
+        return reduce(spectrum_product, (e.spectrum for e in self.sylows))
+
+    @property
+    def sylow_specs(self) -> tuple[GroupSpec, ...]:
+        return tuple(e.spec for e in self.sylows)
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        return tuple(e.source for e in self.sylows)
 
     @property
     def spec(self) -> GroupSpec:
@@ -108,30 +127,36 @@ class CensusMember:
 
     @property
     def is_cyclic(self) -> bool:
-        return all(isinstance(s, Cyclic) for s in self.sylow_specs)
+        return all(isinstance(e.spec, Cyclic) for e in self.sylows)
 
     def render(self) -> str:
         return render_spec(self.spec)
 
 
-def enumerate_nilpotent(n: int, census_dir: str | Path | None = None
+def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
+                        _sylow_memo: dict | None = None
                         ) -> tuple[list[CensusMember], Completeness]:
-    """All known nilpotent groups of order n as composed Sylow spectra."""
+    """All known nilpotent groups of order n, one per choice of Sylow entries.
+
+    _sylow_memo, when given, maps (p, a) to the catalog of order p^a, its
+    completeness and each entry's (sigma, phi); a caller enumerating many
+    orders with one census_dir passes the same dict to every call.
+    """
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
-    f = factorize(n)
-    catalogs: list[list[CatalogEntry]] = []
-    flags: list[Completeness] = []
-    for p, a in f.factors:
-        entries, comp = p_group_catalog(p, a, census_dir)
-        catalogs.append(entries)
-        flags.append(comp)
-    members: list[CensusMember] = []
-    for combo in itertools.product(*catalogs):
-        spectrum = reduce(spectrum_product, (e.spectrum for e in combo))
-        members.append(CensusMember(tuple(e.spec for e in combo), spectrum,
-                                    tuple(e.source for e in combo)))
-    return members, merge_completeness(flags)
+    memo = {} if _sylow_memo is None else _sylow_memo
+    sylows = []
+    for p, a in factorize(n).factors:
+        if (p, a) not in memo:
+            entries, comp = p_group_catalog(p, a, census_dir)
+            memo[p, a] = ([(e, order_sum(e.spectrum), phi_sum(e.spectrum))
+                           for e in entries], comp)
+        sylows.append(memo[p, a])
+    members = [CensusMember(tuple(e for e, _, _ in combo),
+                            prod(sigma for _, sigma, _ in combo),
+                            prod(phi for _, _, phi in combo))
+               for combo in itertools.product(*(valued for valued, _ in sylows))]
+    return members, merge_completeness([comp for _, comp in sylows])
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +223,12 @@ def _verdict_for(ok: bool, completeness: Completeness) -> Verdict:
 
 
 def _argmax(candidates: list, score) -> tuple[list, int, list[str]]:
-    """Score each candidate's spectrum and sort by (-score, render()).
+    """Score each candidate and sort by (-score, render()).
 
     Returns the (score, candidate) list, the best score, and the rendered
     candidates attaining it, in that order.
     """
-    scored = sorted(((score(c.spectrum), c) for c in candidates),
+    scored = sorted(((score(c), c) for c in candidates),
                     key=lambda t: (-t[0], t[1].render()))
     best = scored[0][0]
     return scored, best, [c.render() for v, c in scored if v == best]
@@ -255,8 +280,8 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     p_s = f.s_prime
     expected_display = f"C{n // p_s}xC{p_s}"
     noncyclic = [m for m in members if not m.is_cyclic]
-    scored, best, argmax = _argmax(noncyclic, phi_sum)
-    expected_phi = phi_sum(expected.spectrum)
+    scored, best, argmax = _argmax(noncyclic, lambda m: m.phi)
+    expected_phi = expected.phi
     ok = expected_phi == best
     rows = [{
         "member": m.render(),
@@ -266,7 +291,7 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     } for v, m in scored]
     witnesses = [] if ok else [r for r in rows if r["argmax"]]
     verdict = Verdict.REPORT_ONLY if n % 2 == 0 else _verdict_for(ok, completeness)
-    cyclic_phi = phi_sum(next(m.spectrum for m in members if m.is_cyclic))
+    cyclic_phi = next(m.phi for m in members if m.is_cyclic)
     notes = [f"cyclic group C{n} excluded from the comparison (phi-sum {cyclic_phi})"]
     if n % 2 == 0:
         notes.append("even order is outside the claim's hypotheses; "
@@ -294,7 +319,7 @@ def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, 
     noncyclic = [e for e in entries if not isinstance(e.spec, Cyclic)]
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
-    scored, best, argmax = _argmax(noncyclic, score)
+    scored, best, argmax = _argmax(noncyclic, lambda e: score(e.spectrum))
     rows = []
     for v, e in scored:
         s = e.spectrum
@@ -632,16 +657,22 @@ def scan_conjecture_2_9(n_max: int, census_dir: str | Path | None = None
     rows = []
     supported = 0
     unsupported = []
+    sylow_memo: dict = {}
     for n in range(9, n_max + 1, 2):
         f = factorize(n)
         if f.is_square_free:
             continue
-        members, completeness = enumerate_nilpotent(n, census_dir)
+        members, completeness = enumerate_nilpotent(n, census_dir,
+                                                    _sylow_memo=sylow_memo)
         expected_sylows = _expected_sylows(f)
         expected = next(m for m in members if m.sylow_specs == expected_sylows)
         noncyclic = [m for m in members if not m.is_cyclic]
-        scored, best, argmax = _argmax(noncyclic, undirected_edges)
-        expected_edges = undirected_edges(expected.spectrum)
+
+        def edges(m: CensusMember) -> int:
+            return undirected_from_sums(m.sigma, m.phi, n)
+
+        scored, best, argmax = _argmax(noncyclic, edges)
+        expected_edges = edges(expected)
         holds = expected_edges == best
         if holds:
             supported += 1

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from math import prod
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Union
 
@@ -92,6 +91,12 @@ class Heisenberg:
 @dataclass(frozen=True)
 class FileTable:
     path: str
+
+    @cached_property
+    def table(self) -> GroupTable:
+        """The group in the Cayley file, read when first asked for, so each
+        atom of a parsed spec reads its file once."""
+        return read_cayley(self.path)
 
 
 @dataclass(frozen=True)
@@ -468,7 +473,7 @@ def heisenberg(p: int) -> GroupTable:
 
 
 def order_of_spec(spec: GroupSpec) -> int:
-    """Group order of a spec; reads the file header for file: specs."""
+    """Group order of a spec; reads the table of each file: atom."""
     if isinstance(spec, Cyclic):
         return spec.m
     if isinstance(spec, Abelian):
@@ -482,7 +487,7 @@ def order_of_spec(spec: GroupSpec) -> int:
     if isinstance(spec, Product):
         return order_of_spec(spec.left) * order_of_spec(spec.right)
     if isinstance(spec, FileTable):
-        return read_cayley(spec.path).size
+        return spec.table.size
     raise InputError(f"unknown spec {spec!r}")
 
 
@@ -490,15 +495,11 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """Build a spec's dense table. Orders above cap raise ResourceError before
     anything n-by-n is allocated; each file: atom is read once."""
     validate_spec(spec)
-    atoms = _flatten(spec)
-    files = {a.path: read_cayley(a.path) for a in atoms if isinstance(a, FileTable)}
-    order = prod(files[a.path].size if isinstance(a, FileTable) else order_of_spec(a)
-                 for a in atoms)
-    check_brute_cap(render_spec(spec), order, cap)
-    return _build(spec, files)
+    check_brute_cap(render_spec(spec), order_of_spec(spec), cap)
+    return _build(spec)
 
 
-def _build(spec: GroupSpec, files: dict[str, GroupTable]) -> GroupTable:
+def _build(spec: GroupSpec) -> GroupTable:
     if isinstance(spec, Cyclic):
         return cyclic(spec.m)
     if isinstance(spec, Abelian):
@@ -514,9 +515,9 @@ def _build(spec: GroupSpec, files: dict[str, GroupTable]) -> GroupTable:
     if isinstance(spec, Heisenberg):
         return heisenberg(spec.p)
     if isinstance(spec, FileTable):
-        return files[spec.path]
+        return spec.table
     if isinstance(spec, Product):
-        return direct_product(_build(spec.left, files), _build(spec.right, files))
+        return direct_product(_build(spec.left), _build(spec.right))
     raise InputError(f"unknown spec {spec!r}")
 
 
@@ -558,7 +559,7 @@ def spectrum_of_spec(spec: GroupSpec) -> OrderSpectrum:
         return spectrum_product(spectrum_of_spec(spec.left),
                                 spectrum_of_spec(spec.right))
     if isinstance(spec, FileTable):
-        return order_spectrum(read_cayley(spec.path))
+        return order_spectrum(spec.table)
     raise InputError(f"unknown spec {spec!r}")
 
 

@@ -152,7 +152,7 @@ def check_brute_cap(name: str, order: int, cap: int) -> None:
     if order > cap:
         raise ResourceError(
             f"{name}: order {order} exceeds the brute-force cap {cap}; spectrum "
-            "formulas (stats/spectrum commands) handle groups of any size "
+            "formulas (stats/spectrum commands) handle larger groups "
             "without building the graph")
 
 

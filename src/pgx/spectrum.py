@@ -14,54 +14,154 @@ the divisions above must be exact and raise InvariantError otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import GroupTable
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+# Trial division runs over the primes below _TRIAL_BOUND only; a number with
+# no such factor that is below _TRIAL_BOUND**2 is prime.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND)
+                      if all(p % q for q in range(2, math.isqrt(p) + 1)))
+# Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
+# MR_EXACT_BELOW (Sorenson & Webster 2015); the bound itself is one.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+# Steps of the Pollard-Brent sequence tried on one composite before giving up:
+# about a second of arithmetic. It nearly always splits off a prime factor
+# below 1e11, and does so about half the time for one near 1e12.
+RHO_STEP_BUDGET = 1 << 20
+_RHO_BATCH = 128
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the odd n > 41 to every base in _MR_BASES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _is_prime_without_small_factor(m: int) -> bool:
+    """Exact primality of m > 1 with no prime factor below _TRIAL_BOUND.
+
+    Raises ResourceError for a strong probable prime at or above
+    MR_EXACT_BELOW, which the bases used cannot prove prime.
+    """
+    if m < _TRIAL_BOUND ** 2:
+        return True
+    if not _strong_probable_prime(m):
+        return False
+    if m >= MR_EXACT_BELOW:
+        raise ResourceError(
+            f"cannot prove {m} prime: Miller-Rabin with bases 2..41 is exact "
+            f"only below {MR_EXACT_BELOW}")
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard's rho in Brent's form
+    (Brent 1980), with x -> x^2 + c for c = 1, 2, ... from x = 2.
+
+    Raises ResourceError once RHO_STEP_BUDGET steps have found no factor.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            steps += r + min(k, r)
+            r *= 2
+            if g == 1 and steps >= RHO_STEP_BUDGET:
+                raise ResourceError(
+                    f"cannot factor {n}: Pollard-Brent rho found no factor "
+                    f"within {RHO_STEP_BUDGET} steps")
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test: trial division by the primes below 1000, then
+    deterministic Miller-Rabin to the bases 2..41.
+
+    Raises ResourceError for a strong probable prime at or above
+    MR_EXACT_BELOW (about 3.3e24), which those bases cannot prove prime.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return _is_prime_without_small_factor(n)
+
+
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, as ascending (prime, exponent) pairs."""
+    """Prime factorization as ascending (prime, exponent) pairs.
+
+    Trial division by the primes below 1000 strips the small factors; each
+    remaining cofactor is proved prime by Miller-Rabin to the bases 2..41,
+    split as a perfect square, or split by Pollard-Brent rho. Raises
+    InputError for n < 1, and ResourceError when a cofactor cannot be
+    settled exactly: a strong probable prime at or above MR_EXACT_BELOW, or
+    a composite that rho does not split within RHO_STEP_BUDGET steps.
+    """
     if n < 1:
         raise InputError(f"cannot factor {n}: need a positive integer")
-    out: list[tuple[int, int]] = []
+    counts: dict[int, int] = {}
     m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime_without_small_factor(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        d = r if r * r == m else _pollard_brent(m)
+        pending += (d, m // d)
+    return sorted(counts.items())
 
 
 def totient(m: int) -> int:
-    """Euler's totient of m, from the trial-division factorization."""
+    """Euler's totient of m, from the prime factorization by `factor`."""
     if m < 1:
         raise InputError(f"totient undefined for {m}")
     res = m
@@ -168,10 +268,15 @@ def order_spectrum(g: "GroupTable") -> OrderSpectrum:
 
 
 def spectrum_cyclic(m: int) -> OrderSpectrum:
-    """Order spectrum of the cyclic group of order m: totient(d) elements per divisor d."""
+    """Order spectrum of the cyclic group of order m: totient(d) elements per
+    divisor d, every totient taken from the one factorization of m."""
     if m < 1:
         raise InputError(f"cyclic group order must be positive, got {m}")
-    return OrderSpectrum({d: totient(d) for d in divisors(m)})
+    counts = {1: 1}
+    for p, e in factor(m):
+        powers = [(1, 1)] + [(p ** k, p ** k - p ** (k - 1)) for k in range(1, e + 1)]
+        counts = {d * q: t * tq for d, t in counts.items() for q, tq in powers}
+    return OrderSpectrum(counts)
 
 
 def spectrum_product(s: OrderSpectrum, t: OrderSpectrum) -> OrderSpectrum:
@@ -216,10 +321,16 @@ def mutual_edges(s: OrderSpectrum) -> int:
 
 def undirected_edges(s: OrderSpectrum) -> int:
     """Edge count of the undirected power graph: order_sum - (phi_sum + size)/2."""
-    half = phi_sum(s) + s.total
+    return undirected_from_sums(order_sum(s), phi_sum(s), s.total)
+
+
+def undirected_from_sums(sigma: int, phi: int, size: int) -> int:
+    """Undirected edge count from the element-order sum sigma, the totient sum
+    phi and the group order: sigma - (phi + size)/2."""
+    half = phi + size
     if half % 2:
         raise InvariantError(f"phi_sum + size = {half} is odd; edge count would not be integral")
-    e = order_sum(s) - half // 2
+    e = sigma - half // 2
     if e < 0:
         raise InvariantError(f"negative edge count {e}")
     return e

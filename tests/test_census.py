@@ -22,7 +22,7 @@ from pgx.census import (
 from pgx.constructors import Completeness, cyclic, spectrum_of_spec
 from pgx.errors import InputError, InvariantError
 from pgx.groups import write_cayley
-from pgx.spectrum import spectrum_cyclic
+from pgx.spectrum import order_sum, phi_sum, spectrum_cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,36 @@ def test_enumerate_nilpotent_sixteen_with_and_without_census(census_dir):
 def test_enumerate_nilpotent_rejects_trivial_order():
     with pytest.raises(InputError):
         enumerate_nilpotent(1)
+
+
+def test_sylow_scores_equal_the_convolved_spectrum():
+    """A member's (sigma, phi), multiplied from its Sylow entries, equals
+    order_sum and phi_sum of its lcm-convolved spectrum."""
+    for n in range(9, 3001, 2):
+        if factorize(n).is_square_free:
+            continue
+        members, _ = enumerate_nilpotent(n)
+        for m in members:
+            assert isinstance(m, CensusMember)
+            assert (m.sigma, m.phi) == (order_sum(m.spectrum), phi_sum(m.spectrum)), \
+                (n, m.render())
+
+
+def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
+    import pgx.census
+    calls = []
+    catalog = pgx.census.p_group_catalog
+
+    def counted(p, k, census_dir=None):
+        calls.append((p, k))
+        return catalog(p, k, census_dir)
+
+    monkeypatch.setattr(pgx.census, "p_group_catalog", counted)
+    scan_conjecture_2_9(300)
+    first = list(calls)
+    assert len(first) == len(set(first)) > 1
+    scan_conjecture_2_9(300)
+    assert calls == first + first   # nothing is carried over between calls
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,56 @@ def test_stats_large_group_without_table(run_cli):
     assert "oracle" not in out
 
 
+def _cyclic_stats_text(m: int, totients: dict[int, int]) -> str:
+    """stats text of C_m from its divisors' totients, with the exact identities."""
+    sigma = sum(d * t for d, t in totients.items())
+    phi = sum(t * t for t in totients.values())
+    return (f"name: C{m}\nsize: {m}\nsigma: {sigma}\nphi_sum: {phi}\n"
+            f"directed_arcs: {sigma - m}\nmutual_edges: {(phi - m) // 2}\n"
+            f"undirected_edges: {sigma - (phi + m) // 2}\n")
+
+
+@pytest.mark.parametrize("p,e", [(1000000007, 2), (1000000000000000003, 1)])
+def test_stats_of_a_large_prime_power_order(run_cli, p, e):
+    m = p ** e
+    totients = {p ** k: p ** k - p ** (k - 1) if k else 1 for k in range(e + 1)}
+    code, out, err = run_cli("stats", f"C{m}")
+    assert (code, err) == (0, "")
+    assert out == _cyclic_stats_text(m, totients)
+
+
+def test_stats_order_that_cannot_be_proved_prime_is_a_resource_error(run_cli):
+    n = 3317044064679887385961981   # a strong pseudoprime to every base 2..41
+    code, out, err = run_cli("stats", f"C{n}")
+    assert (code, out) == (3, "")
+    assert err == (f"error: cannot prove {n} prime: Miller-Rabin with bases "
+                   f"2..41 is exact only below {n}\n")
+
+
+def test_stats_order_rho_cannot_split_is_a_resource_error(run_cli):
+    n = (10 ** 20 + 39) * (10 ** 20 + 129)   # two primes near 1e20
+    code, out, err = run_cli("stats", f"C{n}")
+    assert (code, out) == (3, "")
+    assert err == (f"error: cannot factor {n}: Pollard-Brent rho found no "
+                   f"factor within 1048576 steps\n")
+
+
+def test_stats_from_file_reads_the_table_once(run_cli, monkeypatch):
+    import pgx.constructors
+    reads = []
+    read = pgx.constructors.read_cayley
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(pgx.constructors, "read_cayley", counted)
+    code, out, _ = run_cli("stats", "file:census/16/q16.cayley")
+    assert code == 0 and "oracle: consistent\n" in out
+    assert reads == ["census/16/q16.cayley"]
+
+
 def test_stats_from_census_file(run_cli, census_dir):
     path = census_dir / "16" / "q16.cayley"
     code, out, _ = run_cli("stats", f"file:{path}")

@@ -4,13 +4,18 @@ Every frozen integer below was regenerated with the brute-force graph oracle
 (tests/test_powergraph.py checks the same numbers against explicit graphs).
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgx.errors import InputError, InvariantError
+import pgx.spectrum
+from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import GroupTable
 from pgx.spectrum import (
+    MR_EXACT_BELOW,
     GroupStats,
     OrderSpectrum,
     directed_arcs,
@@ -50,6 +55,96 @@ def test_factor_examples():
     assert factor(1024) == [(2, 10)]
     with pytest.raises(InputError):
         factor(0)
+
+
+# The trial-division routines the factoring engine replaced, kept as its
+# reference: slow, but with no number theory beyond division.
+
+def reference_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def reference_factor(n: int) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
+    m = n
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def assert_factored_like_reference(n: int) -> None:
+    """factor(n) is what reference_factor(n) returns: run the reference
+    directly while it is fast, else check that the engine's primes are small
+    enough for the reference primality test, pass it, and multiply back to n."""
+    got = factor(n)
+    if n <= 10 ** 12:
+        assert got == reference_factor(n), n
+    else:
+        assert [p for p, _ in got] == sorted({p for p, _ in got}), n
+        assert all(p <= 10 ** 12 and reference_is_prime(p) for p, _ in got), n
+        assert math.prod(p ** e for p, e in got) == n
+    assert is_prime(n) == (got == [(n, 1)]), n
+
+
+def test_factor_and_is_prime_match_the_reference_up_to_20000():
+    for n in range(1, 20001):
+        assert factor(n) == reference_factor(n), n
+        assert is_prime(n) == reference_is_prime(n), n
+
+
+def test_factor_matches_the_reference_on_a_seeded_sample_below_1e12():
+    rng = random.Random(20240611)
+    for _ in range(2000):
+        assert_factored_like_reference(rng.randint(1, 10 ** 12))
+
+
+@pytest.mark.parametrize("n", [
+    # strong pseudoprimes to the first 1, 7, 9 and 12 prime bases
+    2047, 3215031751, 3825123056546413051, 318665857834031151167461,
+    # Carmichael numbers
+    561, 41041, 825265,
+    # prime squares and products of two primes near 1e9
+    1000000007 ** 2, 999999937 ** 2, 1000000007 * 1000000009, 999999937 * 1000000007,
+])
+def test_factor_matches_the_reference_on_hard_cases(n):
+    assert_factored_like_reference(n)
+
+
+def test_unprovable_probable_prime_is_a_resource_error():
+    # a strong pseudoprime to every base 2..41, and the bound of exactness
+    n = MR_EXACT_BELOW
+    assert reference_is_prime(1287836182261) and reference_is_prime(2575672364521)
+    assert 1287836182261 * 2575672364521 == n
+    for f in (factor, is_prime):
+        with pytest.raises(ResourceError, match=f"{n}.*exact only below {n}"):
+            f(n)
+
+
+def test_rho_gives_up_after_its_step_budget(monkeypatch):
+    monkeypatch.setattr(pgx.spectrum, "RHO_STEP_BUDGET", 1000)
+    n = 1000000007 * 1000000009
+    with pytest.raises(ResourceError, match=f"cannot factor {n}.* 1000 steps"):
+        factor(n)
 
 
 def test_totient_table():
