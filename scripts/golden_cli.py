@@ -4,7 +4,9 @@
 Each call runs in-process through `pgx.cli.main` from the repository root,
 with no PGX_* variables set and the shipped census directory. One line is
 printed per call, `<sha256>  <argv>`, where the digest covers the exit code
-and every byte written to stdout; a last line digests all the others.
+and every byte written to stdout; a last line digests all the others. The
+argument {gen} stands for a temporary directory holding Cayley tables that
+the script writes with `write_cayley` before the calls.
 Two versions of pgx behave the same on this set when their outputs are
 byte-identical.
 
@@ -18,12 +20,15 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from pgx.cli import main  # noqa: E402
+from pgx.constructors import build_group, parse_group_spec  # noqa: E402
+from pgx.groups import write_cayley  # noqa: E402
 
 # Three sizes of each family in the benchmark's audit workload, up to the
 # brute-force cap, so that every stats call runs the graph oracle.
@@ -46,6 +51,8 @@ VERIFY_CLAIMS = (
     ("lemma-2.4",), ("lemma-2.5",), ("cor-2.6",),
 )
 CENSUS = ("--census-dir", "census")
+# Tables written to {gen}: full validation at 243, sampled above 256.
+GEN_SPECS = ("Ab(3;2,2)xC3", "D300", "M(10,2)")
 
 
 def golden_calls() -> list[list[str]]:
@@ -66,13 +73,25 @@ def golden_calls() -> list[list[str]]:
     calls.append(["spectrum", "C1000000000039xC105", *CENSUS])
     calls.append(["verify", "main-theorem", "--n", "999999", *CENSUS])
     calls.append(["scan", "conjecture-2.9", "--n-max", "10000", "--format", "csv", *CENSUS])
+    # the io workload's shapes: large graph exports and a written census
+    calls.append(["graph", "C1024", "directed", "dot"])
+    calls.append(["graph", "D1024", "undirected", "edge-csv"])
+    calls.append(["graph", "Ab(3;1,1)xC5xC11", "directed", "dot"])
+    calls.append(["census", "ingest", "{gen}", "--format", "csv"])
     return calls
 
 
-def digest(argv: list[str]) -> str:
+def write_gen(gen: Path) -> None:
+    for spec in GEN_SPECS:
+        g = build_group(parse_group_spec(spec))
+        (gen / str(g.size)).mkdir()
+        write_cayley(g, gen / str(g.size) / f"{g.size}.cayley")
+
+
+def digest(argv: list[str], gen: Path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = main([str(gen) if a == "{gen}" else a for a in argv])
     return hashlib.sha256(f"exit {code}\n{out.getvalue()}".encode()).hexdigest()
 
 
@@ -81,10 +100,12 @@ def run() -> None:
     for var in [v for v in os.environ if v.startswith("PGX_")]:
         del os.environ[var]
     total = hashlib.sha256()
-    for argv in golden_calls():
-        line = f"{digest(argv)}  {' '.join(argv)}\n"
-        total.update(line.encode())
-        sys.stdout.write(line)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_gen(Path(tmp))
+        for argv in golden_calls():
+            line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
+            total.update(line.encode())
+            sys.stdout.write(line)
     sys.stdout.write(f"{total.hexdigest()}  (all of the above)\n")
 
 

@@ -57,6 +57,7 @@ class GroupTable:
         self.name = name
         self.labels = labels
         self.table = table
+        self._orders: tuple[int, ...] | None = None
 
     @property
     def has_table(self) -> bool:
@@ -119,22 +120,24 @@ class GroupTable:
         return frozenset(seen)
 
     def element_orders(self) -> list[int]:
-        """Orders of all elements, as Python ints.
+        """Orders of all elements, a fresh list of ints computed once (the table is read-only).
 
         By Lagrange: o(x) divides |G|, so for each p^a exactly dividing |G|
         the p-part of o(x) is the least p^j with (x^(|G|/p^a))^(p^j) = e.
         """
-        table, e, n = self.table, self.identity, self.size
-        orders = np.ones(n, dtype=np.int64)
-        for p, a in factor(n):
-            y = _powers(table, np.arange(n), n // p ** a, e)
-            for _ in range(a):
-                orders[y != e] *= p
-                y = _powers(table, y, p, e)
-            if (y != e).any():
-                raise InvariantError(f"{self.name}: some element x has x^{n} != e; "
-                                     "not a group table")
-        return orders.tolist()
+        if self._orders is None:
+            table, e, n = self.table, self.identity, self.size
+            orders = np.ones(n, dtype=np.int64)
+            for p, a in factor(n):
+                y = _powers(table, np.arange(n), n // p ** a, e)
+                for _ in range(a):
+                    orders[y != e] *= p
+                    y = _powers(table, y, p, e)
+                if (y != e).any():
+                    raise InvariantError(f"{self.name}: some element x has x^{n} != e; "
+                                         "not a group table")
+            self._orders = tuple(orders.tolist())
+        return list(self._orders)
 
     def label(self, a: int) -> str:
         self._check_index(a)
@@ -234,9 +237,9 @@ def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
 
 
 def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
-    """Exhaustive associativity over all n^3 triples, in row blocks."""
+    """Exhaustive associativity over all n^3 triples, in cache-sized row blocks."""
     n = t.shape[0]
-    blk = max(1, (1 << 25) // max(1, n * n))
+    blk = max(1, (1 << 20) // (n * n))
     for a0 in range(0, n, blk):
         rows = t[a0:a0 + blk]
         lhs = t[rows, :]          # lhs[a,b,c] = t[t[a,b], c]
@@ -318,6 +321,24 @@ def validate(g: GroupTable, mode: str = "auto", *,
 #   optional: labels tok1 ... tokN
 # ---------------------------------------------------------------------------
 
+def _parse_rows(rows: list[str], n: int) -> np.ndarray | None:
+    """The table parsed in blocks of rows if each row is exactly n ASCII decimal tokens,
+    each below n, with single spaces between (as write_cayley writes); else None."""
+    if any(row.count(" ") != n - 1 for row in rows):
+        return None
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, (1 << 18) // n)   # about 2^18 entries per parse bounds the temporaries
+    for r in range(0, n, step):
+        text = " ".join(rows[r:r + step])
+        if text.encode().translate(None, b"0123456789 "):
+            return None
+        vals = np.fromstring(text, dtype=np.int64, sep=" ")
+        if vals.size != len(rows[r:r + step]) * n or vals.max() >= n:
+            return None
+        table[r:r + step] = vals.reshape(-1, n)
+    return table
+
+
 def read_cayley(path: str | Path) -> GroupTable:
     """Parse a Cayley-table file; the group is named after the file stem."""
     path = Path(path)
@@ -352,19 +373,21 @@ def read_cayley(path: str | Path) -> GroupTable:
         raise fail(lineno, f"identity {e} out of range for order {n}")
     if len(lines) < 2 + n:
         raise InputError(f"{path}: expected {n} table rows, found {len(lines) - 2}")
-    table = np.empty((n, n), dtype=np.int32)
-    for r in range(n):
-        lineno, row = lines[2 + r]
-        toks = row.split()
-        if len(toks) != n:
-            raise fail(lineno, f"row {r} has {len(toks)} entries, expected {n}")
-        try:
-            vals = [int(tok) for tok in toks]
-        except ValueError:
-            raise fail(lineno, f"row {r} contains a non-integer entry") from None
-        if any(not 0 <= v < n for v in vals):
-            raise fail(lineno, f"row {r} has an entry outside 0..{n - 1}")
-        table[r] = vals
+    table = _parse_rows([row for _, row in lines[2:2 + n]], n)
+    if table is None:
+        table = np.empty((n, n), dtype=np.int32)
+        for r in range(n):
+            lineno, row = lines[2 + r]
+            toks = row.split()
+            if len(toks) != n:
+                raise fail(lineno, f"row {r} has {len(toks)} entries, expected {n}")
+            try:
+                vals = [int(tok) for tok in toks]
+            except ValueError:
+                raise fail(lineno, f"row {r} contains a non-integer entry") from None
+            if any(not 0 <= v < n for v in vals):
+                raise fail(lineno, f"row {r} has an entry outside 0..{n - 1}")
+            table[r] = vals
     labels = None
     rest = lines[2 + n:]
     if rest:
@@ -383,18 +406,19 @@ def read_cayley(path: str | Path) -> GroupTable:
 
 def write_cayley(g: GroupTable, sink: str | Path | IO[str]) -> None:
     """Write g in the Cayley-table file format."""
+    for lab in g.labels or ():
+        if not lab or any(ch.isspace() for ch in lab):
+            raise InputError(f"label {lab!r} is not a whitespace-free token")
     own = isinstance(sink, (str, Path))
     fh = open(sink, "w") if own else sink
     try:
         fh.write(f"# {g.name}\n")
         fh.write(f"order {g.size}\n")
         fh.write(f"identity {g.identity}\n")
+        names = [str(i) for i in range(g.size)]
         for row in g.table:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            fh.write(" ".join(map(names.__getitem__, row.tolist())) + "\n")
         if g.labels is not None:
-            for lab in g.labels:
-                if not lab or any(ch.isspace() for ch in lab):
-                    raise InputError(f"label {lab!r} is not a whitespace-free token")
             fh.write("labels " + " ".join(g.labels) + "\n")
     finally:
         if own:

@@ -136,10 +136,6 @@ def degree_sequence(graph: DirectedPowerGraph | UndirectedPowerGraph) -> list[in
     return sorted(degrees, reverse=True)
 
 
-def _vertex_name(graph, i: int) -> str:
-    return graph.labels[i] if graph.labels is not None else str(i)
-
-
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -150,7 +146,8 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
 
     DOT names vertices by their labels; CSV rows carry numeric indices with
     header src,dst (arcs) or a,b (edges, a < b). An empty graph yields a
-    valid document with no edge rows.
+    valid document with no edge rows. The pairs are sorted, so each source
+    vertex's run is found by bisection and written in one piece.
     """
     directed = isinstance(graph, DirectedPowerGraph)
     if not directed and not isinstance(graph, UndirectedPowerGraph):
@@ -158,16 +155,21 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
     pairs = graph.arcs if directed else graph.edges
     if fmt == "dot":
         kind, connector = ("digraph", "->") if directed else ("graph", "--")
-        sink.write(f"{kind} {_quote(graph.name)} {{\n")
-        for i in range(graph.size):
-            sink.write(f"  {_quote(_vertex_name(graph, i))};\n")
-        for a, b in pairs.tolist():
-            sink.write(f"  {_quote(_vertex_name(graph, a))} {connector} "
-                       f"{_quote(_vertex_name(graph, b))};\n")
-        sink.write("}\n")
+        names = [_quote(str(lab)) for lab in graph.labels or range(graph.size)]
+        sink.write(f"{kind} {_quote(graph.name)} {{\n" + "".join(f"  {v};\n" for v in names))
+        heads = [f"  {name} {connector} " for name in names]
+        end, close = ";\n", "}\n"
     elif fmt == "edge-csv":
+        names = [str(i) for i in range(graph.size)]
         sink.write("src,dst\n" if directed else "a,b\n")
-        for a, b in pairs.tolist():
-            sink.write(f"{a},{b}\n")
+        heads = [f"{name}," for name in names]
+        end, close = "\n", ""
     else:
         raise InputError(f"unknown graph export format {fmt!r} (use dot or edge-csv)")
+    bounds = np.searchsorted(pairs[:, 0], np.arange(graph.size + 1)).tolist()
+    dst = pairs[:, 1].tolist()
+    for a, head in enumerate(heads):
+        lo, hi = bounds[a], bounds[a + 1]
+        if lo < hi:
+            sink.write(head + (end + head).join(map(names.__getitem__, dst[lo:hi])) + end)
+    sink.write(close)

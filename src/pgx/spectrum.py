@@ -299,8 +299,14 @@ def order_sum(s: OrderSpectrum) -> int:
 
 
 def phi_sum(s: OrderSpectrum) -> int:
-    """Sum of totient(o(g)) over all elements g."""
-    return sum(totient(d) * c for d, c in s.items())
+    """Sum of totient(o(g)) over all g, every totient from one factorization of the
+    exponent (lcm of the orders); |G| can be far harder (P^3 for Ab(P;1,1,1))."""
+    primes = [p for p, _ in factor(math.lcm(*(d for d, _ in s.items())))]
+    total = 0
+    for d, c in s.items():
+        ps = [p for p in primes if d % p == 0]
+        total += c * d // math.prod(ps) * math.prod(p - 1 for p in ps)
+    return total
 
 
 def directed_arcs(s: OrderSpectrum) -> int:
@@ -327,6 +333,8 @@ def undirected_edges(s: OrderSpectrum) -> int:
 def undirected_from_sums(sigma: int, phi: int, size: int) -> int:
     """Undirected edge count from the element-order sum sigma, the totient sum
     phi and the group order: sigma - (phi + size)/2."""
+    if phi < size:
+        raise InvariantError(f"phi_sum {phi} is below the group order {size}")
     half = phi + size
     if half % 2:
         raise InvariantError(f"phi_sum + size = {half} is odd; edge count would not be integral")
@@ -394,16 +402,12 @@ class GroupStats:
 
 
 def stats_from_spectrum(name: str, s: OrderSpectrum) -> GroupStats:
-    """Assemble GroupStats from a spectrum via the exact identities."""
-    return GroupStats(
-        name=name,
-        size=s.total,
-        sigma=order_sum(s),
-        phi_sum=phi_sum(s),
-        directed_arcs=directed_arcs(s),
-        mutual_edges=mutual_edges(s),
-        undirected_edges=undirected_edges(s),
-    )
+    """GroupStats by the exact identities, sigma and phi summed once; mutual = arcs - edges."""
+    sigma, phi, arcs = order_sum(s), phi_sum(s), directed_arcs(s)
+    undirected = undirected_from_sums(sigma, phi, s.total)
+    return GroupStats(name=name, size=s.total, sigma=sigma, phi_sum=phi,
+                      directed_arcs=arcs, mutual_edges=arcs - undirected,
+                      undirected_edges=undirected)
 
 
 def group_stats(g: "GroupTable") -> GroupStats:

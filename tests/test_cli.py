@@ -131,6 +131,18 @@ def test_stats_from_file_reads_the_table_once(run_cli, monkeypatch):
     assert reads == ["census/16/q16.cayley"]
 
 
+def test_stats_computes_element_orders_once(run_cli, monkeypatch):
+    import pgx.groups
+    passes = []
+    powers = pgx.groups._powers
+    monkeypatch.setattr(pgx.groups, "_powers",
+                        lambda *args: passes.append(args[2]) or powers(*args))
+    code, out, _ = run_cli("stats", "C4096")
+    assert code == 0 and "oracle: consistent\n" in out
+    # 4096 = 2^12: one pass raising to the 1st power, then 12 squarings
+    assert passes == [1] + [2] * 12
+
+
 def test_stats_from_census_file(run_cli, census_dir):
     path = census_dir / "16" / "q16.cayley"
     code, out, _ = run_cli("stats", f"file:{path}")

@@ -1,12 +1,14 @@
 """GroupTable arithmetic, axiom validation, and the Cayley file format."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from pgx.constructors import build_group, cyclic, generalized_quaternion, parse_group_spec
 from pgx.errors import InputError, InvariantError
+from pgx import groups
 from pgx.groups import GroupTable, read_cayley, validate, write_cayley
 
 C3_TABLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -187,6 +189,34 @@ def test_validate_associativity_failure_with_witness():
     assert d["failure"]["axiom"] == "associativity"
 
 
+def test_full_associativity_witness_from_a_late_block_is_the_first_triple():
+    # NONASSOCIATIVE_LOOP x C48 on indices l*48 + h: a triple fails exactly
+    # when its loop components fail, so the lexicographically first failing
+    # triple is 48 times the loop's, and its row a = 48 lies past the first
+    # row blocks of the exhaustive check.
+    m, loop = 48, NONASSOCIATIVE_LOOP
+    cyc = np.add.outer(np.arange(m), np.arange(m)) % m
+    t = (loop[:, None, :, None] * m + cyc[None, :, None, :]).reshape(5 * m, 5 * m)
+    first = next((a, b, c) for a, b, c in itertools.product(range(5), repeat=3)
+                 if loop[loop[a, b], c] != loop[a, loop[b, c]])
+    report = validate(GroupTable(5 * m, 0, table=t))
+    assert report.mode == "full" and report.failure.axiom == "associativity"
+    assert report.failure.witness == tuple(m * v for v in first)
+
+
+def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):
+    g = build_group(parse_group_spec("C12"))
+    passes = []
+    powers = groups._powers
+    monkeypatch.setattr(groups, "_powers",
+                        lambda *args: passes.append(args[2]) or powers(*args))
+    orders = g.element_orders()
+    first = len(passes)
+    orders[0] = 99
+    assert g.element_orders() == [g.element_order(a) for a in range(12)]
+    assert first > 0 and len(passes) == first
+
+
 def test_validate_corrupted_entry_is_caught():
     t = C3_TABLE.copy()
     t[2, 2] = 2                      # break the Latin property
@@ -239,6 +269,15 @@ def test_cayley_comments_and_whitespace(tmp_path):
     ("order 2\nidentity 0\n0 1\n1 0\nlabels a\n", "labels line has 1 tokens"),
     ("order 2\nidentity 0\n0 1\n1 0\nnames a b\n", "unexpected line"),
     ("order 2\nidentity 0\n0 1\n1 0\nlabels a b\nextra\n", "unexpected trailing"),
+    # rows the one-pass parse must hand back to the row-by-row parse
+    ("order 2\nidentity 0\n0 1 1\n1\n", "broken.cayley:3: row 0 has 3 entries, expected 2"),
+    ("order 2\nidentity 0\n0 1\n1\n", "broken.cayley:4: row 1 has 1 entries, expected 2"),
+    ("order 3\nidentity 0\n0 1 2\n1  2\n2 0 1\n", "broken.cayley:4: row 1 has 2 entries, expected 3"),
+    (f"order 2\nidentity 0\n0 1\n1 {2 ** 70}\n", "broken.cayley:4: row 1 has an entry outside 0..1"),
+    ("order 2\nidentity 0\n0 1\n1 -1\n", "broken.cayley:4: row 1 has an entry outside 0..1"),
+    ("order 2\nidentity 0\n0 1.5\n1 0\n", "broken.cayley:3: row 0 contains a non-integer entry"),
+    ("order 2\nidentity 0\n0 1\n1 -\n", "broken.cayley:4: row 1 contains a non-integer entry"),
+    ("order 2\nidentity 0\n0 \u00b2\n1 0\n", "broken.cayley:3: row 0 contains a non-integer entry"),
 ])
 def test_cayley_parse_errors(tmp_path, body, fragment):
     path = tmp_path / "broken.cayley"
@@ -253,7 +292,70 @@ def test_read_cayley_missing_file(tmp_path):
         read_cayley(tmp_path / "missing.cayley")
 
 
-def test_write_cayley_rejects_whitespace_labels():
+def test_write_cayley_rejects_whitespace_labels(tmp_path):
     g = GroupTable(2, 0, table=np.array([[0, 1], [1, 0]]), labels=["e", "a b"])
     with pytest.raises(InputError):
         write_cayley(g, io.StringIO())
+    path = tmp_path / "k2.cayley"
+    with pytest.raises(InputError):
+        write_cayley(g, path)
+    assert not path.exists()
+
+
+def reference_write_cayley(g, sink):
+    """The per-entry writer that `write_cayley` replaced, kept as its byte
+    reference (a text sink only)."""
+    sink.write(f"# {g.name}\n")
+    sink.write(f"order {g.size}\n")
+    sink.write(f"identity {g.identity}\n")
+    for row in g.table:
+        sink.write(" ".join(str(int(v)) for v in row) + "\n")
+    if g.labels is not None:
+        sink.write("labels " + " ".join(g.labels) + "\n")
+
+
+CAYLEY_GROUPS = [build_group(parse_group_spec(t)) for t in
+                 ("C1", "C12", "Q8", "D24", "He3", "Ab(3;1,1)xC5xC11")] + [
+    GroupTable(5, 0, table=NONASSOCIATIVE_LOOP, name="loop")]
+
+
+@pytest.mark.parametrize("g", CAYLEY_GROUPS, ids=lambda g: g.name)
+def test_write_cayley_matches_the_per_entry_reference(g, tmp_path):
+    fast, slow = io.StringIO(), io.StringIO()
+    write_cayley(g, fast)
+    reference_write_cayley(g, slow)
+    assert fast.getvalue() == slow.getvalue()
+    write_cayley(g, tmp_path / "g.cayley")
+    assert (tmp_path / "g.cayley").read_text() == slow.getvalue()
+
+
+def _cayley_text(g, sep=" ", token=str):
+    rows = "".join(sep.join(token(v) for v in row) + "\n" for row in g.table.tolist())
+    return f"order {g.size}\nidentity {g.identity}\n{rows}"
+
+
+@pytest.mark.parametrize("g", CAYLEY_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("sep,token", [
+    (" ", str),                                  # as write_cayley writes it
+    ("\t", str),
+    ("   ", str),
+    (" \t ", lambda v: f"+{v}"),
+    (" ", lambda v: "_".join(str(v))),           # 12 -> 1_2, as int() reads it
+    (" ", lambda v: f"00{v}"),
+])
+def test_read_cayley_accepts_every_int_token_form(g, sep, token, tmp_path):
+    path = tmp_path / "g.cayley"
+    path.write_text(_cayley_text(g, sep, token))
+    back = read_cayley(path)
+    assert back.table.dtype == np.int32
+    assert np.array_equal(back.table, g.table)
+
+
+@pytest.mark.parametrize("text", ["D24", "D600"])      # D600 spans two row blocks
+def test_read_cayley_parses_written_rows_in_bulk(text):
+    g = build_group(parse_group_spec(text))
+    rows = io.StringIO()
+    write_cayley(g, rows)
+    table_rows = rows.getvalue().splitlines()[3:3 + g.size]
+    assert np.array_equal(groups._parse_rows(table_rows, g.size), g.table)
+    assert groups._parse_rows([r.replace(" ", "\t") for r in table_rows], g.size) is None

@@ -273,3 +273,48 @@ def test_export_rejects_unknown_format_and_type():
     assert "unknown graph export format" in str(err.value)
     with pytest.raises(InputError):
         export("not a graph", "dot", io.StringIO())
+
+
+def reference_quote(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_export(graph, fmt, sink):
+    """The per-pair export loop that `export` replaced, kept as its byte
+    reference: every vertex name is quoted again for every pair."""
+    def name(i):
+        return reference_quote(graph.labels[i] if graph.labels is not None else str(i))
+
+    directed = isinstance(graph, DirectedPowerGraph)
+    pairs = graph.arcs if directed else graph.edges
+    if fmt == "dot":
+        kind, connector = ("digraph", "->") if directed else ("graph", "--")
+        sink.write(f"{kind} {reference_quote(graph.name)} {{\n")
+        for i in range(graph.size):
+            sink.write(f"  {name(i)};\n")
+        for a, b in pairs.tolist():
+            sink.write(f"  {name(a)} {connector} {name(b)};\n")
+        sink.write("}\n")
+    else:
+        sink.write("src,dst\n" if directed else "a,b\n")
+        for a, b in pairs.tolist():
+            sink.write(f"{a},{b}\n")
+
+
+# Labels that need quoting, on the cyclic group of order 6.
+ESCAPED = GroupTable(6, 0, table=np.add.outer(np.arange(6), np.arange(6)) % 6,
+                     name='C"6\\', labels=["e", 'a"', "b\\", '\\"c', 'd"\\"', "f"])
+EXPORT_GROUPS = [build_group(parse_group_spec(t))
+                 for t in GRAPH_SPECS + ["Ab(3;1,1)xC5xC11"]] + [
+    ESCAPED, GroupTable(1, 0, table=[[0]], name="trivial")]
+
+
+@pytest.mark.parametrize("g", EXPORT_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("build", [build_directed, build_undirected])
+@pytest.mark.parametrize("fmt", ["dot", "edge-csv"])
+def test_export_matches_the_per_pair_reference(g, build, fmt):
+    graph = build(g)
+    fast, slow = io.StringIO(), io.StringIO()
+    export(graph, fmt, fast)
+    reference_export(graph, fmt, slow)
+    assert fast.getvalue() == slow.getvalue()

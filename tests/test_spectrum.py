@@ -33,6 +33,7 @@ from pgx.spectrum import (
     stats_from_spectrum,
     totient,
     undirected_edges,
+    undirected_from_sums,
 )
 from pgx.constructors import cyclic
 
@@ -305,6 +306,8 @@ def test_parity_guards_reject_corrupt_spectrum():
         mutual_edges(corrupt)
     with pytest.raises(InvariantError):
         undirected_edges(corrupt)
+    with pytest.raises(InvariantError, match="below the group order"):
+        undirected_from_sums(10, 3, 5)            # phi < size: a negative mutual count
 
 
 def test_phi_cyclic_prime_power_closed_form():
@@ -356,3 +359,25 @@ def test_order_spectrum_identity_anchor():
     table = [[0, 1], [1, 0]]
     g = GroupTable(2, 0, table=__import__("numpy").array(table))
     assert dict(order_spectrum(g).items()) == {1: 1, 2: 1}
+
+
+def test_stats_from_spectrum_factors_the_exponent_once(monkeypatch):
+    from pgx.constructors import parse_group_spec, spectrum_of_spec
+    s = spectrum_of_spec(parse_group_spec("C442637112103xSD32"))
+    phi = sum(totient(d) * c for d, c in s.items())
+    sigma = sum(d * c for d, c in s.items())
+    calls = []
+    real = pgx.spectrum.factor
+    monkeypatch.setattr(pgx.spectrum, "factor", lambda n: calls.append(n) or real(n))
+    stats = stats_from_spectrum("G", s)
+    assert calls == [442637112103 * 16]          # the exponent of C_P x SD32
+    assert (stats.sigma, stats.phi_sum) == (sigma, phi)
+    assert stats.mutual_edges == (phi - s.total) // 2
+    assert stats.undirected_edges == sigma - (phi + s.total) // 2
+
+
+def test_phi_sum_of_a_cube_of_a_large_prime_factors_only_the_prime():
+    # Ab(P;1,1,1): the order P^3 is beyond the rho budget, the exponent P is not
+    p = 1000000000000037
+    s = OrderSpectrum({1: 1, p: p ** 3 - 1})
+    assert phi_sum(s) == 1 + (p - 1) * (p ** 3 - 1)
