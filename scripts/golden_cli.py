@@ -4,11 +4,14 @@
 Each call runs in-process through `pgx.cli.main` from the repository root,
 with no PGX_* variables set and the shipped census directory. One line is
 printed per call, `<sha256>  <argv>`, where the digest covers the exit code
-and every byte written to stdout; a last line digests all the others. The
-argument {gen} stands for a temporary directory holding Cayley tables that
-the script writes with `write_cayley` before the calls.
+and every byte written to stdout. The calls come in sets, and after each set
+a line digests all the lines above it; the first set's digest therefore
+stays comparable when later sets are added. The argument {gen} stands for a
+temporary directory holding Cayley tables that the script writes with
+`write_cayley` before the calls.
 Two versions of pgx behave the same on this set when their outputs are
-byte-identical.
+byte-identical. scripts/golden_cli.expected holds the recorded output, and
+tests/test_golden.py compares against it.
 
     python3 scripts/golden_cli.py
 """
@@ -53,6 +56,9 @@ VERIFY_CLAIMS = (
 CENSUS = ("--census-dir", "census")
 # Tables written to {gen}: full validation at 243, sampled above 256.
 GEN_SPECS = ("Ab(3;2,2)xC3", "D300", "M(10,2)")
+# One spectrum call per family of specs.
+SPECTRUM_SPECS = ("C97", "Ab(3;3,2,1)", "M(9,5)", "D10002", "Q8192", "SD16384", "He31",
+                  "file:census/16/d8oc4.cayley")
 
 
 def golden_calls() -> list[list[str]]:
@@ -81,6 +87,15 @@ def golden_calls() -> list[list[str]]:
     return calls
 
 
+def later_calls() -> list[list[str]]:
+    """The CSV and JSON renderings of stats and spectrum, and every family's spectrum."""
+    calls = [[command, spec, "--format", fmt, *CENSUS]
+             for command, spec in (("stats", "C9xC3"), ("spectrum", "C12"))
+             for fmt in ("csv", "json")]
+    calls += [["spectrum", spec, *CENSUS] for spec in SPECTRUM_SPECS]
+    return calls
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -102,11 +117,12 @@ def run() -> None:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
-        for argv in golden_calls():
-            line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
-            total.update(line.encode())
-            sys.stdout.write(line)
-    sys.stdout.write(f"{total.hexdigest()}  (all of the above)\n")
+        for calls in (golden_calls(), later_calls()):
+            for argv in calls:
+                line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
+                total.update(line.encode())
+                sys.stdout.write(line)
+            sys.stdout.write(f"{total.hexdigest()}  (all of the above)\n")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from math import prod
 from pathlib import Path
 
 from .constructors import (
+    CATALOG_BOUND,
     Abelian,
     CatalogEntry,
     Completeness,
@@ -31,10 +32,8 @@ from .constructors import (
     Product,
     merge_completeness,
     p_group_catalog,
-    render_spec,
-    spectrum_of_spec,
 )
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_SEED
 from .spectrum import (
     OrderSpectrum,
@@ -117,20 +116,16 @@ class CensusMember:
         return tuple(e.spec for e in self.sylows)
 
     @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(e.source for e in self.sylows)
-
-    @property
     def spec(self) -> GroupSpec:
         return reduce(Product, self.sylow_specs) if len(self.sylow_specs) > 1 \
             else self.sylow_specs[0]
 
     @property
     def is_cyclic(self) -> bool:
-        return all(isinstance(e.spec, Cyclic) for e in self.sylows)
+        return all(e.is_cyclic for e in self.sylows)
 
     def render(self) -> str:
-        return render_spec(self.spec)
+        return self.spec.render()
 
 
 def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
@@ -140,7 +135,9 @@ def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
 
     _sylow_memo, when given, maps (p, a) to the catalog of order p^a, its
     completeness and each entry's (sigma, phi); a caller enumerating many
-    orders with one census_dir passes the same dict to every call.
+    orders with one census_dir passes the same dict to every call. Raises
+    ResourceError, before listing any group, when the groups would number more
+    than CATALOG_BOUND.
     """
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
@@ -152,6 +149,10 @@ def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
             memo[p, a] = ([(e, order_sum(e.spectrum), phi_sum(e.spectrum))
                            for e in entries], comp)
         sylows.append(memo[p, a])
+    count = prod(len(valued) for valued, _ in sylows)
+    if count > CATALOG_BOUND:
+        raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
+                            f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
     members = [CensusMember(tuple(e for e, _, _ in combo),
                             prod(sigma for _, sigma, _ in combo),
                             prod(phi for _, _, phi in combo))
@@ -275,7 +276,7 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     expected = next((m for m in members if m.sylow_specs == expected_sylows), None)
     if expected is None:
         raise InvariantError(
-            f"expected maximizer {render_spec(reduce(Product, expected_sylows))} "
+            f"expected maximizer {reduce(Product, expected_sylows).render()} "
             f"missing from the order-{n} enumeration")
     p_s = f.s_prime
     expected_display = f"C{n // p_s}xC{p_s}"
@@ -296,8 +297,7 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     if n % 2 == 0:
         notes.append("even order is outside the claim's hypotheses; "
                      "rows are exploratory only")
-    if any(isinstance(s, Modular) and s.p == 2 for m in members
-           for s in m.sylow_specs):
+    if n % 16 == 0:     # the catalog of order 2^a lists M(a,2) from a = 4 on
         notes.append(_M2_NOTE)
     headline = (f"max phi-sum among {len(noncyclic)} non-cyclic nilpotent groups "
                 f"of order {n} is {best}; {expected_display} "
@@ -316,7 +316,7 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 
 def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, list[str]]:
-    noncyclic = [e for e in entries if not isinstance(e.spec, Cyclic)]
+    noncyclic = [e for e in entries if not e.is_cyclic]
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
     scored, best, argmax = _argmax(noncyclic, lambda e: score(e.spectrum))
@@ -351,9 +351,9 @@ def verify_prop_2_2(p: int, n: int,
     rows, best, argmax = _p_group_rows(entries, phi_sum)
     identity_bad = [r["group"] for r in rows
                     if p * r["phi_sum"] != (p - 1) * r["sigma"] + 1]
-    expected = {render_spec(Abelian(p, (n - 1, 1)))}
+    expected = {Abelian(p, (n - 1, 1)).render()}
     if n >= 3:
-        expected.add(render_spec(Modular(n, p)))
+        expected.add(Modular(n, p).render())
     ok = set(argmax) == expected and not identity_bad
     witnesses = [] if ok else [r for r in rows if r["argmax"]] or rows[:1]
     verdict = _verdict_for(ok, completeness)
@@ -382,11 +382,11 @@ def verify_cor_2_3(p: int, n: int) -> VerificationReport:
         raise InputError(f"M(n,{p}) needs n >= 3, got n = {n}")
     ab_spec = Abelian(p, (n - 1, 1))
     mod_spec = Modular(n, p)
-    s_ab = spectrum_of_spec(ab_spec)
-    s_mod = spectrum_of_spec(mod_spec)
+    s_ab = ab_spec.spectrum()
+    s_mod = mod_spec.spectrum()
     rows = []
     for spec, s in ((ab_spec, s_ab), (mod_spec, s_mod)):
-        st = stats_from_spectrum(render_spec(spec), s)
+        st = stats_from_spectrum(spec.render(), s)
         rows.append({"group": st.name, "size": st.size, "phi_sum": st.phi_sum,
                      "mutual_edges": st.mutual_edges})
     ok = mutual_edges(s_ab) == mutual_edges(s_mod)
@@ -394,8 +394,8 @@ def verify_cor_2_3(p: int, n: int) -> VerificationReport:
     notes = ["the two order spectra are identical" if spectra_equal
              else "mutual counts compared despite differing spectra"]
     verdict = _verdict_for(ok, Completeness.COMPLETE)
-    headline = (f"mutual-edge counts of {render_spec(ab_spec)} and "
-                f"{render_spec(mod_spec)}: {rows[0]['mutual_edges']} vs "
+    headline = (f"mutual-edge counts of {ab_spec.render()} and "
+                f"{mod_spec.render()}: {rows[0]['mutual_edges']} vs "
                 f"{rows[1]['mutual_edges']} ({'equal' if ok else 'DIFFER'})")
     return VerificationReport(
         claim="cor-2.3",
@@ -573,11 +573,11 @@ def verify_prop_2_8(p: int, n: int,
     rows, best, argmax = _p_group_rows(entries, undirected_edges)
     notes = []
     if p == 2 and n == 3:
-        expected = {render_spec(GeneralizedQuaternion(8))}
+        expected = {GeneralizedQuaternion(8).render()}
     else:
-        expected = {render_spec(Abelian(p, (n - 1, 1)))}
+        expected = {Abelian(p, (n - 1, 1)).render()}
         if n >= 3:
-            expected.add(render_spec(Modular(n, p)))
+            expected.add(Modular(n, p).render())
         if p == 2 and n >= 4:
             notes.append(_M2_NOTE)
     ok = set(argmax) == expected

@@ -33,7 +33,7 @@ from .census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from .constructors import build_group, parse_group_spec, render_spec, spectrum_of_spec
+from .constructors import build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
 from .groups import (
     DEFAULT_SAMPLE_TRIPLES,
@@ -83,7 +83,7 @@ def _check_format(value: str, source: str) -> str:
 def _read_config_file(path: Path) -> dict[str, str]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -101,6 +101,19 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+# Each CliConfig field with its config-file key, the parser of a file or
+# environment value (value, source) -> setting, and its environment variable.
+# Its flag stores to the argparse destination named like the field.
+_SETTINGS = (
+    ("brute_cap", "brute-cap", _parse_int, "PGX_BRUTE_CAP"),
+    ("full_assoc_cap", "full-assoc-cap", _parse_int, None),
+    ("census_dir", "census-dir", lambda value, source: value, "PGX_CENSUS_DIR"),
+    ("fmt", "format", _check_format, "PGX_FORMAT"),
+    ("seed", "seed", _parse_int, None),
+    ("sample_triples", "sample-triples", _parse_int, None),
+)
+
+
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     """Apply file, environment, then flag settings over the defaults."""
     cfg = CliConfig()
@@ -113,42 +126,20 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     elif Path("pgx.toml").is_file():
         path = Path("pgx.toml")
     if path is not None:
+        by_key = {key: (name, parse) for name, key, parse, _ in _SETTINGS}
         for key, value in _read_config_file(path).items():
-            source = f"{path} key {key}"
-            if key == "brute-cap":
-                cfg.brute_cap = _parse_int(value, source)
-            elif key == "full-assoc-cap":
-                cfg.full_assoc_cap = _parse_int(value, source)
-            elif key == "census-dir":
-                cfg.census_dir = value
-            elif key == "format":
-                cfg.fmt = _check_format(value, source)
-            elif key == "seed":
-                cfg.seed = _parse_int(value, source)
-            elif key == "sample-triples":
-                cfg.sample_triples = _parse_int(value, source)
-            else:
+            if key not in by_key:
                 raise InputError(f"{path}: unknown config key {key!r}")
+            name, parse = by_key[key]
+            setattr(cfg, name, parse(value, f"{path} key {key}"))
 
-    if "PGX_BRUTE_CAP" in os.environ:
-        cfg.brute_cap = _parse_int(os.environ["PGX_BRUTE_CAP"], "PGX_BRUTE_CAP")
-    if "PGX_CENSUS_DIR" in os.environ:
-        cfg.census_dir = os.environ["PGX_CENSUS_DIR"]
-    if "PGX_FORMAT" in os.environ:
-        cfg.fmt = _check_format(os.environ["PGX_FORMAT"], "PGX_FORMAT")
+    for name, _, parse, env in _SETTINGS:
+        if env and env in os.environ:
+            setattr(cfg, name, parse(os.environ[env], env))
 
-    if getattr(args, "brute_cap", None) is not None:
-        cfg.brute_cap = args.brute_cap
-    if getattr(args, "full_assoc_cap", None) is not None:
-        cfg.full_assoc_cap = args.full_assoc_cap
-    if getattr(args, "census_dir", None) is not None:
-        cfg.census_dir = args.census_dir
-    if getattr(args, "fmt", None) is not None:
-        cfg.fmt = args.fmt
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "sample_triples", None) is not None:
-        cfg.sample_triples = args.sample_triples
+    for name, *_ in _SETTINGS:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
 
     if cfg.brute_cap < 1 or cfg.full_assoc_cap < 1 or cfg.sample_triples < 1:
         raise InputError("caps and sample counts must be positive")
@@ -197,21 +188,14 @@ def _csv_table(rows: list[dict]) -> str:
 
 
 def render_stats(stats: GroupStats, fmt: str, oracle_checked: bool) -> str:
-    if fmt == "json":
-        d = stats.to_json_dict()
-        if oracle_checked:
-            d["oracle"] = "consistent"
-        return json.dumps(d, indent=2) + "\n"
+    d = stats.to_json_dict()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(GroupStats.CSV_COLUMNS)
-        writer.writerow(stats.to_csv_row())
-        return buf.getvalue()
-    lines = [f"{col}: {getattr(stats, col)}" for col in GroupStats.CSV_COLUMNS]
+        return _csv_table([d])
     if oracle_checked:
-        lines.append("oracle: consistent")
-    return "\n".join(lines) + "\n"
+        d["oracle"] = "consistent"
+    if fmt == "json":
+        return json.dumps(d, indent=2) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in d.items())
 
 
 def render_spectrum(name: str, s: OrderSpectrum, fmt: str) -> str:
@@ -223,12 +207,7 @@ def render_spectrum(name: str, s: OrderSpectrum, fmt: str) -> str:
             "spectrum": {str(d): c for d, c in pairs},
         }, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["order", "count"])
-        for d, c in pairs:
-            writer.writerow([d, c])
-        return buf.getvalue()
+        return _csv_table([{"order": d, "count": c} for d, c in pairs])
     lines = [f"name: {name}", f"size: {s.total}"]
     lines.extend(f"  {d}: {c}" for d, c in pairs)
     return "\n".join(lines) + "\n"
@@ -273,8 +252,8 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 def cmd_stats(args: argparse.Namespace, cfg: CliConfig) -> int:
     spec = parse_group_spec(args.spec)
-    s = spectrum_of_spec(spec)
-    name = render_spec(spec)
+    s = spec.spectrum()
+    name = spec.render()
     stats = stats_from_spectrum(name, s)
     oracle_checked = False
     if stats.size <= cfg.brute_cap:
@@ -295,8 +274,7 @@ def cmd_stats(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> int:
     spec = parse_group_spec(args.spec)
-    s = spectrum_of_spec(spec)
-    sys.stdout.write(render_spectrum(render_spec(spec), s, cfg.fmt))
+    sys.stdout.write(render_spectrum(spec.render(), spec.spectrum(), cfg.fmt))
     return 0
 
 
@@ -308,7 +286,11 @@ def cmd_graph(args: argparse.Namespace, cfg: CliConfig) -> int:
     else:
         graph = build_undirected(g, cfg.brute_cap)
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
+        with fh:
             export(graph, args.graph_format, fh)
     else:
         export(graph, args.graph_format, sys.stdout)

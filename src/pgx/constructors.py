@@ -1,10 +1,13 @@
 """Structured group families, the group-spec mini-language, and p-group catalogs.
 
-Families are built as indexed models (residue tuples), each law written once
-as a dense table assembled in int32 from small lookup tables, so no builder
-computes a residue over all n^2 entries. `build_group` refuses orders above
-the brute-force cap before anything n-by-n is allocated.
-Every constructor asserts its defining relations on the freshly built model.
+Each family is one frozen spec class that holds all of its facts: it
+validates its parameters on construction and gives its canonical name
+(`render`), its `order`, its order `spectrum` (a closed form wherever one
+exists) and its dense table (`build`). Tables are assembled in int32 from
+small lookup tables, so no builder computes a residue over all n^2 entries,
+and every builder asserts its defining relations on the freshly built model.
+`build_group` refuses orders above the brute-force cap before anything
+n-by-n is allocated.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
 
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap, read_cayley, validate
 from .spectrum import (
     OrderSpectrum,
@@ -36,26 +38,140 @@ from .spectrum import (
     spectrum_product,
 )
 
+# Most groups one catalog or nilpotent enumeration may list. A p-group
+# catalog of order p^k lists an abelian group per partition of k, and the
+# partitions of 32 already number 8349, so the bound stops exponents near 33.
+CATALOG_BOUND = 10_000
+
+
+# ---------------------------------------------------------------------------
+# Table-building helpers
+# ---------------------------------------------------------------------------
+
+def _addition_table(m: int) -> np.ndarray:
+    """(i + j) mod m as a read-only m-by-m int32 view: row i is the window
+    starting at i of 0..m-1 written twice."""
+    idx = np.arange(m, dtype=np.int32)
+    return sliding_window_view(np.concatenate([idx, idx]), m)[:m]
+
+
+def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndarray:
+    """Table on pairs (a, b), index a + nn*b with b in {0, 1}, of the product
+    (a1, 0)(a2, b2) = (a1 + a2, b2) and (a1, 1)(a2, b2) = (a1 + twist_b2[a2], 1 - b2),
+    first coordinates mod nn."""
+    add = _addition_table(nn)
+    return np.block([[add, add + nn], [add[:, twist0] + nn, add[:, twist1]]])
+
+
+def _checked(g: GroupTable, relations: dict[str, bool]) -> GroupTable:
+    """g, once every defining relation, keyed by its text, holds in the model."""
+    for relation, holds in relations.items():
+        if not holds:
+            raise InvariantError(f"{g.name}: defining relation {relation} failed in the model")
+    return g
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
+    counts = dict(s.items())
+    for d, c in extra.items():
+        counts[d] = counts.get(d, 0) + c
+    return OrderSpectrum(counts)
+
+
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """Direct product; index (a, b) <-> a * |h| + b."""
+    n = g.size * h.size
+    table = (g.table[:, None, :, None] * h.size + h.table[None, :, None, :]).reshape(n, n)
+    labels = None
+    if g.labels is not None and h.labels is not None:
+        labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
+    return GroupTable(n, g.identity * h.size + h.identity, table=table,
+                      name=f"{g.name}x{h.name}", labels=labels)
+
 
 # ---------------------------------------------------------------------------
 # Group specs
 # ---------------------------------------------------------------------------
 
+class GroupSpec:
+    """A group named by a spec. Each subclass is a frozen dataclass that
+    raises InputError on construction when its parameters name no group, and
+    provides `order`, `render()` (the canonical spec string, which
+    parse_group_spec reads back), `spectrum()` and `build()` (the dense table).
+    """
+
+    def factors(self) -> list[GroupSpec]:
+        """The atoms of the spec, left to right."""
+        return [self]
+
+
 @dataclass(frozen=True)
-class Cyclic:
+class Cyclic(GroupSpec):
     m: int
 
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise InputError(f"C{self.m}: order must be positive")
+
+    @property
+    def order(self) -> int:
+        return self.m
+
+    def render(self) -> str:
+        return f"C{self.m}"
+
+    def spectrum(self) -> OrderSpectrum:
+        return spectrum_cyclic(self.m)
+
+    def build(self) -> GroupTable:
+        """Z_m under addition."""
+        return GroupTable(self.m, 0, table=_addition_table(self.m), name=self.render(),
+                          labels=[str(i) for i in range(self.m)])
+
 
 @dataclass(frozen=True)
-class Abelian:
-    """Abelian p-group C_{p^a1} x C_{p^a2} x ... for a non-increasing partition."""
+class Abelian(GroupSpec):
+    """Abelian p-group C_{p^a1} x C_{p^a2} x ... for a non-increasing partition;
+    the empty partition gives the trivial group."""
 
     p: int
     partition: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise InputError(f"Ab({self.p};...): {self.p} is not prime")
+        parts = self.partition
+        if any(a < 1 for a in parts):
+            raise InputError("Ab: partition entries must be positive")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise InputError(f"Ab: partition {list(parts)} must be non-increasing")
+
+    @property
+    def order(self) -> int:
+        return self.p ** sum(self.partition)
+
+    def render(self) -> str:
+        if not self.partition:
+            return "C1"
+        return f"Ab({self.p};{','.join(str(a) for a in self.partition)})"
+
+    def spectrum(self) -> OrderSpectrum:
+        return reduce(spectrum_product, [spectrum_cyclic(self.p ** a) for a in self.partition or (0,)])
+
+    def build(self) -> GroupTable:
+        """The direct product of the cyclic factors; one factor keeps its C name."""
+        g = reduce(direct_product, [Cyclic(self.p ** a).build() for a in self.partition or (0,)])
+        if len(self.partition) > 1:
+            g.name = self.render()
+        return g
+
 
 @dataclass(frozen=True)
-class Modular:
+class Modular(GroupSpec):
     """Modular maximal-cyclic 2-generator group of order p^n, n >= 3.
 
     Presentation <a, b | a^(p^(n-1)) = b^p = 1, b^-1 a b = a^(1+p^(n-2))>.
@@ -65,32 +181,198 @@ class Modular:
     n: int
     p: int
 
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise InputError(f"M({self.n},{self.p}): {self.p} is not prime")
+        if self.n < 3:
+            raise InputError(f"M({self.n},{self.p}): need n >= 3")
+        if self.p == 2 and self.n < 4:
+            raise InputError("M(3,2) is excluded: the presentation collapses to D8")
+
+    @property
+    def order(self) -> int:
+        return self.p ** self.n
+
+    def render(self) -> str:
+        return f"M({self.n},{self.p})"
+
+    def spectrum(self) -> OrderSpectrum:
+        # M(n,p) shares its order spectrum with C_{p^(n-1)} x C_p; the tests
+        # assert this against the concrete model for every buildable order.
+        return spectrum_product(spectrum_cyclic(self.p ** (self.n - 1)),
+                                spectrum_cyclic(self.p))
+
+    def build(self) -> GroupTable:
+        """The group on pairs (i, j), index i*p + j, with product
+        (i1,j1)*(i2,j2) = (i1 + i2*(1+p^(n-2))^j1 mod p^(n-1), j1+j2 mod p).
+        The presentation's conjugation relation holds for a = (1,0), b = (0,p-1).
+        """
+        p = self.p
+        P = p ** (self.n - 1)
+        e = 1 + p ** (self.n - 2)
+        # i2 * e^j1 mod P is a p-by-P lookup table
+        twist = np.outer([pow(e, j, P) for j in range(p)], np.arange(P)) % P
+        i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
+        table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(P * p, P * p)
+        g = GroupTable(P * p, 0, table=table, name=self.render(),
+                       labels=[f"a{i}b{j}" for i in range(P) for j in range(p)])
+        a, b, b_inv = p, p - 1, 1      # (1,0), (0,p-1), (0,1)
+        return _checked(g, {
+            "a^(p^(n-1)) = 1": g.power(a, P) == g.identity,
+            "b^p = 1": g.power(b, p) == g.identity,
+            "b^-1 a b = a^(1+p^(n-2))": g.product(g.product(b_inv, a), b) == (e % P) * p,
+        })
+
 
 @dataclass(frozen=True)
-class Dihedral:
+class Dihedral(GroupSpec):
     order: int
 
+    def __post_init__(self) -> None:
+        if self.order < 4 or self.order % 2:
+            raise InputError(f"D{self.order}: dihedral order must be even and >= 4")
+
+    def render(self) -> str:
+        return f"D{self.order}"
+
+    def spectrum(self) -> OrderSpectrum:
+        k = self.order // 2
+        return _merge_spectrum(spectrum_cyclic(k), {2: k})
+
+    def build(self) -> GroupTable:
+        """The group on pairs (rotation, flip)."""
+        k = self.order // 2
+        neg = -np.arange(k) % k
+        g = GroupTable(self.order, 0, table=_two_coset_table(k, neg, neg), name=self.render(),
+                       labels=[f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)])
+        r, s = 1 % k, k
+        return _checked(g, {
+            "r^k = 1": g.power(r, k) == g.identity,
+            "s^2 = 1": g.power(s, 2) == g.identity,
+            "s r s = r^-1": g.product(g.product(s, r), s) == g.power(r, k - 1),
+        })
+
 
 @dataclass(frozen=True)
-class GeneralizedQuaternion:
+class GeneralizedQuaternion(GroupSpec):
     order: int
 
+    def __post_init__(self) -> None:
+        if not _is_power_of_two(self.order) or self.order < 8:
+            raise InputError(f"Q{self.order}: order must be a power of two >= 8")
+
+    def render(self) -> str:
+        return f"Q{self.order}"
+
+    def spectrum(self) -> OrderSpectrum:
+        nn = self.order // 2
+        return _merge_spectrum(spectrum_cyclic(nn), {4: nn})
+
+    def build(self) -> GroupTable:
+        """The group of order 2^n on pairs (a, b): x = (1,0) has order 2^(n-1),
+        y = (0,1) satisfies y^2 = x^(2^(n-2)) and y^-1 x y = x^-1. Q8 carries
+        the classical 1, i, j, k labels."""
+        nn = self.order // 2
+        half = nn // 2
+        idx = np.arange(nn)
+        if self.order == 8:
+            labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
+        else:
+            labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
+        g = GroupTable(self.order, 0, table=_two_coset_table(nn, -idx % nn, (half - idx) % nn),
+                       name=self.render(), labels=labels)
+        x, y = 1, nn
+        y_inv = g.power(y, 3)
+        return _checked(g, {
+            "x^(2^(n-1)) = 1": g.power(x, nn) == g.identity,
+            "y^2 = x^(2^(n-2))": g.power(y, 2) == g.power(x, half),
+            "y^-1 x y = x^-1": g.product(g.product(y_inv, x), y) == g.power(x, nn - 1),
+        })
+
 
 @dataclass(frozen=True)
-class Semidihedral:
+class Semidihedral(GroupSpec):
     order: int
 
+    def __post_init__(self) -> None:
+        if not _is_power_of_two(self.order) or self.order < 16:
+            raise InputError(f"SD{self.order}: order must be a power of two >= 16")
+
+    def render(self) -> str:
+        return f"SD{self.order}"
+
+    def spectrum(self) -> OrderSpectrum:
+        nn = self.order // 2
+        return _merge_spectrum(spectrum_cyclic(nn), {2: nn // 2, 4: nn // 2})
+
+    def build(self) -> GroupTable:
+        """The group of order 2^n on pairs (a, b) with y x y = x^(2^(n-2)-1)."""
+        nn = self.order // 2
+        t = nn // 2 - 1
+        twist = np.arange(nn) * t % nn
+        g = GroupTable(self.order, 0, table=_two_coset_table(nn, twist, twist),
+                       name=self.render(),
+                       labels=[f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)])
+        x, y = 1, nn
+        return _checked(g, {
+            "x^(2^(n-1)) = 1": g.power(x, nn) == g.identity,
+            "y^2 = 1": g.power(y, 2) == g.identity,
+            "y x y = x^(2^(n-2)-1)": g.product(g.product(y, x), y) == g.power(x, t),
+        })
+
 
 @dataclass(frozen=True)
-class Heisenberg:
+class Heisenberg(GroupSpec):
     """Upper unitriangular 3x3 matrices over Z_p, odd p; order p^3, exponent p."""
 
     p: int
 
+    def __post_init__(self) -> None:
+        if not is_prime(self.p) or self.p == 2:
+            raise InputError(f"He{self.p}: needs an odd prime")
+
+    @property
+    def order(self) -> int:
+        return self.p ** 3
+
+    def render(self) -> str:
+        return f"He{self.p}"
+
+    def spectrum(self) -> OrderSpectrum:
+        return OrderSpectrum({1: 1, self.p: self.p ** 3 - 1})
+
+    def build(self) -> GroupTable:
+        """Triples (a, b, c) with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
+        p = self.p
+        n = p ** 3
+        p2 = p * p
+        # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
+        add = _addition_table(p)
+        mul = np.outer(np.arange(p), np.arange(p)) % p
+        c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
+        table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
+                 + c_out[:, None, :, None, :, :]).reshape(n, n)
+        labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
+        g = GroupTable(n, 0, table=table, name=self.render(), labels=labels)
+        x, y, z = p2, p, 1      # (1,0,0), (0,1,0), (0,0,1)
+        x_inv = g.power(x, p - 1)
+        y_inv = g.power(y, p - 1)
+        comm = g.product(g.product(g.product(x_inv, y_inv), x), y)
+        return _checked(g, {
+            "x^p = 1": g.power(x, p) == g.identity,
+            "y^p = 1": g.power(y, p) == g.identity,
+            "[x,y] = z": comm == z,
+            "[x,z] = 1": g.product(x, z) == g.product(z, x),
+        })
+
 
 @dataclass(frozen=True)
-class FileTable:
+class FileTable(GroupSpec):
     path: str
+
+    def __post_init__(self) -> None:
+        if not self.path:
+            raise InputError("file: spec needs a path")
 
     @cached_property
     def table(self) -> GroupTable:
@@ -98,95 +380,44 @@ class FileTable:
         atom of a parsed spec reads its file once."""
         return read_cayley(self.path)
 
+    @property
+    def order(self) -> int:
+        return self.table.size
+
+    def render(self) -> str:
+        return f"file:{self.path}"
+
+    def spectrum(self) -> OrderSpectrum:
+        return order_spectrum(self.table)
+
+    def build(self) -> GroupTable:
+        return self.table
+
 
 @dataclass(frozen=True)
-class Product:
-    left: "GroupSpec"
-    right: "GroupSpec"
+class Product(GroupSpec):
+    left: GroupSpec
+    right: GroupSpec
 
+    def factors(self) -> list[GroupSpec]:
+        return self.left.factors() + self.right.factors()
 
-GroupSpec = Union[Cyclic, Abelian, Modular, Dihedral, GeneralizedQuaternion,
-                  Semidihedral, Heisenberg, FileTable, Product]
+    @property
+    def order(self) -> int:
+        return self.left.order * self.right.order
 
+    def render(self) -> str:
+        """The atoms joined by x, with spaces when one is a file: path, since
+        a path runs to the next whitespace."""
+        names = [f.render() for f in self.factors()]
+        sep = " x " if any(name.startswith("file:") for name in names) else "x"
+        return sep.join(names)
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
+    def spectrum(self) -> OrderSpectrum:
+        return spectrum_product(self.left.spectrum(), self.right.spectrum())
 
-
-def validate_spec(spec: GroupSpec) -> None:
-    """Semantic checks on a parsed or constructed spec; raises InputError."""
-    if isinstance(spec, Cyclic):
-        if spec.m < 1:
-            raise InputError(f"C{spec.m}: order must be positive")
-    elif isinstance(spec, Abelian):
-        if not is_prime(spec.p):
-            raise InputError(f"Ab({spec.p};...): {spec.p} is not prime")
-        parts = spec.partition
-        if any(a < 1 for a in parts):
-            raise InputError("Ab: partition entries must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise InputError(f"Ab: partition {list(parts)} must be non-increasing")
-    elif isinstance(spec, Modular):
-        if not is_prime(spec.p):
-            raise InputError(f"M({spec.n},{spec.p}): {spec.p} is not prime")
-        if spec.n < 3:
-            raise InputError(f"M({spec.n},{spec.p}): need n >= 3")
-        if spec.p == 2 and spec.n < 4:
-            raise InputError("M(3,2) is excluded: the presentation collapses to D8")
-    elif isinstance(spec, Dihedral):
-        if spec.order < 4 or spec.order % 2:
-            raise InputError(f"D{spec.order}: dihedral order must be even and >= 4")
-    elif isinstance(spec, GeneralizedQuaternion):
-        if not _is_power_of_two(spec.order) or spec.order < 8:
-            raise InputError(f"Q{spec.order}: order must be a power of two >= 8")
-    elif isinstance(spec, Semidihedral):
-        if not _is_power_of_two(spec.order) or spec.order < 16:
-            raise InputError(f"SD{spec.order}: order must be a power of two >= 16")
-    elif isinstance(spec, Heisenberg):
-        if not is_prime(spec.p) or spec.p == 2:
-            raise InputError(f"He{spec.p}: needs an odd prime")
-    elif isinstance(spec, FileTable):
-        if not spec.path:
-            raise InputError("file: spec needs a path")
-    elif isinstance(spec, Product):
-        validate_spec(spec.left)
-        validate_spec(spec.right)
-    else:
-        raise InputError(f"unknown spec {spec!r}")
-
-
-def _flatten(spec: GroupSpec) -> list[GroupSpec]:
-    if isinstance(spec, Product):
-        return _flatten(spec.left) + _flatten(spec.right)
-    return [spec]
-
-
-def render_spec(spec: GroupSpec) -> str:
-    """Canonical spec string; parse_group_spec(render_spec(s)) == s for products
-    of non-file atoms."""
-    if isinstance(spec, Product):
-        parts = _flatten(spec)
-        sep = " x " if any(isinstance(s, FileTable) for s in parts) else "x"
-        return sep.join(render_spec(s) for s in parts)
-    if isinstance(spec, Cyclic):
-        return f"C{spec.m}"
-    if isinstance(spec, Abelian):
-        if not spec.partition:
-            return "C1"
-        return f"Ab({spec.p};{','.join(str(a) for a in spec.partition)})"
-    if isinstance(spec, Modular):
-        return f"M({spec.n},{spec.p})"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, GeneralizedQuaternion):
-        return f"Q{spec.order}"
-    if isinstance(spec, Semidihedral):
-        return f"SD{spec.order}"
-    if isinstance(spec, Heisenberg):
-        return f"He{spec.p}"
-    if isinstance(spec, FileTable):
-        return f"file:{spec.path}"
-    raise InputError(f"unknown spec {spec!r}")
+    def build(self) -> GroupTable:
+        return direct_product(self.left.build(), self.right.build())
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -284,283 +515,14 @@ def parse_group_spec(text: str) -> GroupSpec:
             spec = Product(spec, parse_atom())
         else:
             raise error(f"expected 'x' or end of spec, got {s[pos]!r}", pos)
-    validate_spec(spec)
     return spec
-
-
-# ---------------------------------------------------------------------------
-# Family constructors
-# ---------------------------------------------------------------------------
-
-def _addition_table(m: int) -> np.ndarray:
-    """(i + j) mod m as a read-only m-by-m int32 view: row i is the window
-    starting at i of 0..m-1 written twice."""
-    idx = np.arange(m, dtype=np.int32)
-    return sliding_window_view(np.concatenate([idx, idx]), m)[:m]
-
-
-def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndarray:
-    """Table on pairs (a, b), index a + nn*b with b in {0, 1}, of the product
-    (a1, 0)(a2, b2) = (a1 + a2, b2) and (a1, 1)(a2, b2) = (a1 + twist_b2[a2], 1 - b2),
-    first coordinates mod nn."""
-    add = _addition_table(nn)
-    return np.block([[add, add + nn], [add[:, twist0] + nn, add[:, twist1]]])
-
-
-def cyclic(m: int) -> GroupTable:
-    """Cyclic group Z_m under addition."""
-    if m < 1:
-        raise InputError(f"cyclic group order must be positive, got {m}")
-    return GroupTable(m, 0, table=_addition_table(m), name=f"C{m}",
-                      labels=[str(i) for i in range(m)])
-
-
-def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Direct product; index (a, b) <-> a * |h| + b."""
-    n = g.size * h.size
-    table = (g.table[:, None, :, None] * h.size + h.table[None, :, None, :]).reshape(n, n)
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
-    return GroupTable(n, g.identity * h.size + h.identity, table=table,
-                      name=f"{g.name}x{h.name}", labels=labels)
-
-
-def _assert_relation(cond: bool, name: str, relation: str) -> None:
-    if not cond:
-        raise InvariantError(f"{name}: defining relation {relation} failed in the model")
-
-
-def modular_group(n: int, p: int) -> GroupTable:
-    """Modular maximal-cyclic group of order p^n on pairs (i, j).
-
-    Product: (i1,j1)*(i2,j2) = (i1 + i2*(1+p^(n-2))^j1 mod p^(n-1), j1+j2 mod p).
-    The presentation's conjugation relation holds for a = (1,0), b = (0,p-1).
-    """
-    spec = Modular(n, p)
-    validate_spec(spec)
-    P = p ** (n - 1)
-    N = P * p
-    e = 1 + p ** (n - 2)
-    ew = [pow(e, j, P) for j in range(p)]
-    name = f"M({n},{p})"
-    # index i*p + j; i2 * ew[j1] mod P is a p-by-P lookup table
-    twist = np.outer(ew, np.arange(P)) % P
-    i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
-    table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(N, N)
-    labels = [f"a{i}b{j}" for i in range(P) for j in range(p)]
-    g = GroupTable(N, 0, table=table, name=name, labels=labels)
-    a = 1 * p + 0
-    b = 0 * p + (p - 1)
-    b_inv = 0 * p + 1
-    _assert_relation(g.power(a, P) == g.identity, name, "a^(p^(n-1)) = 1")
-    _assert_relation(g.power(b, p) == g.identity, name, "b^p = 1")
-    conj = g.product(g.product(b_inv, a), b)
-    _assert_relation(conj == (e % P) * p, name, "b^-1 a b = a^(1+p^(n-2))")
-    return g
-
-
-def abelian_from_partition(p: int, partition: tuple[int, ...] | list[int]) -> GroupTable:
-    """Direct product of cyclic p-power groups for a non-increasing partition.
-
-    An empty partition yields the trivial group.
-    """
-    spec = Abelian(p, tuple(partition))
-    validate_spec(spec)
-    if not spec.partition:
-        return cyclic(1)
-    g = cyclic(p ** spec.partition[0])
-    for a in spec.partition[1:]:
-        g = direct_product(g, cyclic(p ** a))
-    if len(spec.partition) > 1:
-        g.name = render_spec(spec)
-    return g
-
-
-def dihedral(order: int) -> GroupTable:
-    """Dihedral group of the given (even) order, on pairs (rotation, flip)."""
-    spec = Dihedral(order)
-    validate_spec(spec)
-    k = order // 2
-    name = f"D{order}"
-    neg = -np.arange(k) % k
-    table = _two_coset_table(k, neg, neg)
-    labels = [f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
-    g = GroupTable(order, 0, table=table, name=name, labels=labels)
-    r_gen, s_gen = 1 % k, k
-    _assert_relation(g.power(r_gen, k) == g.identity, name, "r^k = 1")
-    _assert_relation(g.power(s_gen, 2) == g.identity, name, "s^2 = 1")
-    _assert_relation(g.product(g.product(s_gen, r_gen), s_gen) == g.power(r_gen, k - 1),
-                     name, "s r s = r^-1")
-    return g
-
-
-def generalized_quaternion(order: int) -> GroupTable:
-    """Generalized quaternion group of order 2^n >= 8, on pairs (a, b).
-
-    x = (1,0) has order 2^(n-1); y = (0,1) satisfies y^2 = x^(2^(n-2)) and
-    y^-1 x y = x^-1. Q8 carries the classical 1, i, j, k labels.
-    """
-    spec = GeneralizedQuaternion(order)
-    validate_spec(spec)
-    nn = order // 2
-    half = nn // 2
-    name = f"Q{order}"
-    idx = np.arange(nn)
-    table = _two_coset_table(nn, -idx % nn, (half - idx) % nn)
-    if order == 8:
-        labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    else:
-        labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
-    g = GroupTable(order, 0, table=table, name=name, labels=labels)
-    x, y = 1, nn
-    _assert_relation(g.power(x, nn) == g.identity, name, "x^(2^(n-1)) = 1")
-    _assert_relation(g.power(y, 2) == g.power(x, half), name, "y^2 = x^(2^(n-2))")
-    y_inv = g.power(y, 3)
-    _assert_relation(g.product(g.product(y_inv, x), y) == g.power(x, nn - 1),
-                     name, "y^-1 x y = x^-1")
-    return g
-
-
-def semidihedral(order: int) -> GroupTable:
-    """Semidihedral group of order 2^n >= 16: y x y = x^(2^(n-2)-1)."""
-    spec = Semidihedral(order)
-    validate_spec(spec)
-    nn = order // 2
-    t = nn // 2 - 1
-    name = f"SD{order}"
-    twist = np.arange(nn) * t % nn
-    table = _two_coset_table(nn, twist, twist)
-    labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
-    g = GroupTable(order, 0, table=table, name=name, labels=labels)
-    x, y = 1, nn
-    _assert_relation(g.power(x, nn) == g.identity, name, "x^(2^(n-1)) = 1")
-    _assert_relation(g.power(y, 2) == g.identity, name, "y^2 = 1")
-    _assert_relation(g.product(g.product(y, x), y) == g.power(x, t),
-                     name, "y x y = x^(2^(n-2)-1)")
-    return g
-
-
-def heisenberg(p: int) -> GroupTable:
-    """Heisenberg group over Z_p (odd p): order p^3, exponent p.
-
-    Triples (a, b, c) with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2).
-    """
-    spec = Heisenberg(p)
-    validate_spec(spec)
-    n = p ** 3
-    p2 = p * p
-    name = f"He{p}"
-    # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
-    add = _addition_table(p)
-    mul = np.outer(np.arange(p), np.arange(p)) % p
-    c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
-    table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
-             + c_out[:, None, :, None, :, :]).reshape(n, n)
-    labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
-    g = GroupTable(n, 0, table=table, name=name, labels=labels)
-    x = p2          # (1,0,0)
-    y = p           # (0,1,0)
-    z = 1           # (0,0,1)
-    _assert_relation(g.power(x, p) == g.identity, name, "x^p = 1")
-    _assert_relation(g.power(y, p) == g.identity, name, "y^p = 1")
-    x_inv = g.power(x, p - 1)
-    y_inv = g.power(y, p - 1)
-    comm = g.product(g.product(g.product(x_inv, y_inv), x), y)
-    _assert_relation(comm == z, name, "[x,y] = z")
-    _assert_relation(g.product(x, z) == g.product(z, x), name, "[x,z] = 1")
-    return g
-
-
-def order_of_spec(spec: GroupSpec) -> int:
-    """Group order of a spec; reads the table of each file: atom."""
-    if isinstance(spec, Cyclic):
-        return spec.m
-    if isinstance(spec, Abelian):
-        return spec.p ** sum(spec.partition)
-    if isinstance(spec, Modular):
-        return spec.p ** spec.n
-    if isinstance(spec, (Dihedral, GeneralizedQuaternion, Semidihedral)):
-        return spec.order
-    if isinstance(spec, Heisenberg):
-        return spec.p ** 3
-    if isinstance(spec, Product):
-        return order_of_spec(spec.left) * order_of_spec(spec.right)
-    if isinstance(spec, FileTable):
-        return spec.table.size
-    raise InputError(f"unknown spec {spec!r}")
 
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """Build a spec's dense table. Orders above cap raise ResourceError before
     anything n-by-n is allocated; each file: atom is read once."""
-    validate_spec(spec)
-    check_brute_cap(render_spec(spec), order_of_spec(spec), cap)
-    return _build(spec)
-
-
-def _build(spec: GroupSpec) -> GroupTable:
-    if isinstance(spec, Cyclic):
-        return cyclic(spec.m)
-    if isinstance(spec, Abelian):
-        return abelian_from_partition(spec.p, spec.partition)
-    if isinstance(spec, Modular):
-        return modular_group(spec.n, spec.p)
-    if isinstance(spec, Dihedral):
-        return dihedral(spec.order)
-    if isinstance(spec, GeneralizedQuaternion):
-        return generalized_quaternion(spec.order)
-    if isinstance(spec, Semidihedral):
-        return semidihedral(spec.order)
-    if isinstance(spec, Heisenberg):
-        return heisenberg(spec.p)
-    if isinstance(spec, FileTable):
-        return spec.table
-    if isinstance(spec, Product):
-        return direct_product(_build(spec.left), _build(spec.right))
-    raise InputError(f"unknown spec {spec!r}")
-
-
-def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
-    counts = dict(s.items())
-    for d, c in extra.items():
-        counts[d] = counts.get(d, 0) + c
-    return OrderSpectrum(counts)
-
-
-def spectrum_of_spec(spec: GroupSpec) -> OrderSpectrum:
-    """Order spectrum of a spec without materializing a table where a closed
-    form exists; file: specs are tallied from the ingested table."""
-    validate_spec(spec)
-    if isinstance(spec, Cyclic):
-        return spectrum_cyclic(spec.m)
-    if isinstance(spec, Abelian):
-        if not spec.partition:
-            return spectrum_cyclic(1)
-        return reduce(spectrum_product,
-                      (spectrum_cyclic(spec.p ** a) for a in spec.partition))
-    if isinstance(spec, Modular):
-        # M(n,p) shares its order spectrum with C_{p^(n-1)} x C_p; the tests
-        # assert this against the concrete model for every buildable order.
-        return spectrum_product(spectrum_cyclic(spec.p ** (spec.n - 1)),
-                                spectrum_cyclic(spec.p))
-    if isinstance(spec, Dihedral):
-        k = spec.order // 2
-        return _merge_spectrum(spectrum_cyclic(k), {2: k})
-    if isinstance(spec, GeneralizedQuaternion):
-        nn = spec.order // 2
-        return _merge_spectrum(spectrum_cyclic(nn), {4: nn})
-    if isinstance(spec, Semidihedral):
-        nn = spec.order // 2
-        return _merge_spectrum(spectrum_cyclic(nn), {2: nn // 2, 4: nn // 2})
-    if isinstance(spec, Heisenberg):
-        return OrderSpectrum({1: 1, spec.p: spec.p ** 3 - 1})
-    if isinstance(spec, Product):
-        return spectrum_product(spectrum_of_spec(spec.left),
-                                spectrum_of_spec(spec.right))
-    if isinstance(spec, FileTable):
-        return order_spectrum(spec.table)
-    raise InputError(f"unknown spec {spec!r}")
+    check_brute_cap(spec.render(), spec.order, cap)
+    return spec.build()
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +549,13 @@ class CatalogEntry:
     spectrum: OrderSpectrum
     source: str               # "parametric" or the census file name
 
+    @property
+    def is_cyclic(self) -> bool:
+        """Whether some element's order is the group order."""
+        return self.spectrum.total in self.spectrum
+
     def render(self) -> str:
-        return render_spec(self.spec)
+        return self.spec.render()
 
 
 def _partitions(k: int) -> list[tuple[int, ...]]:
@@ -608,6 +575,19 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _partition_count(k: int) -> int:
+    """The number of partitions of k, by Euler's pentagonal-number recurrence."""
+    counts = [1]
+    for j in range(1, k + 1):
+        total, i = 0, 1
+        while (g := i * (3 * i - 1) // 2) <= j:
+            term = counts[j - g] + (counts[j - g - i] if g + i <= j else 0)
+            total += term if i % 2 else -term
+            i += 1
+        counts.append(total)
+    return counts[k]
+
+
 def p_group_catalog(p: int, k: int,
                     census_dir: str | Path | None = None
                     ) -> tuple[list[CatalogEntry], Completeness]:
@@ -617,12 +597,20 @@ def p_group_catalog(p: int, k: int,
     For k >= 4 the parametric families are a strict subset, so completeness
     is 'incomplete' unless a census directory for the order is ingested.
     Ingested tables are validated; one whose spectrum exactly duplicates an
-    existing entry is dropped (the class is already represented).
+    existing entry is dropped (the class is already represented). Raises
+    ResourceError, before listing any group, when the partitions of k exceed
+    CATALOG_BOUND.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if k < 1:
         raise InputError(f"exponent must be >= 1, got {k}")
+    # the recurrence costs k^1.5 steps; past k = 1000 the count is only bounded below
+    count = _partition_count(min(k, 1000))
+    if count > CATALOG_BOUND:
+        raise ResourceError(
+            f"order {p}^{k} has {'more than ' if k > 1000 else ''}{count} abelian groups, "
+            f"one per partition of {k}, above the catalog bound {CATALOG_BOUND}")
     specs: list[GroupSpec] = []
     for part in _partitions(k):
         specs.append(Cyclic(p ** k) if part == (k,) else Abelian(p, part))
@@ -639,7 +627,7 @@ def p_group_catalog(p: int, k: int,
             specs.append(Dihedral(2 ** k))
             specs.append(GeneralizedQuaternion(2 ** k))
             specs.append(Semidihedral(2 ** k))
-    entries = [CatalogEntry(s, spectrum_of_spec(s), "parametric") for s in specs]
+    entries = [CatalogEntry(s, s.spectrum(), "parametric") for s in specs]
     completeness = Completeness.COMPLETE if k <= 3 else Completeness.INCOMPLETE
 
     if census_dir is not None:

@@ -88,37 +88,6 @@ class GroupTable:
             m >>= 1
         return result
 
-    def element_order(self, a: int) -> int:
-        """Order of a, by successive multiplication (no factorization of |G|)."""
-        self._check_index(a)
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.product(x, a)
-            k += 1
-            if k > self.size:
-                raise InvariantError(
-                    f"{self.name}: powers of element {a} do not reach the identity; "
-                    "not a group table"
-                )
-        if self.size % k:
-            raise InvariantError(
-                f"{self.name}: element order {k} does not divide group order {self.size}"
-            )
-        return k
-
-    def cyclic_subgroup(self, a: int) -> frozenset[int]:
-        """The set of powers of a (includes the identity and a itself)."""
-        self._check_index(a)
-        seen = {self.identity}
-        x = a
-        while x != self.identity:
-            seen.add(x)
-            x = self.product(x, a)
-            if len(seen) > self.size:
-                raise InvariantError(f"{self.name}: runaway cyclic subgroup")
-        return frozenset(seen)
-
     def element_orders(self) -> list[int]:
         """Orders of all elements, a fresh list of ints computed once (the table is read-only).
 
@@ -138,13 +107,6 @@ class GroupTable:
                                          "not a group table")
             self._orders = tuple(orders.tolist())
         return list(self._orders)
-
-    def label(self, a: int) -> str:
-        self._check_index(a)
-        return self.labels[a] if self.labels is not None else str(a)
-
-    def __len__(self) -> int:
-        return self.size
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, order={self.size}, table)"
@@ -343,14 +305,11 @@ def read_cayley(path: str | Path) -> GroupTable:
     """Parse a Cayley-table file; the group is named after the file stem."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        with path.open() as fh:     # one line at a time: only the kept rows stay alive
+            lines = [(i, row) for i, line in enumerate(fh, 1)
+                     if (row := line.strip()) and not row.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
     if len(lines) < 2:
         raise InputError(f"{path}: truncated file")
 

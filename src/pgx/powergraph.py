@@ -60,24 +60,16 @@ def _arc_matrix(g: GroupTable, cap: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DirectedPowerGraph:
-    """Arc list (src, dst) plus the mutual pairs {a, b} with <a> = <b>."""
+    """Arc list (src, dst); a and b are mutual when both (a, b) and (b, a) are arcs."""
 
     size: int
     arcs: np.ndarray          # shape (num_arcs, 2), lexicographic
-    mutual_pairs: np.ndarray  # shape (num_mutual, 2), a < b, lexicographic
     labels: tuple[str, ...] | None
     name: str
 
     @property
     def num_arcs(self) -> int:
         return int(self.arcs.shape[0])
-
-    @property
-    def num_mutual(self) -> int:
-        return int(self.mutual_pairs.shape[0])
-
-    def out_degrees(self) -> list[int]:
-        return np.bincount(self.arcs[:, 0], minlength=self.size).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +83,11 @@ class UndirectedPowerGraph:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def degrees(self) -> list[int]:
-        both = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        return np.bincount(both, minlength=self.size).tolist()
-
 
 def build_directed(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> DirectedPowerGraph:
-    arc = _arc_matrix(g, cap)
-    arcs = np.argwhere(arc)
-    mutual = np.argwhere(np.triu(arc & arc.T))
+    arcs = np.argwhere(_arc_matrix(g, cap))
     labels = tuple(g.labels) if g.labels is not None else None
-    return DirectedPowerGraph(g.size, arcs, mutual, labels, g.name)
+    return DirectedPowerGraph(g.size, arcs, labels, g.name)
 
 
 def build_undirected(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> UndirectedPowerGraph:
@@ -122,18 +108,6 @@ def oracle_counts(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int
     reach = sum(len(gens) * len(members) for gens, members in subgroups)
     gen_sq = sum(len(gens) ** 2 for gens, _ in subgroups)
     return reach - n, (gen_sq - n) // 2, (2 * reach - gen_sq - n) // 2
-
-
-def degree_sequence(graph: DirectedPowerGraph | UndirectedPowerGraph) -> list[int]:
-    """Degrees sorted descending; out-degrees for the directed graph, where
-    the out-degree of g equals its element order minus one."""
-    if isinstance(graph, DirectedPowerGraph):
-        degrees = graph.out_degrees()
-    elif isinstance(graph, UndirectedPowerGraph):
-        degrees = graph.degrees()
-    else:
-        raise InputError(f"not a power graph: {graph!r}")
-    return sorted(degrees, reverse=True)
 
 
 def _quote(s: str) -> str:

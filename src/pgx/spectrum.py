@@ -170,21 +170,12 @@ def totient(m: int) -> int:
     return res
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
-    ds = [1]
-    for p, e in factor(m):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 class OrderSpectrum:
     """Multiset of element orders: immutable mapping order -> element count.
 
-    The total count is the group order. Construction enforces the cheap
-    structural invariants (exactly one identity, every order divides the
-    total); `check()` additionally asserts the totient-divisibility of each
-    count, which holds in any finite group.
+    The total count is the group order. Construction enforces the
+    structural invariants: exactly one identity, every order divides the
+    total.
     """
 
     __slots__ = ("_counts", "_total")
@@ -241,20 +232,6 @@ class OrderSpectrum:
     def __repr__(self) -> str:
         inner = ", ".join(f"{d}: {c}" for d, c in self._counts.items())
         return f"OrderSpectrum({{{inner}}})"
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON-friendly [[order, count], ...] in ascending order."""
-        return [[d, c] for d, c in self._counts.items()]
-
-    def check(self) -> None:
-        """Assert the full group-theoretic invariants of a spectrum."""
-        for d, c in self._counts.items():
-            t = totient(d)
-            if c % t:
-                raise InvariantError(
-                    f"count {c} for order {d} is not a multiple of totient({d})={t}"
-                )
-
 
 def order_spectrum(g: "GroupTable") -> OrderSpectrum:
     """Tally the order of every element of g by successive multiplication."""
@@ -373,9 +350,6 @@ class GroupStats:
     mutual_edges: int
     undirected_edges: int
 
-    CSV_COLUMNS = ("name", "size", "sigma", "phi_sum", "directed_arcs",
-                   "mutual_edges", "undirected_edges")
-
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InvariantError("empty group")
@@ -397,9 +371,6 @@ class GroupStats:
             "undirected_edges": self.undirected_edges,
         }
 
-    def to_csv_row(self) -> list[str]:
-        return [str(getattr(self, col)) for col in self.CSV_COLUMNS]
-
 
 def stats_from_spectrum(name: str, s: OrderSpectrum) -> GroupStats:
     """GroupStats by the exact identities, sigma and phi summed once; mutual = arcs - edges."""
@@ -408,8 +379,3 @@ def stats_from_spectrum(name: str, s: OrderSpectrum) -> GroupStats:
     return GroupStats(name=name, size=s.total, sigma=sigma, phi_sum=phi,
                       directed_arcs=arcs, mutual_edges=arcs - undirected,
                       undirected_edges=undirected)
-
-
-def group_stats(g: "GroupTable") -> GroupStats:
-    """Stats of a concrete group, from its tallied order spectrum."""
-    return stats_from_spectrum(g.name, order_spectrum(g))

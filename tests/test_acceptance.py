@@ -34,8 +34,6 @@ from pgx.constructors import (
     Modular,
     build_group,
     p_group_catalog,
-    render_spec,
-    spectrum_of_spec,
 )
 from pgx.powergraph import oracle_counts
 from pgx.spectrum import (
@@ -94,7 +92,7 @@ def inventory():
         n = 4 if p == 2 else 3
         while p ** n <= SIZE_LIMIT:
             spec = Modular(n, p)
-            specs[render_spec(spec)] = spec
+            specs[spec.render()] = spec
             n += 1
 
     records = {}
@@ -106,7 +104,7 @@ def inventory():
             counts[o] = counts.get(o, 0) + 1
         records[name] = Record(
             size=g.size,
-            formula=spectrum_of_spec(spec),
+            formula=spec.spectrum(),
             tally=OrderSpectrum(counts),
             raw_sigma=sum(orders_list),
             raw_phi=sum(totient(o) for o in orders_list),

@@ -2,6 +2,7 @@
 
 import pytest
 
+import pgx.census
 from pgx.census import (
     CensusMember,
     Factorization,
@@ -19,8 +20,8 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.constructors import Completeness, cyclic, spectrum_of_spec
-from pgx.errors import InputError, InvariantError
+from pgx.constructors import CATALOG_BOUND, Completeness, Cyclic
+from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import order_sum, phi_sum, spectrum_cyclic
 
@@ -73,8 +74,8 @@ def test_enumerate_nilpotent_order_45():
     assert [m.is_cyclic for m in members] == [True, False]
     assert members[0].spectrum == spectrum_cyclic(45)
     for m in members:
-        assert m.spectrum == spectrum_of_spec(m.spec)
-        assert m.sources == ("parametric", "parametric")
+        assert m.spectrum == m.spec.spectrum()
+        assert tuple(e.source for e in m.sylows) == ("parametric", "parametric")
 
 
 def test_enumerate_nilpotent_prime_and_composite():
@@ -92,12 +93,26 @@ def test_enumerate_nilpotent_sixteen_with_and_without_census(census_dir):
     members, completeness = enumerate_nilpotent(16, census_dir=census_dir)
     assert len(members) == 10
     assert completeness is Completeness.COMPLETE_VIA_CENSUS
-    assert sum(s.endswith(".cayley") for m in members for s in m.sources) == 1
+    assert sum(e.source.endswith(".cayley") for m in members for e in m.sylows) == 1
 
 
 def test_enumerate_nilpotent_rejects_trivial_order():
     with pytest.raises(InputError):
         enumerate_nilpotent(1)
+
+
+def test_enumerate_nilpotent_refuses_more_members_than_the_bound(monkeypatch):
+    # 105^10: three Sylow catalogs of 43 entries (42 partitions of 10 and M(10,p))
+    with pytest.raises(ResourceError) as err:
+        enumerate_nilpotent(105 ** 10)
+    assert str(err.value) == (f"order {105 ** 10} has {43 ** 3} nilpotent groups, one per "
+                              f"choice of Sylow catalog entries, above the catalog bound "
+                              f"{CATALOG_BOUND}")
+    # the bound counts members: 5 * 5 of order 3^3 * 5^3, 5 * 5 * 2 with a factor 7^2
+    monkeypatch.setattr(pgx.census, "CATALOG_BOUND", 25)
+    assert len(enumerate_nilpotent(3 ** 3 * 5 ** 3)[0]) == 25
+    with pytest.raises(ResourceError):
+        enumerate_nilpotent(3 ** 3 * 5 ** 3 * 7 ** 2)
 
 
 def test_sylow_scores_equal_the_convolved_spectrum():
@@ -114,7 +129,6 @@ def test_sylow_scores_equal_the_convolved_spectrum():
 
 
 def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
-    import pgx.census
     calls = []
     catalog = pgx.census.p_group_catalog
 
@@ -464,7 +478,7 @@ def test_scan_census_dir_upgrades_completeness(tmp_path):
     # claims census-backed completeness for the 3^4 Sylow
     order_dir = tmp_path / "81"
     order_dir.mkdir()
-    write_cayley(cyclic(81), order_dir / "c81.cayley")
+    write_cayley(Cyclic(81).build(), order_dir / "c81.cayley")
     report = scan_conjecture_2_9(81, census_dir=tmp_path)
     by_n = {r["n"]: r for r in report.rows}
     assert by_n[81]["completeness"] == "complete-via-ingested-census"

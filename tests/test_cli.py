@@ -160,6 +160,14 @@ def test_stats_bad_spec_is_an_input_error(run_cli):
     assert code == 3 and "cannot read" in err
 
 
+def test_stats_undecodable_table_file_is_an_input_error(run_cli, tmp_path):
+    path = tmp_path / "bad.cayley"
+    path.write_bytes(b"order 2\nidentity 0\n0 1\n1 \xff\n")
+    code, out, err = run_cli("stats", f"file:{path}")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_failed_consistency_check_is_an_internal_error(run_cli, tmp_path):
     path = tmp_path / "loop.cayley"
     path.write_text("order 3\nidentity 0\n0 1 2\n1 1 0\n2 0 1\n")   # 1^3 != 0
@@ -245,6 +253,14 @@ def test_graph_out_file(run_cli, tmp_path):
     assert target.read_text() == C6_DOT
 
 
+def test_graph_unwritable_out_file_is_an_input_error(run_cli, tmp_path):
+    target = tmp_path / "missing-dir" / "c6.dot"
+    code, out, err = run_cli("graph", "C6", "directed", "dot", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_graph_above_cap_is_a_resource_error(run_cli):
     code, out, err = run_cli("graph", "C6", "directed", "dot",
                              "--brute-cap", "4")
@@ -316,6 +332,18 @@ def test_verify_prop_2_2_text_golden(run_cli):
     code, out, err = run_cli("verify", "prop-2.2", "--p", "3", "--n", "3")
     assert (code, err) == (0, "")
     assert out == PROP22_TEXT
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("prop-2.2", "--p", "3", "--n", "100000"),
+     "order 3^100000 has more than 24061467864032622473692149727991 abelian groups"),
+    (("main-theorem", "--n", str(3 ** 50)), "order 3^50 has 204226 abelian groups"),
+])
+def test_verify_refuses_catalogs_past_the_bound(run_cli, argv, message):
+    code, out, err = run_cli("verify", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}, one per partition of ")
+    assert err.endswith(", above the catalog bound 10000\n") and err.count("\n") == 1
 
 
 def test_verify_missing_required_flags(run_cli):
@@ -587,6 +615,14 @@ def test_config_error_paths(run_cli, tmp_path, monkeypatch):
     monkeypatch.setenv("PGX_FORMAT", "yaml")
     code, _, err = run_cli("stats", "C6")
     assert code == 3 and "PGX_FORMAT" in err and "yaml" in err
+
+
+def test_config_file_that_is_not_text_is_an_input_error(run_cli, tmp_path):
+    cfg = tmp_path / "bad.toml"
+    cfg.write_bytes(b"format = \xff\n")
+    code, out, err = run_cli("stats", "C6", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
 
 def test_config_underscore_keys_and_comments(run_cli, tmp_path):

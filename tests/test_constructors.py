@@ -5,7 +5,9 @@ import importlib.util
 import numpy as np
 import pytest
 
+import pgx.constructors
 from pgx.constructors import (
+    CATALOG_BOUND,
     Abelian,
     CatalogEntry,
     Completeness,
@@ -17,22 +19,11 @@ from pgx.constructors import (
     Modular,
     Product,
     Semidihedral,
-    abelian_from_partition,
     build_group,
-    cyclic,
-    dihedral,
     direct_product,
-    generalized_quaternion,
-    heisenberg,
     merge_completeness,
-    modular_group,
-    order_of_spec,
     p_group_catalog,
     parse_group_spec,
-    render_spec,
-    semidihedral,
-    spectrum_of_spec,
-    validate_spec,
 )
 from pgx.errors import InputError, ResourceError
 from pgx.groups import read_cayley, validate, write_cayley
@@ -106,23 +97,20 @@ def test_parse_group_spec_errors(text, fragment):
 ])
 def test_render_parse_round_trip(text):
     spec = parse_group_spec(text)
-    assert render_spec(spec) == text.replace(" ", "")
-    assert parse_group_spec(render_spec(spec)) == spec
+    assert spec.render() == text.replace(" ", "")
+    assert parse_group_spec(spec.render()) == spec
 
 
 def test_render_spec_file_products_keep_spaces():
     spec = Product(Cyclic(2), FileTable("tables/k4.cayley"))
-    assert render_spec(spec) == "C2 x file:tables/k4.cayley"
-    assert parse_group_spec(render_spec(spec)) == spec
+    assert spec.render() == "C2 x file:tables/k4.cayley"
+    assert parse_group_spec(spec.render()) == spec
+    nested = Product(Product(Cyclic(2), Cyclic(3)), FileTable("k4.cayley"))
+    assert nested.render() == "C2 x C3 x file:k4.cayley"
 
 
 def test_render_spec_empty_partition_is_trivial():
-    assert render_spec(Abelian(3, ())) == "C1"
-
-
-def test_validate_spec_rejects_unknown_object():
-    with pytest.raises(InputError):
-        validate_spec("C6")
+    assert Abelian(3, ()).render() == "C1"
 
 
 @pytest.mark.parametrize("text,order", [
@@ -136,13 +124,13 @@ def test_validate_spec_rejects_unknown_object():
     ("C9xC3xC2", 54),
 ])
 def test_order_of_spec(text, order):
-    assert order_of_spec(parse_group_spec(text)) == order
+    assert parse_group_spec(text).order == order
 
 
 def test_order_of_spec_reads_file_header(tmp_path):
     path = tmp_path / "c7.cayley"
-    write_cayley(cyclic(7), path)
-    assert order_of_spec(FileTable(str(path))) == 7
+    write_cayley(Cyclic(7).build(), path)
+    assert FileTable(str(path)).order == 7
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +138,12 @@ def test_order_of_spec_reads_file_header(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cyclic_labels():
-    g = cyclic(5)
+    g = Cyclic(5).build()
     assert g.name == "C5" and g.labels == ["0", "1", "2", "3", "4"]
 
 
 def test_direct_product_indexing_and_labels():
-    g = direct_product(cyclic(2), cyclic(3))
+    g = direct_product(Cyclic(2).build(), Cyclic(3).build())
     assert g.size == 6 and g.name == "C2xC3"
     assert g.labels == ["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)"]
     # index (a, b) -> a*3 + b, componentwise product
@@ -164,27 +152,27 @@ def test_direct_product_indexing_and_labels():
 
 
 def test_quaternion_classical_labels():
-    q8 = generalized_quaternion(8)
+    q8 = GeneralizedQuaternion(8).build()
     assert q8.labels == ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    assert q8.label(q8.product(1, 4)) == "k"        # i * j = k
+    assert q8.labels[q8.product(1, 4)] == "k"        # i * j = k
 
 
 def test_abelian_from_partition_name_and_structure():
-    g = abelian_from_partition(2, (3, 1))
+    g = Abelian(2, (3, 1)).build()
     assert g.name == "Ab(2;3,1)" and g.size == 16
-    assert abelian_from_partition(3, ()).size == 1
-    single = abelian_from_partition(5, (2,))
+    assert Abelian(3, ()).build().size == 1
+    single = Abelian(5, (2,)).build()
     assert single.name == "C25"
 
 
 @pytest.mark.parametrize("builder,order,top", [
-    (lambda: dihedral(8), 8, 4),
-    (lambda: dihedral(30), 30, 15),
-    (lambda: generalized_quaternion(16), 16, 8),
-    (lambda: semidihedral(16), 16, 8),
-    (lambda: modular_group(4, 2), 16, 8),
-    (lambda: modular_group(3, 3), 27, 9),
-    (lambda: heisenberg(3), 27, 3),
+    (lambda: Dihedral(8).build(), 8, 4),
+    (lambda: Dihedral(30).build(), 30, 15),
+    (lambda: GeneralizedQuaternion(16).build(), 16, 8),
+    (lambda: Semidihedral(16).build(), 16, 8),
+    (lambda: Modular(4, 2).build(), 16, 8),
+    (lambda: Modular(3, 3).build(), 27, 9),
+    (lambda: Heisenberg(3).build(), 27, 3),
 ])
 def test_family_models_validate_and_have_expected_exponent(builder, order, top):
     g = builder()
@@ -195,8 +183,8 @@ def test_family_models_validate_and_have_expected_exponent(builder, order, top):
 
 def test_modular_group_vs_split_abelian_spectra():
     # same order spectrum, different groups: M(4,2) is non-abelian
-    m = modular_group(4, 2)
-    split = abelian_from_partition(2, (3, 1))
+    m = Modular(4, 2).build()
+    split = Abelian(2, (3, 1)).build()
     assert order_spectrum(m) == order_spectrum(split)
     a, b = 2, 3
     assert any(m.product(x, y) != m.product(y, x)
@@ -205,13 +193,13 @@ def test_modular_group_vs_split_abelian_spectra():
 
 
 def test_heisenberg_has_exponent_p():
-    g = heisenberg(5)
+    g = Heisenberg(5).build()
     assert g.size == 125
     assert order_spectrum(g) == OrderSpectrum({1: 1, 5: 124})
 
 
 # ---------------------------------------------------------------------------
-# build_group and spectrum_of_spec
+# build_group and the spec's closed-form spectrum
 # ---------------------------------------------------------------------------
 
 SPEC_TEXTS = [
@@ -230,8 +218,8 @@ SPEC_TEXTS = [
 def test_spectrum_of_spec_matches_brute_tally(text):
     spec = parse_group_spec(text)
     g = build_group(spec)
-    assert spectrum_of_spec(spec) == order_spectrum(g)
-    assert g.size == order_of_spec(spec)
+    assert spec.spectrum() == order_spectrum(g)
+    assert g.size == spec.order
 
 
 def test_build_group_respects_cap():
@@ -244,13 +232,13 @@ def test_build_group_respects_cap():
 
 def test_build_group_from_file(tmp_path):
     path = tmp_path / "k4.cayley"
-    write_cayley(abelian_from_partition(2, (1, 1)), path)
+    write_cayley(Abelian(2, (1, 1)).build(), path)
     spec = parse_group_spec(f"file:{path}")
     g = build_group(spec)
     assert g.size == 4 and g.name == "k4"
-    assert spectrum_of_spec(spec) == OrderSpectrum({1: 1, 2: 3})
+    assert spec.spectrum() == OrderSpectrum({1: 1, 2: 3})
     prod = parse_group_spec(f"C3 x file:{path}")
-    assert spectrum_of_spec(prod) == OrderSpectrum({1: 1, 2: 3, 3: 2, 6: 6})
+    assert prod.spectrum() == OrderSpectrum({1: 1, 2: 3, 3: 2, 6: 6})
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +320,7 @@ def test_census_script_models_match_shipped_tables(census_dir):
 def test_catalog_census_duplicate_spectra_are_dropped(tmp_path):
     order_dir = tmp_path / "8"
     order_dir.mkdir()
-    write_cayley(cyclic(8), order_dir / "c8_again.cayley")
+    write_cayley(Cyclic(8).build(), order_dir / "c8_again.cayley")
     entries, completeness = p_group_catalog(2, 3, census_dir=tmp_path)
     assert [e.render() for e in entries] == [
         "C8", "Ab(2;2,1)", "Ab(2;1,1,1)", "D8", "Q8",
@@ -349,7 +337,7 @@ def test_catalog_census_missing_dir_changes_nothing(tmp_path):
 def test_catalog_census_rejects_wrong_order(tmp_path):
     order_dir = tmp_path / "16"
     order_dir.mkdir()
-    write_cayley(cyclic(8), order_dir / "c8.cayley")
+    write_cayley(Cyclic(8).build(), order_dir / "c8.cayley")
     with pytest.raises(InputError) as err:
         p_group_catalog(2, 4, census_dir=tmp_path)
     assert "does not match census directory 16" in str(err.value)
@@ -382,5 +370,23 @@ def test_merge_completeness_ordering():
 
 
 def test_catalog_entry_render_matches_spec():
-    entry = CatalogEntry(Modular(4, 3), spectrum_of_spec(Modular(4, 3)), "parametric")
+    entry = CatalogEntry(Modular(4, 3), Modular(4, 3).spectrum(), "parametric")
     assert entry.render() == "M(4,3)"
+
+
+def test_catalog_refuses_exponents_past_the_bound(monkeypatch):
+    # 37338 partitions of 40, so 37338 abelian groups of order 3^40
+    with pytest.raises(ResourceError) as err:
+        p_group_catalog(3, 40)
+    assert str(err.value) == ("order 3^40 has 37338 abelian groups, one per partition "
+                              f"of 40, above the catalog bound {CATALOG_BOUND}")
+    # refused before any partition is listed, so a huge exponent returns at once
+    with pytest.raises(ResourceError) as err:
+        p_group_catalog(3, 100000)
+    assert "has more than 24061467864032622473692149727991 abelian groups" in str(err.value)
+    # the bound counts partitions: 22 of 8 (plus M(8,3) listed), 30 of 9
+    monkeypatch.setattr(pgx.constructors, "CATALOG_BOUND", 22)
+    assert len(p_group_catalog(3, 8)[0]) == 22 + 1
+    with pytest.raises(ResourceError) as err:
+        p_group_catalog(3, 9)
+    assert "order 3^9 has 30 abelian groups" in str(err.value)

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pgx.constructors import build_group, cyclic, generalized_quaternion, parse_group_spec
+from pgx.constructors import Cyclic, GeneralizedQuaternion, build_group, parse_group_spec
 from pgx.errors import InputError, InvariantError
 from pgx import groups
 from pgx.groups import GroupTable, read_cayley, validate, write_cayley
@@ -34,43 +34,72 @@ NONASSOCIATIVE_LOOP = np.array([
 ])
 
 
+def reference_order(g: GroupTable, a: int) -> int:
+    """Order of a by successive multiplication, with no factorization of |G|;
+    the independent reference for GroupTable.element_orders."""
+    k = 1
+    x = a
+    while x != g.identity:
+        x = g.product(x, a)
+        k += 1
+        if k > g.size:
+            raise InvariantError(f"{g.name}: powers of element {a} do not reach the "
+                                 "identity; not a group table")
+    if g.size % k:
+        raise InvariantError(f"{g.name}: element order {k} does not divide group order {g.size}")
+    return k
+
+
+def reference_cyclic_subgroup(g: GroupTable, a: int) -> frozenset[int]:
+    """The set of powers of a (the identity and a itself included), by
+    successive multiplication; the reference for the power-graph tests."""
+    seen = {g.identity}
+    x = a
+    while x != g.identity:
+        seen.add(x)
+        x = g.product(x, a)
+        if len(seen) > g.size:
+            raise InvariantError(f"{g.name}: runaway cyclic subgroup")
+    return frozenset(seen)
+
+
 # ---------------------------------------------------------------------------
 # Element arithmetic
 # ---------------------------------------------------------------------------
 
 def test_product_and_power_in_cyclic_groups():
-    c6 = cyclic(6)
+    c6 = Cyclic(6).build()
     assert c6.product(2, 3) == 5
     assert all(c6.product(c6.identity, a) == a for a in range(6))
-    c12 = cyclic(12)
+    c12 = Cyclic(12).build()
     assert c12.power(1, 7) == 7
     assert c12.power(5, 0) == c12.identity
 
 
 def test_element_order_and_cyclic_subgroup():
-    c6 = cyclic(6)
-    assert c6.element_order(c6.identity) == 1
-    assert c6.element_order(5) == 6
-    assert c6.cyclic_subgroup(2) == frozenset({0, 2, 4})
-    assert c6.cyclic_subgroup(c6.identity) == frozenset({0})
+    c6 = Cyclic(6).build()
+    assert reference_order(c6, c6.identity) == 1
+    assert reference_order(c6, 5) == 6
+    assert reference_cyclic_subgroup(c6, 2) == frozenset({0, 2, 4})
+    assert reference_cyclic_subgroup(c6, c6.identity) == frozenset({0})
     for a in range(6):
-        assert len(c6.cyclic_subgroup(a)) == c6.element_order(a)
-        assert 6 % c6.element_order(a) == 0
+        assert len(reference_cyclic_subgroup(c6, a)) == reference_order(c6, a)
+        assert 6 % reference_order(c6, a) == 0
 
 
 def test_quaternion_model_arithmetic():
-    q8 = generalized_quaternion(8)
-    by_label = {q8.label(a): a for a in range(8)}
+    q8 = GeneralizedQuaternion(8).build()
+    by_label = {lab: a for a, lab in enumerate(q8.labels)}
     i, j, k = by_label["i"], by_label["j"], by_label["k"]
     assert q8.product(i, j) == k
     minus_one = q8.product(q8.product(i, j), k)
-    assert q8.label(minus_one) == "-1"
-    assert q8.element_order(minus_one) == 2
-    assert q8.cyclic_subgroup(i) == {by_label[t] for t in ("1", "i", "-1", "-i")}
+    assert q8.labels[minus_one] == "-1"
+    assert reference_order(q8, minus_one) == 2
+    assert reference_cyclic_subgroup(q8, i) == {by_label[t] for t in ("1", "i", "-1", "-i")}
 
 
 def test_index_and_exponent_validation():
-    c6 = cyclic(6)
+    c6 = Cyclic(6).build()
     with pytest.raises(InputError):
         c6.product(0, 6)
     with pytest.raises(InputError):
@@ -84,19 +113,19 @@ def test_index_and_exponent_validation():
 def test_element_orders_by_lagrange_match_successive_multiplication(text):
     g = build_group(parse_group_spec(text))
     assert g.has_table
-    assert g.element_orders() == [g.element_order(a) for a in range(g.size)]
+    assert g.element_orders() == [reference_order(g, a) for a in range(g.size)]
 
 
 def test_element_order_diverges_on_non_group():
     projection = GroupTable(3, 0, table=[[0, 0, 0], [1, 1, 1], [2, 2, 2]])
     with pytest.raises(InvariantError):
-        projection.element_order(1)
+        reference_order(projection, 1)
 
 
 def test_element_order_must_divide_group_order():
     g = GroupTable(5, 0, table=NONASSOCIATIVE_LOOP)
     with pytest.raises(InvariantError):
-        g.element_order(1)      # order 2 does not divide 5
+        reference_order(g, 1)      # order 2 does not divide 5
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +147,15 @@ def test_constructor_rejects_bad_arguments():
         GroupTable(3, 0, table=C3_TABLE, labels=["a", "b"])
 
 
-def test_len_and_repr():
-    g = cyclic(300)
+def test_size_and_repr():
+    g = Cyclic(300).build()
     assert g.product(299, 1) == 0
     assert "table" in repr(g)
-    assert len(g) == 300
+    assert g.size == 300
 
 
 def test_table_is_read_only():
-    g = cyclic(4)
+    g = Cyclic(4).build()
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
 
@@ -136,7 +165,7 @@ def test_table_is_read_only():
 # ---------------------------------------------------------------------------
 
 def test_validate_full_passes_on_groups():
-    report = validate(generalized_quaternion(8), mode="full")
+    report = validate(GeneralizedQuaternion(8).build(), mode="full")
     assert report.ok and report.mode == "full"
     assert "associativity-full" in report.checks
     assert report.failure is None
@@ -144,15 +173,15 @@ def test_validate_full_passes_on_groups():
 
 
 def test_validate_auto_switches_to_sampling_above_cap():
-    report = validate(cyclic(300), mode="auto", sample_triples=5000, full_cap=256)
+    report = validate(Cyclic(300).build(), mode="auto", sample_triples=5000, full_cap=256)
     assert report.ok and report.mode == "sampled(5000)"
-    small = validate(cyclic(16), mode="auto")
+    small = validate(Cyclic(16).build(), mode="auto")
     assert small.mode == "full"
 
 
 def test_validate_rejects_unknown_mode():
     with pytest.raises(InputError):
-        validate(cyclic(3), mode="bogus")
+        validate(Cyclic(3).build(), mode="bogus")
 
 
 def test_validate_identity_failure():
@@ -213,7 +242,7 @@ def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):
     orders = g.element_orders()
     first = len(passes)
     orders[0] = 99
-    assert g.element_orders() == [g.element_order(a) for a in range(12)]
+    assert g.element_orders() == [reference_order(g, a) for a in range(12)]
     assert first > 0 and len(passes) == first
 
 
@@ -229,7 +258,7 @@ def test_validate_corrupted_entry_is_caught():
 # ---------------------------------------------------------------------------
 
 def test_cayley_round_trip_with_labels(tmp_path):
-    q8 = generalized_quaternion(8)
+    q8 = GeneralizedQuaternion(8).build()
     path = tmp_path / "q8.cayley"
     write_cayley(q8, path)
     back = read_cayley(path)
