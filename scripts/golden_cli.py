@@ -96,6 +96,13 @@ def later_calls() -> list[list[str]]:
     return calls
 
 
+def settings_calls() -> list[list[str]]:
+    """The census validation settings, in census ingest and in a catalog's census."""
+    settings = ["--full-assoc-cap", "8", "--sample-triples", "1000"]
+    return [["census", "ingest", "census", *settings, "--format", "csv"],
+            ["verify", "prop-2.8", "--p", "2", "--n", "4", *settings, *CENSUS]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -117,7 +124,7 @@ def run() -> None:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
-        for calls in (golden_calls(), later_calls()):
+        for calls in (golden_calls(), later_calls(), settings_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 from math import prod
-from pathlib import Path
 
 from .constructors import (
     CATALOG_BOUND,
     Abelian,
     CatalogEntry,
+    Census,
     Completeness,
     Cyclic,
     GeneralizedQuaternion,
@@ -42,14 +42,27 @@ from .spectrum import (
     mutual_edges,
     phi_cyclic_prime_power,
     phi_sum,
-    order_sum,
     spectrum_cyclic,
     spectrum_product,
     stats_from_spectrum,
     totient,
-    undirected_edges,
     undirected_from_sums,
 )
+
+# Defaults of the sweep claims: the largest prime and exponent of the grid
+# claims, and lemma-2.1's random pair count and largest factor order.
+DEFAULT_P_MAX = 97
+DEFAULT_M_MAX = 12
+DEFAULT_PAIRS = 200
+DEFAULT_MAX_ORDER = 200
+
+# Bounds on the sweep claims, checked before the work starts as CATALOG_BOUND
+# is: the largest number primes are listed up to (p_max, q_max, max_order),
+# the largest exponent (m_max, t_max), and the most rows one sweep may check
+# (grid points, prime pairs or random pairs).
+SWEEP_PRIME_BOUND = 10_000
+SWEEP_EXPONENT_BOUND = 30
+SWEEP_ROW_BOUND = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +141,14 @@ class CensusMember:
         return self.spec.render()
 
 
-def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
+def enumerate_nilpotent(n: int, census: Census | None = None, *,
                         _sylow_memo: dict | None = None
                         ) -> tuple[list[CensusMember], Completeness]:
     """All known nilpotent groups of order n, one per choice of Sylow entries.
 
-    _sylow_memo, when given, maps (p, a) to the catalog of order p^a, its
-    completeness and each entry's (sigma, phi); a caller enumerating many
-    orders with one census_dir passes the same dict to every call. Raises
+    _sylow_memo, when given, maps (p, a) to the catalog of order p^a and its
+    completeness, as p_group_catalog returns them; a caller enumerating many
+    orders with one census passes the same dict to every call. Raises
     ResourceError, before listing any group, when the groups would number more
     than CATALOG_BOUND.
     """
@@ -145,18 +158,14 @@ def enumerate_nilpotent(n: int, census_dir: str | Path | None = None, *,
     sylows = []
     for p, a in factorize(n).factors:
         if (p, a) not in memo:
-            entries, comp = p_group_catalog(p, a, census_dir)
-            memo[p, a] = ([(e, order_sum(e.spectrum), phi_sum(e.spectrum))
-                           for e in entries], comp)
+            memo[p, a] = p_group_catalog(p, a, census)
         sylows.append(memo[p, a])
-    count = prod(len(valued) for valued, _ in sylows)
+    count = prod(len(entries) for entries, _ in sylows)
     if count > CATALOG_BOUND:
         raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
                             f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
-    members = [CensusMember(tuple(e for e, _, _ in combo),
-                            prod(sigma for _, sigma, _ in combo),
-                            prod(phi for _, _, phi in combo))
-               for combo in itertools.product(*(valued for valued, _ in sylows))]
+    members = [CensusMember(combo, prod(e.sigma for e in combo), prod(e.phi for e in combo))
+               for combo in itertools.product(*(entries for entries, _ in sylows))]
     return members, merge_completeness([comp for _, comp in sylows])
 
 
@@ -253,7 +262,7 @@ def _expected_sylows(f: Factorization) -> tuple[GroupSpec, ...]:
     return tuple(out)
 
 
-def verify_main_theorem(n: int, census_dir: str | Path | None = None,
+def verify_main_theorem(n: int, census: Census | None = None,
                         allow_even: bool = False) -> VerificationReport:
     """Check that C_(n/p_s) x C_(p_s) attains the maximum phi-sum among
     non-cyclic nilpotent groups of order n (n odd, not square-free).
@@ -271,7 +280,7 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
     if n % 2 == 0 and not allow_even:
         raise InputError(
             f"hypothesis violated: n = {n} is even (pass allow_even to explore anyway)")
-    members, completeness = enumerate_nilpotent(n, census_dir)
+    members, completeness = enumerate_nilpotent(n, census)
     expected_sylows = _expected_sylows(f)
     expected = next((m for m in members if m.sylow_specs == expected_sylows), None)
     if expected is None:
@@ -315,28 +324,27 @@ def verify_main_theorem(n: int, census_dir: str | Path | None = None,
 # Claim: maximum phi-sum among non-cyclic p-groups (odd p)
 # ---------------------------------------------------------------------------
 
+def _edges(e: CatalogEntry) -> int:
+    return undirected_from_sums(e.sigma, e.phi, e.spectrum.total)
+
+
 def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, list[str]]:
     noncyclic = [e for e in entries if not e.is_cyclic]
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
-    scored, best, argmax = _argmax(noncyclic, lambda e: score(e.spectrum))
-    rows = []
-    for v, e in scored:
-        s = e.spectrum
-        sig, phi = order_sum(s), phi_sum(s)
-        rows.append({
-            "group": e.render(),
-            "sigma": sig,
-            "phi_sum": phi,
-            "edges": undirected_edges(s),
-            "argmax": v == best,
-            "source": e.source,
-        })
+    scored, best, argmax = _argmax(noncyclic, score)
+    rows = [{
+        "group": e.render(),
+        "sigma": e.sigma,
+        "phi_sum": e.phi,
+        "edges": _edges(e),
+        "argmax": v == best,
+        "source": e.source,
+    } for v, e in scored]
     return rows, best, argmax
 
 
-def verify_prop_2_2(p: int, n: int,
-                    census_dir: str | Path | None = None) -> VerificationReport:
+def verify_prop_2_2(p: int, n: int, census: Census | None = None) -> VerificationReport:
     """Check that the non-cyclic groups of order p^n (odd p) maximizing the
     phi-sum are exactly C_(p^(n-1)) x C_p and, for n >= 3, M(n,p).
 
@@ -347,8 +355,8 @@ def verify_prop_2_2(p: int, n: int,
         raise InputError(f"hypothesis violated: p = {p} must be an odd prime")
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
-    entries, completeness = p_group_catalog(p, n, census_dir)
-    rows, best, argmax = _p_group_rows(entries, phi_sum)
+    entries, completeness = p_group_catalog(p, n, census)
+    rows, best, argmax = _p_group_rows(entries, lambda e: e.phi)
     identity_bad = [r["group"] for r in rows
                     if p * r["phi_sum"] != (p - 1) * r["sigma"] + 1]
     expected = {Abelian(p, (n - 1, 1)).render()}
@@ -409,14 +417,28 @@ def verify_cor_2_3(p: int, n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _primes_up_to(limit: int) -> list[int]:
+    if limit > SWEEP_PRIME_BOUND:
+        raise ResourceError(f"a sweep over the primes up to {limit} is above the "
+                            f"sweep prime bound {SWEEP_PRIME_BOUND}")
     return [p for p in range(2, limit + 1) if is_prime(p)]
+
+
+def _check_rows(count: int, what: str) -> None:
+    if count > SWEEP_ROW_BOUND:
+        raise ResourceError(f"a sweep over {count} {what} is above the sweep row "
+                            f"bound {SWEEP_ROW_BOUND}")
 
 
 def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
     """(p, m) -> (phi of C_(p^m), phi of C_(p^(m-1)) x C_p, phi of C_(p^(m-1)))
     for m >= 2, exact integers."""
+    if m_max > SWEEP_EXPONENT_BOUND:
+        raise ResourceError(f"a sweep over the exponents up to {m_max} is above the "
+                            f"sweep exponent bound {SWEEP_EXPONENT_BOUND}")
+    primes = _primes_up_to(p_max)
+    _check_rows(len(primes) * (m_max - 1), "grid points")
     grid: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for p in _primes_up_to(p_max):
+    for p in primes:
         cyc: dict[int, int] = {}
         for m in range(1, m_max + 1):
             cyc[m] = phi_sum(spectrum_cyclic(p ** m))
@@ -427,7 +449,7 @@ def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, i
     return grid
 
 
-def verify_lemma_2_4(p_max: int = 97, m_max: int = 12) -> VerificationReport:
+def verify_lemma_2_4(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> VerificationReport:
     """Exact check of both phi recurrences and the closed form over the whole
     prime/exponent grid:
 
@@ -460,7 +482,7 @@ def verify_lemma_2_4(p_max: int = 97, m_max: int = 12) -> VerificationReport:
         headline=headline, rows=rows, argmax=[], witnesses=bad, notes=[])
 
 
-def verify_lemma_2_5(p_max: int = 97, m_max: int = 12) -> VerificationReport:
+def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> VerificationReport:
     """Exact check of the strict sandwich
 
         (p-2) * phi(C_(p^(m-1)) x C_p) < phi(C_(p^m)) < p * phi(C_(p^(m-1)) x C_p)
@@ -501,7 +523,7 @@ def verify_lemma_2_5(p_max: int = 97, m_max: int = 12) -> VerificationReport:
         headline=headline, rows=rows, argmax=[], witnesses=bad, notes=notes)
 
 
-def verify_cor_2_6(q_max: int = 97, t_max: int = 12) -> VerificationReport:
+def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> VerificationReport:
     """Exact cross-multiplied check of the ratio comparison
 
         phi(C_(p^m)) / phi(C_(p^(m-1)) x C_p)  <  phi(C_(q^t)) / phi(C_(q^(t-1)) x C_q)
@@ -512,8 +534,9 @@ def verify_cor_2_6(q_max: int = 97, t_max: int = 12) -> VerificationReport:
     """
     if q_max < 3 or t_max < 2:
         raise InputError("need q_max >= 3 and t_max >= 2")
-    grid = _phi_grid(q_max, t_max)
     primes = _primes_up_to(q_max)
+    _check_rows(len(primes) * (len(primes) - 1) // 2, "prime pairs")
+    grid = _phi_grid(q_max, t_max)
     exponents = range(2, t_max + 1)
     rows = []
     bad = []
@@ -554,8 +577,7 @@ def verify_cor_2_6(q_max: int = 97, t_max: int = 12) -> VerificationReport:
 # Claim: maximum undirected edge count among non-cyclic p-groups
 # ---------------------------------------------------------------------------
 
-def verify_prop_2_8(p: int, n: int,
-                    census_dir: str | Path | None = None) -> VerificationReport:
+def verify_prop_2_8(p: int, n: int, census: Census | None = None) -> VerificationReport:
     """Check the expected maximizers of the undirected edge count among
     non-cyclic groups of order p^n:
 
@@ -569,8 +591,8 @@ def verify_prop_2_8(p: int, n: int,
         raise InputError(f"{p} is not prime")
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
-    entries, completeness = p_group_catalog(p, n, census_dir)
-    rows, best, argmax = _p_group_rows(entries, undirected_edges)
+    entries, completeness = p_group_catalog(p, n, census)
+    rows, best, argmax = _p_group_rows(entries, _edges)
     notes = []
     if p == 2 and n == 3:
         expected = {GeneralizedQuaternion(8).render()}
@@ -598,7 +620,7 @@ def verify_prop_2_8(p: int, n: int,
 # Claim: phi multiplicativity over coprime direct products
 # ---------------------------------------------------------------------------
 
-def verify_lemma_2_1(pairs: int = 200, max_order: int = 200,
+def verify_lemma_2_1(pairs: int = DEFAULT_PAIRS, max_order: int = DEFAULT_MAX_ORDER,
                      seed: int = DEFAULT_SEED) -> VerificationReport:
     """Randomized exact check that phi-sum is multiplicative over coprime
     direct products: pairs of p-group catalog entries with distinct primes
@@ -608,6 +630,7 @@ def verify_lemma_2_1(pairs: int = 200, max_order: int = 200,
         raise InputError(f"need at least one pair, got {pairs}")
     if max_order < 4:
         raise InputError(f"max_order too small to form coprime pairs: {max_order}")
+    _check_rows(pairs, "random pairs")
     pool: list[tuple[int, CatalogEntry]] = []
     for p in _primes_up_to(max_order):
         k = 1
@@ -623,8 +646,7 @@ def verify_lemma_2_1(pairs: int = 200, max_order: int = 200,
         p2, e2 = rng.choice(pool)
         while p2 == p1:
             p2, e2 = rng.choice(pool)
-        left = phi_sum(e1.spectrum)
-        right = phi_sum(e2.spectrum)
+        left, right = e1.phi, e2.phi
         combined = phi_sum(spectrum_product(e1.spectrum, e2.spectrum))
         row = {"left": e1.render(), "right": e2.render(),
                "phi_left": left, "phi_right": right,
@@ -647,8 +669,7 @@ def verify_lemma_2_1(pairs: int = 200, max_order: int = 200,
 # Exploratory scan: does the same member maximize undirected edges?
 # ---------------------------------------------------------------------------
 
-def scan_conjecture_2_9(n_max: int, census_dir: str | Path | None = None
-                        ) -> VerificationReport:
+def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> VerificationReport:
     """For every odd non-square-free n <= n_max, compare the undirected edge
     count of C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of
     order n. Exploratory output only: the report never fails."""
@@ -662,8 +683,7 @@ def scan_conjecture_2_9(n_max: int, census_dir: str | Path | None = None
         f = factorize(n)
         if f.is_square_free:
             continue
-        members, completeness = enumerate_nilpotent(n, census_dir,
-                                                    _sylow_memo=sylow_memo)
+        members, completeness = enumerate_nilpotent(n, census, _sylow_memo=sylow_memo)
         expected_sylows = _expected_sylows(f)
         expected = next(m for m in members if m.sylow_specs == expected_sylows)
         noncyclic = [m for m in members if not m.is_cyclic]

@@ -18,10 +18,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .census import (
+    DEFAULT_M_MAX,
+    DEFAULT_MAX_ORDER,
+    DEFAULT_P_MAX,
+    DEFAULT_PAIRS,
     VerificationReport,
     scan_conjecture_2_9,
     verify_cor_2_3,
@@ -33,16 +36,9 @@ from .census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from .constructors import build_group, parse_group_spec
+from .constructors import Census, build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
-from .groups import (
-    DEFAULT_SAMPLE_TRIPLES,
-    DEFAULT_SEED,
-    DEFAULT_TABLE_CAP,
-    FULL_ASSOC_CAP,
-    read_cayley,
-    validate,
-)
+from .groups import DEFAULT_SAMPLE_TRIPLES, DEFAULT_SEED, DEFAULT_TABLE_CAP, FULL_ASSOC_CAP
 from .powergraph import build_directed, build_undirected, export, oracle_counts
 from .spectrum import GroupStats, OrderSpectrum, order_spectrum, stats_from_spectrum
 
@@ -56,16 +52,6 @@ CLAIMS = ("main-theorem", "prop-2.2", "cor-2.3", "lemma-2.4", "lemma-2.5",
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CliConfig:
-    brute_cap: int = DEFAULT_TABLE_CAP
-    full_assoc_cap: int = FULL_ASSOC_CAP
-    census_dir: str | None = "census"
-    fmt: str = "text"
-    seed: int = DEFAULT_SEED
-    sample_triples: int = DEFAULT_SAMPLE_TRIPLES
-
-
 def _parse_int(value: str, source: str) -> int:
     try:
         return int(value)
@@ -73,11 +59,28 @@ def _parse_int(value: str, source: str) -> int:
         raise InputError(f"{source}: expected an integer, got {value!r}") from None
 
 
-def _check_format(value: str, source: str) -> str:
+def _parse_format(value: str, source: str) -> str:
     if value not in _FORMATS:
-        raise InputError(f"{source}: format must be one of {', '.join(_FORMATS)}, "
-                         f"got {value!r}")
+        raise InputError(f"{source}: must be one of {', '.join(_FORMATS)}, got {value!r}")
     return value
+
+
+# Each setting once, as (name, environment variable, default, parser, help).
+# The name is the namespace attribute; the flag --name and the config key name
+# spell it with dashes. The parser maps (value, source) to the setting.
+_SETTINGS = (
+    ("format", "PGX_FORMAT", "text", _parse_format,
+     f"output format, one of {', '.join(_FORMATS)}"),
+    ("census_dir", "PGX_CENSUS_DIR", "census", lambda value, source: value or None,
+     "directory with <order>/*.cayley census tables; an empty string disables the census"),
+    ("brute_cap", "PGX_BRUTE_CAP", DEFAULT_TABLE_CAP, _parse_int,
+     "largest order for table materialization and graph oracles"),
+    ("full_assoc_cap", None, FULL_ASSOC_CAP, _parse_int,
+     "largest census table order validated with full associativity"),
+    ("seed", None, DEFAULT_SEED, _parse_int, "seed for sampled checks and random pair draws"),
+    ("sample_triples", None, DEFAULT_SAMPLE_TRIPLES, _parse_int,
+     "triples for sampled associativity"),
+)
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -101,23 +104,10 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
-# Each CliConfig field with its config-file key, the parser of a file or
-# environment value (value, source) -> setting, and its environment variable.
-# Its flag stores to the argparse destination named like the field.
-_SETTINGS = (
-    ("brute_cap", "brute-cap", _parse_int, "PGX_BRUTE_CAP"),
-    ("full_assoc_cap", "full-assoc-cap", _parse_int, None),
-    ("census_dir", "census-dir", lambda value, source: value, "PGX_CENSUS_DIR"),
-    ("fmt", "format", _check_format, "PGX_FORMAT"),
-    ("seed", "seed", _parse_int, None),
-    ("sample_triples", "sample-triples", _parse_int, None),
-)
-
-
-def resolve_config(args: argparse.Namespace) -> CliConfig:
-    """Apply file, environment, then flag settings over the defaults."""
-    cfg = CliConfig()
-
+def resolve_config(args: argparse.Namespace) -> None:
+    """Set each setting the flags left unset in args: the environment over the
+    config file (--config, else ./pgx.toml when present) over the default.
+    Every file and environment value is parsed, also where a flag wins."""
     path: Path | None = None
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -125,27 +115,25 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
             raise InputError(f"config file {path} not found")
     elif Path("pgx.toml").is_file():
         path = Path("pgx.toml")
-    if path is not None:
-        by_key = {key: (name, parse) for name, key, parse, _ in _SETTINGS}
-        for key, value in _read_config_file(path).items():
-            if key not in by_key:
-                raise InputError(f"{path}: unknown config key {key!r}")
-            name, parse = by_key[key]
-            setattr(cfg, name, parse(value, f"{path} key {key}"))
-
-    for name, _, parse, env in _SETTINGS:
+    entries = _read_config_file(path) if path is not None else {}
+    for name, env, value, parse, _ in _SETTINGS:
+        key = name.replace("_", "-")
+        if key in entries:
+            value = parse(entries.pop(key), f"{path} key {key}")
         if env and env in os.environ:
-            setattr(cfg, name, parse(os.environ[env], env))
-
-    for name, *_ in _SETTINGS:
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
-
-    if cfg.brute_cap < 1 or cfg.full_assoc_cap < 1 or cfg.sample_triples < 1:
+            value = parse(os.environ[env], env)
+        if name not in vars(args):
+            setattr(args, name, value)
+    if entries:
+        raise InputError(f"{path}: unknown config key {next(iter(entries))!r}")
+    if args.brute_cap < 1 or args.full_assoc_cap < 1 or args.sample_triples < 1:
         raise InputError("caps and sample counts must be positive")
-    if not cfg.census_dir:
-        cfg.census_dir = None
-    return cfg
+
+
+def _census(args: argparse.Namespace, directory: str | None) -> Census | None:
+    if directory is None:
+        return None
+    return Census(directory, args.full_assoc_cap, args.sample_triples, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,41 +238,41 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_stats(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
     s = spec.spectrum()
     name = spec.render()
     stats = stats_from_spectrum(name, s)
     oracle_checked = False
-    if stats.size <= cfg.brute_cap:
-        g = build_group(spec, cfg.brute_cap)
+    if stats.size <= args.brute_cap:
+        g = build_group(spec, args.brute_cap)
         if order_spectrum(g) != s:
             raise InvariantError(
                 f"{name}: tallied spectrum disagrees with the closed form")
-        counts = oracle_counts(g, cfg.brute_cap)
+        counts = oracle_counts(g, args.brute_cap)
         expected = (stats.directed_arcs, stats.mutual_edges, stats.undirected_edges)
         if counts != expected:
             raise InvariantError(
                 f"{name}: graph oracle counts {counts} disagree with "
                 f"spectrum formulas {expected}")
         oracle_checked = True
-    sys.stdout.write(render_stats(stats, cfg.fmt, oracle_checked))
+    sys.stdout.write(render_stats(stats, args.format, oracle_checked))
     return 0
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
-    sys.stdout.write(render_spectrum(spec.render(), spec.spectrum(), cfg.fmt))
+    sys.stdout.write(render_spectrum(spec.render(), spec.spectrum(), args.format))
     return 0
 
 
-def cmd_graph(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_graph(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
-    g = build_group(spec, cfg.brute_cap)
+    g = build_group(spec, args.brute_cap)
     if args.kind == "directed":
-        graph = build_directed(g, cfg.brute_cap)
+        graph = build_directed(g, args.brute_cap)
     else:
-        graph = build_undirected(g, cfg.brute_cap)
+        graph = build_undirected(g, args.brute_cap)
     if args.out:
         try:
             fh = open(args.out, "w")
@@ -297,7 +285,7 @@ def cmd_graph(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     claim = args.claim
 
     def need(flag: str, value) -> int:
@@ -305,13 +293,12 @@ def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
             raise InputError(f"verify {claim} requires {flag}")
         return value
 
+    census = _census(args, args.census_dir)
     if claim == "main-theorem":
-        report = verify_main_theorem(need("--n", args.n),
-                                     census_dir=cfg.census_dir,
+        report = verify_main_theorem(need("--n", args.n), census,
                                      allow_even=args.allow_even)
     elif claim == "prop-2.2":
-        report = verify_prop_2_2(need("--p", args.p), need("--n", args.n),
-                                 census_dir=cfg.census_dir)
+        report = verify_prop_2_2(need("--p", args.p), need("--n", args.n), census)
     elif claim == "cor-2.3":
         report = verify_cor_2_3(need("--p", args.p), need("--n", args.n))
     elif claim == "lemma-2.4":
@@ -321,56 +308,50 @@ def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
     elif claim == "cor-2.6":
         report = verify_cor_2_6(q_max=args.p_max, t_max=args.m_max)
     elif claim == "prop-2.8":
-        report = verify_prop_2_8(need("--p", args.p), need("--n", args.n),
-                                 census_dir=cfg.census_dir)
+        report = verify_prop_2_8(need("--p", args.p), need("--n", args.n), census)
     elif claim == "lemma-2.1":
         report = verify_lemma_2_1(pairs=args.pairs, max_order=args.max_order,
-                                  seed=cfg.seed)
+                                  seed=args.seed)
     else:  # unreachable: argparse restricts choices
         raise InputError(f"unknown claim {claim!r}")
-    sys.stdout.write(render_report(report, cfg.fmt))
+    sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 
 
-def cmd_scan(args: argparse.Namespace, cfg: CliConfig) -> int:
-    report = scan_conjecture_2_9(args.n_max, census_dir=cfg.census_dir)
-    sys.stdout.write(render_report(report, cfg.fmt))
+def cmd_scan(args: argparse.Namespace) -> int:
+    report = scan_conjecture_2_9(args.n_max, _census(args, args.census_dir))
+    sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 
 
-def cmd_census_ingest(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_census_ingest(args: argparse.Namespace) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise InputError(f"census directory {root} does not exist")
     files = sorted(root.rglob("*.cayley"))
     if not files:
         raise InputError(f"no .cayley files found under {root}")
+    census = _census(args, args.dir)
     rows = []
     for f in files:
-        g = read_cayley(f)
-        report = validate(g, mode="auto", sample_triples=cfg.sample_triples,
-                          seed=cfg.seed, full_cap=cfg.full_assoc_cap)
-        if not report.ok:
-            fail = report.failure
-            raise InputError(f"{f}: {fail.axiom} failed on witness "
-                             f"{fail.witness}: {fail.detail}")
-        stats = stats_from_spectrum(g.name, order_spectrum(g))
+        entry = census.admit(f)
+        stats = stats_from_spectrum(f.stem, entry.spectrum)
         rows.append({
             "file": f.relative_to(root).as_posix(),
-            "name": g.name,
-            "order": g.size,
-            "validation": report.mode,
+            "name": stats.name,
+            "order": stats.size,
+            "validation": entry.validation,
             "sigma": stats.sigma,
             "phi_sum": stats.phi_sum,
             "undirected_edges": stats.undirected_edges,
         })
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps({
             "directory": str(root),
             "count": len(rows),
             "files": rows,
         }, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write(_csv_table(rows))
     else:
         sys.stdout.write(f"ingested {len(rows)} Cayley tables from {root}\n\n")
@@ -393,22 +374,12 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="config file (default: ./pgx.toml when present)")
-    common.add_argument("--format", dest="fmt", choices=_FORMATS,
-                        help="output format (default text)")
-    common.add_argument("--census-dir", metavar="DIR",
-                        help="directory with census/<order>/*.cayley tables "
-                             "(default ./census; empty string disables)")
-    common.add_argument("--brute-cap", type=int, metavar="N",
-                        help="largest order for table materialization and "
-                             "graph oracles (default 4096)")
-    common.add_argument("--full-assoc-cap", type=int, metavar="N",
-                        help="largest order validated with full associativity "
-                             "(default 256)")
-    common.add_argument("--seed", type=int, metavar="S",
-                        help="seed for sampled checks and random pair draws "
-                             "(default 1729)")
-    common.add_argument("--sample-triples", type=int, metavar="K",
-                        help="triples for sampled associativity (default 1000000)")
+    for name, _, default, parse, help_text in _SETTINGS:
+        flag = "--" + name.replace("_", "-")
+        # a flag left out sets nothing, so resolve_config can tell it was not given
+        common.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                            type=lambda value, parse=parse, flag=flag: parse(value, flag),
+                            help=f"{help_text} (default {default})")
 
     parser = _Parser(
         prog="pgx",
@@ -441,14 +412,14 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="group order (main-theorem) or "
                                          "p-group exponent (prop/cor claims)")
     p.add_argument("--p", type=int, help="prime for p-group claims")
-    p.add_argument("--p-max", type=int, default=97,
-                   help="largest prime in sweep claims (default 97)")
-    p.add_argument("--m-max", type=int, default=12,
-                   help="largest exponent in sweep claims (default 12)")
-    p.add_argument("--pairs", type=int, default=200,
-                   help="random coprime pairs for lemma-2.1 (default 200)")
-    p.add_argument("--max-order", type=int, default=200,
-                   help="largest factor order for lemma-2.1 (default 200)")
+    p.add_argument("--p-max", type=int, default=DEFAULT_P_MAX,
+                   help=f"largest prime in sweep claims (default {DEFAULT_P_MAX})")
+    p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX,
+                   help=f"largest exponent in sweep claims (default {DEFAULT_M_MAX})")
+    p.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
+                   help=f"random coprime pairs for lemma-2.1 (default {DEFAULT_PAIRS})")
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                   help=f"largest factor order for lemma-2.1 (default {DEFAULT_MAX_ORDER})")
     p.add_argument("--allow-even", action="store_true",
                    help="main-theorem only: run even orders as report-only")
     p.set_defaults(func=cmd_verify)
@@ -475,8 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        return args.func(args, cfg)
+        resolve_config(args)
+        return args.func(args)
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

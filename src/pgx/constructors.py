@@ -23,17 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
+from math import prod
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, InvariantError, ResourceError
-from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap, read_cayley, validate
+from .groups import (DEFAULT_SAMPLE_TRIPLES, DEFAULT_SEED, DEFAULT_TABLE_CAP, FULL_ASSOC_CAP,
+                     GroupTable, check_brute_cap, read_cayley, validate)
 from .spectrum import (
     OrderSpectrum,
     is_prime,
     order_spectrum,
+    order_sum,
+    phi_sum,
     spectrum_cyclic,
     spectrum_product,
 )
@@ -42,6 +46,12 @@ from .spectrum import (
 # catalog of order p^k lists an abelian group per partition of k, and the
 # partitions of 32 already number 8349, so the bound stops exponents near 33.
 CATALOG_BOUND = 10_000
+
+# Largest group order, in bits, that a spec may name. Every statistic a report
+# prints is below the square of an order, and Python converts integers of at
+# most 4300 decimal digits to and from text; 2^7000 has 2108 digits.
+ORDER_BITS = 7000
+_ORDER_DIGITS = len(str(1 << ORDER_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,14 @@ def _checked(g: GroupTable, relations: dict[str, bool]) -> GroupTable:
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
+
+
+def _check_order(family: str, p: int, a: int = 1) -> None:
+    """Refuse the group order p^a when it has more than ORDER_BITS bits; p^a
+    is computed only once a lower bound on its bits is in range."""
+    if a * (p.bit_length() - 1) >= ORDER_BITS or (a > 0 and (p ** a).bit_length() > ORDER_BITS):
+        raise ResourceError(f"{family}: group order above 2^{ORDER_BITS}, the largest "
+                            "whose statistics can be printed")
 
 
 def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
@@ -114,6 +132,7 @@ class Cyclic(GroupSpec):
     m: int
 
     def __post_init__(self) -> None:
+        _check_order("C", self.m)
         if self.m < 1:
             raise InputError(f"C{self.m}: order must be positive")
 
@@ -142,9 +161,10 @@ class Abelian(GroupSpec):
     partition: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        parts = self.partition
+        _check_order("Ab", self.p, sum(parts))
         if not is_prime(self.p):
             raise InputError(f"Ab({self.p};...): {self.p} is not prime")
-        parts = self.partition
         if any(a < 1 for a in parts):
             raise InputError("Ab: partition entries must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -182,6 +202,7 @@ class Modular(GroupSpec):
     p: int
 
     def __post_init__(self) -> None:
+        _check_order("M", self.p, self.n)
         if not is_prime(self.p):
             raise InputError(f"M({self.n},{self.p}): {self.p} is not prime")
         if self.n < 3:
@@ -229,6 +250,7 @@ class Dihedral(GroupSpec):
     order: int
 
     def __post_init__(self) -> None:
+        _check_order("D", self.order)
         if self.order < 4 or self.order % 2:
             raise InputError(f"D{self.order}: dihedral order must be even and >= 4")
 
@@ -258,6 +280,7 @@ class GeneralizedQuaternion(GroupSpec):
     order: int
 
     def __post_init__(self) -> None:
+        _check_order("Q", self.order)
         if not _is_power_of_two(self.order) or self.order < 8:
             raise InputError(f"Q{self.order}: order must be a power of two >= 8")
 
@@ -295,6 +318,7 @@ class Semidihedral(GroupSpec):
     order: int
 
     def __post_init__(self) -> None:
+        _check_order("SD", self.order)
         if not _is_power_of_two(self.order) or self.order < 16:
             raise InputError(f"SD{self.order}: order must be a power of two >= 16")
 
@@ -328,6 +352,7 @@ class Heisenberg(GroupSpec):
     p: int
 
     def __post_init__(self) -> None:
+        _check_order("He", self.p, 3)
         if not is_prime(self.p) or self.p == 2:
             raise InputError(f"He{self.p}: needs an odd prime")
 
@@ -442,6 +467,9 @@ def parse_group_spec(text: str) -> GroupSpec:
             pos += 1
         if start == pos:
             raise error("expected an integer", start)
+        if pos - start > _ORDER_DIGITS:
+            raise error(f"an integer of {pos - start} digits is longer than any "
+                        f"group order a spec may name", start)
         return int(s[start:pos])
 
     def expect(ch: str) -> None:
@@ -515,6 +543,8 @@ def parse_group_spec(text: str) -> GroupSpec:
             spec = Product(spec, parse_atom())
         else:
             raise error(f"expected 'x' or end of spec, got {s[pos]!r}", pos)
+    # a file's order is bounded by the table it holds, which is read when first needed
+    _check_order("product", prod(f.order for f in spec.factors() if not isinstance(f, FileTable)))
     return spec
 
 
@@ -545,9 +575,20 @@ def merge_completeness(values: "list[Completeness]") -> Completeness:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog group; sigma and phi, its order and totient sums, are tallied when first read."""
+
     spec: GroupSpec
     spectrum: OrderSpectrum
     source: str               # "parametric" or the census file name
+    validation: str | None = None     # a census table's validation mode
+
+    @cached_property
+    def sigma(self) -> int:
+        return order_sum(self.spectrum)
+
+    @cached_property
+    def phi(self) -> int:
+        return phi_sum(self.spectrum)
 
     @property
     def is_cyclic(self) -> bool:
@@ -556,6 +597,32 @@ class CatalogEntry:
 
     def render(self) -> str:
         return self.spec.render()
+
+
+@dataclass(frozen=True)
+class Census:
+    """Census tables, laid out as <dir>/<order>/*.cayley, and the settings
+    each table is validated with before it is admitted."""
+
+    dir: str | Path
+    full_assoc_cap: int = FULL_ASSOC_CAP
+    sample_triples: int = DEFAULT_SAMPLE_TRIPLES
+    seed: int = DEFAULT_SEED
+
+    def admit(self, path: Path, order: int | None = None) -> CatalogEntry:
+        """The table at path as a catalog entry: read, checked to have the given
+        order, validated (full up to full_assoc_cap, else sampled) and tallied.
+        Raises InputError for a table that is not a group of that order."""
+        g = read_cayley(path)
+        if order is not None and g.size != order:
+            raise InputError(f"{path}: order {g.size} does not match census directory {order}")
+        report = validate(g, sample_triples=self.sample_triples, seed=self.seed,
+                          full_cap=self.full_assoc_cap)
+        if not report.ok:
+            fail = report.failure
+            raise InputError(f"{path}: not a group table ({fail.axiom} failed on "
+                             f"witness {fail.witness}: {fail.detail})")
+        return CatalogEntry(FileTable(str(path)), order_spectrum(g), path.name, report.mode)
 
 
 def _partitions(k: int) -> list[tuple[int, ...]]:
@@ -588,15 +655,14 @@ def _partition_count(k: int) -> int:
     return counts[k]
 
 
-def p_group_catalog(p: int, k: int,
-                    census_dir: str | Path | None = None
+def p_group_catalog(p: int, k: int, census: Census | None = None
                     ) -> tuple[list[CatalogEntry], Completeness]:
     """Known groups of order p^k as (spec, spectrum) entries.
 
     Complete for k <= 3 (abelian + the classical non-abelian classes).
     For k >= 4 the parametric families are a strict subset, so completeness
-    is 'incomplete' unless a census directory for the order is ingested.
-    Ingested tables are validated; one whose spectrum exactly duplicates an
+    is 'incomplete' unless the census holds tables of the order. Each table
+    is admitted by census.admit; one whose spectrum exactly duplicates an
     existing entry is dropped (the class is already represented). Raises
     ResourceError, before listing any group, when the partitions of k exceed
     CATALOG_BOUND.
@@ -630,29 +696,16 @@ def p_group_catalog(p: int, k: int,
     entries = [CatalogEntry(s, s.spectrum(), "parametric") for s in specs]
     completeness = Completeness.COMPLETE if k <= 3 else Completeness.INCOMPLETE
 
-    if census_dir is not None:
-        order_dir = Path(census_dir) / str(p ** k)
+    if census is not None:
+        order_dir = Path(census.dir) / str(p ** k)
         files = sorted(order_dir.glob("*.cayley")) if order_dir.is_dir() else []
         if files:
             seen = {e.spectrum for e in entries}
             for f in files:
-                g = read_cayley(f)
-                if g.size != p ** k:
-                    raise InputError(
-                        f"{f}: order {g.size} does not match census directory {p ** k}"
-                    )
-                report = validate(g)
-                if not report.ok:
-                    fail = report.failure
-                    raise InputError(
-                        f"{f}: not a group table ({fail.axiom} failed on "
-                        f"witness {fail.witness}: {fail.detail})"
-                    )
-                spectrum = order_spectrum(g)
-                if spectrum in seen:
-                    continue
-                seen.add(spectrum)
-                entries.append(CatalogEntry(FileTable(str(f)), spectrum, f.name))
+                entry = census.admit(f, p ** k)
+                if entry.spectrum not in seen:
+                    seen.add(entry.spectrum)
+                    entries.append(entry)
             completeness = (Completeness.COMPLETE if k <= 3
                             else Completeness.COMPLETE_VIA_CENSUS)
     return entries, completeness

@@ -29,6 +29,7 @@ from pgx.census import (
 )
 from pgx.census import Verdict, enumerate_nilpotent
 from pgx.constructors import (
+    Census,
     Completeness,
     Cyclic,
     Modular,
@@ -217,10 +218,10 @@ def test_criterion_7(census_dir):
         report = verify_prop_2_8(p, 3)
         assert report.verdict is Verdict.VERIFIED, p
         assert report.argmax == [f"Ab({p};2,1)", f"M(3,{p})"], p
-    bare = verify_prop_2_8(2, 4, census_dir=None)
+    bare = verify_prop_2_8(2, 4, None)
     assert bare.verdict is Verdict.VERIFIED_INCOMPLETE
     assert bare.exit_code == 2
-    backed = verify_prop_2_8(2, 4, census_dir=census_dir)
+    backed = verify_prop_2_8(2, 4, Census(census_dir))
     assert backed.verdict is Verdict.VERIFIED
     assert backed.exit_code == 0
     assert backed.completeness is Completeness.COMPLETE_VIA_CENSUS

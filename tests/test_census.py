@@ -20,7 +20,7 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.constructors import CATALOG_BOUND, Completeness, Cyclic
+from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import order_sum, phi_sum, spectrum_cyclic
@@ -90,7 +90,7 @@ def test_enumerate_nilpotent_sixteen_with_and_without_census(census_dir):
     members, completeness = enumerate_nilpotent(16)
     assert len(members) == 9
     assert completeness is Completeness.INCOMPLETE
-    members, completeness = enumerate_nilpotent(16, census_dir=census_dir)
+    members, completeness = enumerate_nilpotent(16, Census(census_dir))
     assert len(members) == 10
     assert completeness is Completeness.COMPLETE_VIA_CENSUS
     assert sum(e.source.endswith(".cayley") for m in members for e in m.sylows) == 1
@@ -132,9 +132,9 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
     calls = []
     catalog = pgx.census.p_group_catalog
 
-    def counted(p, k, census_dir=None):
+    def counted(p, k, census=None):
         calls.append((p, k))
-        return catalog(p, k, census_dir)
+        return catalog(p, k, census)
 
     monkeypatch.setattr(pgx.census, "p_group_catalog", counted)
     scan_conjecture_2_9(300)
@@ -386,6 +386,30 @@ def test_lemma_2_1_rejects_degenerate_parameters():
         verify_lemma_2_1(max_order=3)
 
 
+def test_sweeps_refuse_work_past_their_bounds(monkeypatch):
+    """Each bound is checked before the work starts; a sweep at a bound runs."""
+    monkeypatch.setattr(pgx.census, "SWEEP_ROW_BOUND", 24)
+    assert len(verify_lemma_2_4(p_max=13, m_max=5).rows) == 6 * 4
+    with pytest.raises(ResourceError, match="over 28 grid points is above the sweep row bound 24"):
+        verify_lemma_2_5(p_max=17, m_max=5)
+    monkeypatch.setattr(pgx.census, "SWEEP_ROW_BOUND", 15)
+    assert len(verify_cor_2_6(q_max=13, t_max=2).rows) == 15
+    with pytest.raises(ResourceError, match="over 21 prime pairs"):
+        verify_cor_2_6(q_max=17, t_max=2)
+    assert len(verify_lemma_2_1(pairs=15).rows) == 15
+    with pytest.raises(ResourceError, match="over 16 random pairs"):
+        verify_lemma_2_1(pairs=16)
+    monkeypatch.setattr(pgx.census, "SWEEP_PRIME_BOUND", 13)
+    monkeypatch.setattr(pgx.census, "SWEEP_EXPONENT_BOUND", 3)
+    assert verify_lemma_2_4(p_max=13, m_max=3).verdict is Verdict.VERIFIED
+    with pytest.raises(ResourceError, match="primes up to 14 is above the sweep prime bound 13"):
+        verify_lemma_2_4(p_max=14, m_max=3)
+    with pytest.raises(ResourceError, match="exponents up to 4 is above the sweep exponent"):
+        verify_lemma_2_5(p_max=13, m_max=4)
+    with pytest.raises(ResourceError, match="primes up to 14 is above"):
+        verify_lemma_2_1(pairs=1, max_order=14)
+
+
 # ---------------------------------------------------------------------------
 # Edge-count maximizers
 # ---------------------------------------------------------------------------
@@ -419,7 +443,7 @@ def test_prop_2_8_sixteen_without_census_is_incomplete():
 
 
 def test_prop_2_8_sixteen_with_census_is_complete(census_dir):
-    report = verify_prop_2_8(2, 4, census_dir=census_dir)
+    report = verify_prop_2_8(2, 4, Census(census_dir))
     assert report.verdict is Verdict.VERIFIED
     assert report.exit_code == 0
     assert report.completeness is Completeness.COMPLETE_VIA_CENSUS
@@ -479,7 +503,7 @@ def test_scan_census_dir_upgrades_completeness(tmp_path):
     order_dir = tmp_path / "81"
     order_dir.mkdir()
     write_cayley(Cyclic(81).build(), order_dir / "c81.cayley")
-    report = scan_conjecture_2_9(81, census_dir=tmp_path)
+    report = scan_conjecture_2_9(81, Census(tmp_path))
     by_n = {r["n"]: r for r in report.rows}
     assert by_n[81]["completeness"] == "complete-via-ingested-census"
     assert report.completeness is Completeness.COMPLETE

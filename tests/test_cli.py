@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import pgx.constructors
+from pgx.constructors import Abelian
+from pgx.groups import GroupTable, write_cayley
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 C6_STATS_TEXT = (
@@ -113,6 +117,22 @@ def test_stats_order_rho_cannot_split_is_a_resource_error(run_cli):
     assert (code, out) == (3, "")
     assert err == (f"error: cannot factor {n}: Pollard-Brent rho found no "
                    f"factor within 1048576 steps\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "C" + "7" * 5000),
+    ("stats", "Ab(3;9100)"),
+    ("spectrum", "Ab(2;15000)"),
+    ("verify", "cor-2.3", "--p", "3", "--n", "5000"),
+    ("verify", "cor-2.3", "--p", "3", "--n", "20000"),
+])
+def test_orders_too_large_to_print_are_refused(run_cli, argv):
+    """Python converts integers of at most 4300 digits to and from text, so
+    these would fail while printing; they are refused before any work."""
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "longer than any group order" in err or "group order above 2^7000" in err
 
 
 def test_stats_from_file_reads_the_table_once(run_cli, monkeypatch):
@@ -346,6 +366,27 @@ def test_verify_refuses_catalogs_past_the_bound(run_cli, argv, message):
     assert err.endswith(", above the catalog bound 10000\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("lemma-2.4", "--m-max", "1000"), "the exponents up to 1000 is above the sweep exponent "
+                                       "bound 30"),
+    (("lemma-2.4", "--p-max", "100000"), "the primes up to 100000 is above the sweep prime "
+                                         "bound 10000"),
+    (("lemma-2.5", "--p-max", "100000000"), "the primes up to 100000000 is above the sweep "
+                                            "prime bound 10000"),
+    (("lemma-2.4", "--p-max", "5000", "--m-max", "20"), "12711 grid points is above the "
+                                                        "sweep row bound 10000"),
+    (("cor-2.6", "--p-max", "1000"), "14028 prime pairs is above the sweep row bound 10000"),
+    (("lemma-2.1", "--pairs", "1000000"), "1000000 random pairs is above the sweep row "
+                                          "bound 10000"),
+    (("lemma-2.1", "--max-order", "1000000000"), "the primes up to 1000000000 is above the "
+                                                 "sweep prime bound 10000"),
+])
+def test_verify_refuses_sweeps_past_the_bounds(run_cli, argv, message):
+    code, out, err = run_cli("verify", *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: a sweep over {message}\n"
+
+
 def test_verify_missing_required_flags(run_cli):
     code, _, err = run_cli("verify", "prop-2.2", "--n", "3")
     assert code == 3 and err == "error: verify prop-2.2 requires --p\n"
@@ -535,6 +576,62 @@ def test_census_ingest_error_paths(run_cli, tmp_path):
     (bad / "junk.cayley").write_text(f"order 3\nidentity 0\n{rows}\n")
     code, _, err = run_cli("census", "ingest", str(bad))
     assert code == 3 and "failed on witness" in err
+
+
+def _broken_table(p: int) -> GroupTable:
+    """The table of C_p^4 with one p-by-p block changed: rows a + <h> and
+    columns b + <h> give a + b + (i + j + 1)h where the group gives
+    a + b + (i + j)h. Identity, Latin square, inverses and element orders
+    stay those of the group; associativity fails on a few triples."""
+    g = Abelian(p, (1, 1, 1, 1)).build()
+    t = g.table.copy()
+    h = [g.power(1, i) for i in range(p)]
+    a, b = p, p * p
+    for i in range(p):
+        for j in range(p):
+            t[g.table[a, h[i]], g.table[b, h[j]]] = g.table[g.table[a, b], h[(i + j + 1) % p]]
+    return GroupTable(p ** 4, 0, table=t)
+
+
+@pytest.mark.parametrize("p,command", [
+    (2, ("verify", "prop-2.8", "--p", "2", "--n", "4")),
+    (3, ("scan", "conjecture-2.9", "--n-max", "81")),
+])
+def test_census_settings_admit_a_table_alike_in_ingest_and_catalogs(run_cli, tmp_path,
+                                                                    p, command):
+    (tmp_path / str(p ** 4)).mkdir()
+    path = tmp_path / str(p ** 4) / "broken.cayley"
+    write_cayley(_broken_table(p), path)
+    census = ("--census-dir", str(tmp_path))
+    # full validation, the default at this order, finds the failing triple
+    code, out, err = run_cli("census", "ingest", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}: not a group table (associativity failed")
+    assert run_cli(*command, *census) == (3, "", err)
+    # one sampled triple misses it, and the table is admitted in both
+    sampled = ("--full-assoc-cap", "8", "--sample-triples", "1", "--seed", "1")
+    code, out, err = run_cli("census", "ingest", str(tmp_path), *sampled, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"{p ** 4}/broken.cayley,broken,{p ** 4},sampled(1),")
+    code, out, err = run_cli(*command, *census, *sampled)
+    assert (code, err) == (0, "")
+    assert "complete-via-ingested-census" in out
+
+
+def test_census_validation_mode_is_the_same_in_ingest_and_catalogs(run_cli, tmp_path,
+                                                                   monkeypatch):
+    (tmp_path / "289").mkdir()
+    write_cayley(Abelian(17, (1, 1)).build(), tmp_path / "289" / "c17xc17.cayley")
+    modes = []
+    validate = pgx.constructors.validate
+    monkeypatch.setattr(pgx.constructors, "validate",
+                        lambda *a, **k: modes.append(validate(*a, **k).mode) or validate(*a, **k))
+    for flags, mode in (((), "sampled(1000000)"), (("--full-assoc-cap", "300"), "full")):
+        modes.clear()
+        assert run_cli("census", "ingest", str(tmp_path), *flags)[0] == 0
+        assert run_cli("verify", "prop-2.2", "--p", "17", "--n", "2",
+                       "--census-dir", str(tmp_path), *flags)[0] == 0
+        assert modes == [mode, mode]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 import pgx.constructors
 from pgx.constructors import (
     CATALOG_BOUND,
+    ORDER_BITS,
     Abelian,
     CatalogEntry,
+    Census,
     Completeness,
     Cyclic,
     Dihedral,
@@ -295,7 +297,7 @@ def test_catalog_odd_fourth_power_is_incomplete():
 
 
 def test_catalog_ingests_census_tables(census_dir):
-    entries, completeness = p_group_catalog(2, 4, census_dir=census_dir)
+    entries, completeness = p_group_catalog(2, 4, Census(census_dir))
     assert completeness is Completeness.COMPLETE_VIA_CENSUS
     assert len(entries) == 10
     ingested = [e for e in entries if isinstance(e.spec, FileTable)]
@@ -321,7 +323,7 @@ def test_catalog_census_duplicate_spectra_are_dropped(tmp_path):
     order_dir = tmp_path / "8"
     order_dir.mkdir()
     write_cayley(Cyclic(8).build(), order_dir / "c8_again.cayley")
-    entries, completeness = p_group_catalog(2, 3, census_dir=tmp_path)
+    entries, completeness = p_group_catalog(2, 3, Census(tmp_path))
     assert [e.render() for e in entries] == [
         "C8", "Ab(2;2,1)", "Ab(2;1,1,1)", "D8", "Q8",
     ]
@@ -329,7 +331,7 @@ def test_catalog_census_duplicate_spectra_are_dropped(tmp_path):
 
 
 def test_catalog_census_missing_dir_changes_nothing(tmp_path):
-    entries, completeness = p_group_catalog(2, 4, census_dir=tmp_path)
+    entries, completeness = p_group_catalog(2, 4, Census(tmp_path))
     assert completeness is Completeness.INCOMPLETE
     assert len(entries) == 9
 
@@ -339,7 +341,7 @@ def test_catalog_census_rejects_wrong_order(tmp_path):
     order_dir.mkdir()
     write_cayley(Cyclic(8).build(), order_dir / "c8.cayley")
     with pytest.raises(InputError) as err:
-        p_group_catalog(2, 4, census_dir=tmp_path)
+        p_group_catalog(2, 4, Census(tmp_path))
     assert "does not match census directory 16" in str(err.value)
 
 
@@ -349,7 +351,7 @@ def test_catalog_census_rejects_non_group_table(tmp_path):
     rows = "\n".join("0 0 0 0" for _ in range(4))
     (order_dir / "junk.cayley").write_text(f"order 4\nidentity 0\n{rows}\n")
     with pytest.raises(InputError) as err:
-        p_group_catalog(2, 2, census_dir=tmp_path)
+        p_group_catalog(2, 2, Census(tmp_path))
     assert "not a group table" in str(err.value)
 
 
@@ -358,6 +360,24 @@ def test_catalog_argument_validation():
         p_group_catalog(4, 2)
     with pytest.raises(InputError):
         p_group_catalog(3, 0)
+
+
+def test_specs_refuse_orders_above_the_printable_bound():
+    """An order of at most ORDER_BITS bits is accepted, one bit more is not,
+    and a literal longer than any such order is refused unread."""
+    assert ORDER_BITS == 7000
+    assert Cyclic(2 ** 7000 - 1).order.bit_length() == 7000
+    assert Abelian(2, (6999,)).order == 2 ** 6999
+    for make in (lambda: Cyclic(2 ** 7000), lambda: Abelian(2, (7000,)),
+                 lambda: Abelian(2, (10 ** 100,)), lambda: Modular(7000, 2),
+                 lambda: Dihedral(2 ** 7000), lambda: Heisenberg(2 ** 2400 + 1),
+                 lambda: parse_group_spec(f"C{2 ** 6999}xC4")):
+        with pytest.raises(ResourceError, match="group order above 2\\^7000"):
+            make()
+    assert parse_group_spec(f"C{2 ** 6999} x file:k4.cayley").left == Cyclic(2 ** 6999)
+    with pytest.raises(InputError, match="an integer of 2109 digits is longer than any group "
+                                         "order a spec may name \\(position 1\\)"):
+        parse_group_spec("C" + "1" * 2109)
 
 
 def test_merge_completeness_ordering():
