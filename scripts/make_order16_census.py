@@ -130,7 +130,7 @@ def main() -> int:
     assert len(groups) == 14
     for stem, g in groups:
         assert g.size == 16, stem
-        report = validate(g, mode="full")
+        report = validate(g)
         assert report.ok, f"{stem}: {report.failure}"
 
     by_spectrum: dict = {}

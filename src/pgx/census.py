@@ -64,6 +64,9 @@ SWEEP_PRIME_BOUND = 10_000
 SWEEP_EXPONENT_BOUND = 30
 SWEEP_ROW_BOUND = 10_000
 
+# The largest n_max of the conjecture-2.9 scan, checked before the work starts.
+SCAN_BOUND = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # Factorization
@@ -190,20 +193,29 @@ _EXIT_CODES = {
 
 @dataclass
 class VerificationReport:
+    """One claim's result. A claim records a witness exactly when its check fails,
+    so the verdict follows: report-only when flagged so, else counterexample
+    when a witness is recorded, else verified on the catalog's completeness."""
+
     claim: str
     params: dict
-    completeness: Completeness
-    verdict: Verdict
     headline: str
     rows: list[dict] = field(default_factory=list)
-    argmax: list[str] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
+    completeness: Completeness = Completeness.COMPLETE
+    argmax: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    report_only: bool = False
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.COUNTEREXAMPLE and not self.witnesses:
-            raise InvariantError(
-                f"{self.claim}: counterexample verdict requires a witness")
+    @property
+    def verdict(self) -> Verdict:
+        if self.report_only:
+            return Verdict.REPORT_ONLY
+        if self.witnesses:
+            return Verdict.COUNTEREXAMPLE
+        if self.completeness is Completeness.INCOMPLETE:
+            return Verdict.VERIFIED_INCOMPLETE
+        return Verdict.VERIFIED
 
     @property
     def exit_code(self) -> int:
@@ -222,14 +234,6 @@ class VerificationReport:
             "witnesses": self.witnesses,
             "rows": self.rows,
         }
-
-
-def _verdict_for(ok: bool, completeness: Completeness) -> Verdict:
-    if not ok:
-        return Verdict.COUNTEREXAMPLE
-    if completeness is Completeness.INCOMPLETE:
-        return Verdict.VERIFIED_INCOMPLETE
-    return Verdict.VERIFIED
 
 
 def _argmax(candidates: list, score) -> tuple[list, int, list[str]]:
@@ -253,13 +257,16 @@ _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
 # Claim: maximum phi-sum among non-cyclic nilpotent groups of odd order
 # ---------------------------------------------------------------------------
 
-def _expected_sylows(f: Factorization) -> tuple[GroupSpec, ...]:
-    """Sylow specs of C_(n/p_s) x C_(p_s): split one p_s off the s-th factor."""
-    s_pos = f.s_index - 1
-    out: list[GroupSpec] = []
-    for i, (p, a) in enumerate(f.factors):
-        out.append(Abelian(p, (a - 1, 1)) if i == s_pos else Cyclic(p ** a))
-    return tuple(out)
+def _expected_member(f: Factorization, members: list[CensusMember]) -> CensusMember:
+    """The member C_(n/p_s) x C_(p_s) of an order-n enumeration: one p_s split
+    off the s-th Sylow factor."""
+    sylows = tuple(Abelian(p, (a - 1, 1)) if i == f.s_index - 1 else Cyclic(p ** a)
+                   for i, (p, a) in enumerate(f.factors))
+    for m in members:
+        if m.sylow_specs == sylows:
+            return m
+    raise InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
+                         f"missing from the order-{f.n} enumeration")
 
 
 def verify_main_theorem(n: int, census: Census | None = None,
@@ -281,18 +288,12 @@ def verify_main_theorem(n: int, census: Census | None = None,
         raise InputError(
             f"hypothesis violated: n = {n} is even (pass allow_even to explore anyway)")
     members, completeness = enumerate_nilpotent(n, census)
-    expected_sylows = _expected_sylows(f)
-    expected = next((m for m in members if m.sylow_specs == expected_sylows), None)
-    if expected is None:
-        raise InvariantError(
-            f"expected maximizer {reduce(Product, expected_sylows).render()} "
-            f"missing from the order-{n} enumeration")
+    expected = _expected_member(f, members)
     p_s = f.s_prime
     expected_display = f"C{n // p_s}xC{p_s}"
     noncyclic = [m for m in members if not m.is_cyclic]
     scored, best, argmax = _argmax(noncyclic, lambda m: m.phi)
-    expected_phi = expected.phi
-    ok = expected_phi == best
+    ok = expected.phi == best
     rows = [{
         "member": m.render(),
         "phi_sum": v,
@@ -300,7 +301,6 @@ def verify_main_theorem(n: int, census: Census | None = None,
         "expected": m is expected,
     } for v, m in scored]
     witnesses = [] if ok else [r for r in rows if r["argmax"]]
-    verdict = Verdict.REPORT_ONLY if n % 2 == 0 else _verdict_for(ok, completeness)
     cyclic_phi = next(m.phi for m in members if m.is_cyclic)
     notes = [f"cyclic group C{n} excluded from the comparison (phi-sum {cyclic_phi})"]
     if n % 2 == 0:
@@ -310,25 +310,39 @@ def verify_main_theorem(n: int, census: Census | None = None,
         notes.append(_M2_NOTE)
     headline = (f"max phi-sum among {len(noncyclic)} non-cyclic nilpotent groups "
                 f"of order {n} is {best}; {expected_display} "
-                f"({expected.render()}) gives {expected_phi}")
+                f"({expected.render()}) gives {expected.phi}")
     return VerificationReport(
         claim="main-theorem",
         params={"n": n, "factorization": f.render(), "s_prime": p_s,
                 "expected": expected.render(), "expected_display": expected_display,
                 "candidates": len(noncyclic)},
-        completeness=completeness, verdict=verdict, headline=headline,
-        rows=rows, argmax=argmax, witnesses=witnesses, notes=notes)
+        headline=headline, rows=rows, witnesses=witnesses, completeness=completeness,
+        argmax=argmax, notes=notes, report_only=n % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
-# Claim: maximum phi-sum among non-cyclic p-groups (odd p)
+# Claims: the maximizers among non-cyclic p-groups
 # ---------------------------------------------------------------------------
 
 def _edges(e: CatalogEntry) -> int:
     return undirected_from_sums(e.sigma, e.phi, e.spectrum.total)
 
 
-def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, list[str]]:
+def _expected_p_group(p: int, n: int) -> set[str]:
+    """C_(p^(n-1)) x C_p, joined by M(n,p) for n >= 3; Q8 alone at order 8."""
+    if (p, n) == (2, 3):
+        return {GeneralizedQuaternion(8).render()}
+    expected = {Abelian(p, (n - 1, 1)).render()}
+    if n >= 3:
+        expected.add(Modular(n, p).render())
+    return expected
+
+
+def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None,
+                    score) -> VerificationReport:
+    """Rank the non-cyclic catalog entries of order p^n by score; the argmax
+    rows are the witnesses unless the argmax is the expected set."""
+    entries, completeness = p_group_catalog(p, n, census)
     noncyclic = [e for e in entries if not e.is_cyclic]
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
@@ -341,7 +355,17 @@ def _p_group_rows(entries: list[CatalogEntry], score) -> tuple[list[dict], int, 
         "argmax": v == best,
         "source": e.source,
     } for v, e in scored]
-    return rows, best, argmax
+    expected = _expected_p_group(p, n)
+    witnesses = [] if set(argmax) == expected else [r for r in rows if r["argmax"]]
+    headline = (f"max {what} among non-cyclic groups of order {p}^{n} is {best}, "
+                f"attained by {{{', '.join(argmax)}}}; "
+                f"expected {{{', '.join(sorted(expected))}}}")
+    return VerificationReport(
+        claim=claim,
+        params={"p": p, "n": n, "order": p ** n, "expected": sorted(expected),
+                "candidates": len(rows)},
+        headline=headline, rows=rows, witnesses=witnesses, completeness=completeness,
+        argmax=argmax)
 
 
 def verify_prop_2_2(p: int, n: int, census: Census | None = None) -> VerificationReport:
@@ -355,29 +379,34 @@ def verify_prop_2_2(p: int, n: int, census: Census | None = None) -> Verificatio
         raise InputError(f"hypothesis violated: p = {p} must be an odd prime")
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
-    entries, completeness = p_group_catalog(p, n, census)
-    rows, best, argmax = _p_group_rows(entries, lambda e: e.phi)
-    identity_bad = [r["group"] for r in rows
+    report = _p_group_report("prop-2.2", "phi-sum", p, n, census, lambda e: e.phi)
+    identity_bad = [r["group"] for r in report.rows
                     if p * r["phi_sum"] != (p - 1) * r["sigma"] + 1]
-    expected = {Abelian(p, (n - 1, 1)).render()}
-    if n >= 3:
-        expected.add(Modular(n, p).render())
-    ok = set(argmax) == expected and not identity_bad
-    witnesses = [] if ok else [r for r in rows if r["argmax"]] or rows[:1]
-    verdict = _verdict_for(ok, completeness)
-    notes = []
     if identity_bad:
-        notes.append(f"p-group identity p*phi = (p-1)*sigma + 1 failed for: "
-                     f"{', '.join(identity_bad)}")
-    headline = (f"max phi-sum among non-cyclic groups of order {p}^{n} is {best}, "
-                f"attained by {{{', '.join(argmax)}}}; expected "
-                f"{{{', '.join(sorted(expected))}}}")
-    return VerificationReport(
-        claim="prop-2.2",
-        params={"p": p, "n": n, "order": p ** n,
-                "expected": sorted(expected), "candidates": len(rows)},
-        completeness=completeness, verdict=verdict, headline=headline,
-        rows=rows, argmax=argmax, witnesses=witnesses, notes=notes)
+        report.notes.append(f"p-group identity p*phi = (p-1)*sigma + 1 failed for: "
+                            f"{', '.join(identity_bad)}")
+        report.witnesses = [r for r in report.rows if r["argmax"]]
+    return report
+
+
+def verify_prop_2_8(p: int, n: int, census: Census | None = None) -> VerificationReport:
+    """Check the expected maximizers of the undirected edge count among
+    non-cyclic groups of order p^n:
+
+        odd p, n = 2: C_p x C_p
+        odd p, n >= 3: C_(p^(n-1)) x C_p and M(n,p)
+        p = 2, n = 3 (order 8): Q8
+        p = 2, n != 3: C_(2^(n-1)) x C_2 (joined, for n >= 4, by the
+            extension family M(n,2), which has the identical spectrum)
+    """
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    if n < 2:
+        raise InputError(f"exponent must be >= 2, got {n}")
+    report = _p_group_report("prop-2.8", "undirected edge count", p, n, census, _edges)
+    if p == 2 and n >= 4:
+        report.notes.append(_M2_NOTE)
+    return report
 
 
 def verify_cor_2_3(p: int, n: int) -> VerificationReport:
@@ -398,18 +427,15 @@ def verify_cor_2_3(p: int, n: int) -> VerificationReport:
         rows.append({"group": st.name, "size": st.size, "phi_sum": st.phi_sum,
                      "mutual_edges": st.mutual_edges})
     ok = mutual_edges(s_ab) == mutual_edges(s_mod)
-    spectra_equal = s_ab == s_mod
-    notes = ["the two order spectra are identical" if spectra_equal
+    notes = ["the two order spectra are identical" if s_ab == s_mod
              else "mutual counts compared despite differing spectra"]
-    verdict = _verdict_for(ok, Completeness.COMPLETE)
     headline = (f"mutual-edge counts of {ab_spec.render()} and "
                 f"{mod_spec.render()}: {rows[0]['mutual_edges']} vs "
                 f"{rows[1]['mutual_edges']} ({'equal' if ok else 'DIFFER'})")
     return VerificationReport(
         claim="cor-2.3",
         params={"p": p, "n": n, "order": p ** n},
-        completeness=Completeness.COMPLETE, verdict=verdict, headline=headline,
-        rows=rows, argmax=[], witnesses=[] if ok else rows, notes=notes)
+        headline=headline, rows=rows, witnesses=[] if ok else rows, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +458,8 @@ def _check_rows(count: int, what: str) -> None:
 def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
     """(p, m) -> (phi of C_(p^m), phi of C_(p^(m-1)) x C_p, phi of C_(p^(m-1)))
     for m >= 2, exact integers."""
+    if p_max < 2 or m_max < 2:
+        raise InputError("need p_max >= 2 and m_max >= 2")
     if m_max > SWEEP_EXPONENT_BOUND:
         raise ResourceError(f"a sweep over the exponents up to {m_max} is above the "
                             f"sweep exponent bound {SWEEP_EXPONENT_BOUND}")
@@ -457,8 +485,6 @@ def verify_lemma_2_4(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
         phi(C_(p^(m-1)) x C_p) = p*phi(C_(p^(m-1))) + (p-1)(p-2)
         phi(C_(p^m))          = (p^(2m)(p-1) + 2) / (p+1)
     """
-    if p_max < 2 or m_max < 2:
-        raise InputError("need p_max >= 2 and m_max >= 2")
     rows = []
     bad = []
     for (p, m), (cur, split, prev) in sorted(_phi_grid(p_max, m_max).items()):
@@ -471,15 +497,13 @@ def verify_lemma_2_4(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
         rows.append(row)
         if not (rec_i and closed and rec_ii):
             bad.append(row)
-    ok = not bad
     headline = (f"phi recurrences and closed form checked at "
                 f"{len(rows)} grid points (primes <= {p_max}, exponents 2..{m_max}): "
-                f"{'all hold' if ok else f'{len(bad)} failures'}")
+                f"{'all hold' if not bad else f'{len(bad)} failures'}")
     return VerificationReport(
         claim="lemma-2.4",
         params={"p_max": p_max, "m_max": m_max, "grid_points": len(rows)},
-        completeness=Completeness.COMPLETE, verdict=_verdict_for(ok, Completeness.COMPLETE),
-        headline=headline, rows=rows, argmax=[], witnesses=bad, notes=[])
+        headline=headline, rows=rows, witnesses=bad)
 
 
 def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> VerificationReport:
@@ -491,8 +515,6 @@ def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
     side degenerates to 0 < phi, so p = 2 rows are recorded as report-only
     context and the verdict is carried by the odd rows.
     """
-    if p_max < 2 or m_max < 2:
-        raise InputError("need p_max >= 2 and m_max >= 2")
     rows = []
     bad = []
     for (p, m), (cyc, split, _) in sorted(_phi_grid(p_max, m_max).items()):
@@ -505,7 +527,6 @@ def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
         rows.append(row)
         if contractual and not (lower and upper):
             bad.append(row)
-    ok = not bad
     p2 = [r for r in rows if r["p"] == 2]
     notes = []
     if p2:
@@ -515,12 +536,11 @@ def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
             + ("both strict inequalities still held at every p = 2 point"
                if both else "some p = 2 points failed a strict inequality"))
     headline = (f"sandwich inequality checked at {len(rows)} grid points: "
-                f"{'all contractual points hold' if ok else f'{len(bad)} failures'}")
+                f"{'all contractual points hold' if not bad else f'{len(bad)} failures'}")
     return VerificationReport(
         claim="lemma-2.5",
         params={"p_max": p_max, "m_max": m_max, "grid_points": len(rows)},
-        completeness=Completeness.COMPLETE, verdict=_verdict_for(ok, Completeness.COMPLETE),
-        headline=headline, rows=rows, argmax=[], witnesses=bad, notes=notes)
+        headline=headline, rows=rows, witnesses=bad, notes=notes)
 
 
 def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> VerificationReport:
@@ -556,7 +576,6 @@ def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> Ve
         rows.append(row)
         if contractual and violations:
             bad.append({**row, "first_violation": violations[0]})
-    ok = not bad
     p2 = [r for r in rows if not r["contractual"]]
     notes = []
     if p2:
@@ -565,55 +584,11 @@ def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> Ve
                      f"{clean}/{len(p2)} held anyway")
     headline = (f"ratio comparison checked for {len(rows)} prime pairs "
                 f"(exponents 2..{t_max}): "
-                f"{'all contractual pairs hold' if ok else f'{len(bad)} failing pairs'}")
+                f"{'all contractual pairs hold' if not bad else f'{len(bad)} failing pairs'}")
     return VerificationReport(
         claim="cor-2.6",
         params={"q_max": q_max, "t_max": t_max, "pairs": len(rows)},
-        completeness=Completeness.COMPLETE, verdict=_verdict_for(ok, Completeness.COMPLETE),
-        headline=headline, rows=rows, argmax=[], witnesses=bad, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# Claim: maximum undirected edge count among non-cyclic p-groups
-# ---------------------------------------------------------------------------
-
-def verify_prop_2_8(p: int, n: int, census: Census | None = None) -> VerificationReport:
-    """Check the expected maximizers of the undirected edge count among
-    non-cyclic groups of order p^n:
-
-        odd p, n = 2: C_p x C_p
-        odd p, n >= 3: C_(p^(n-1)) x C_p and M(n,p)
-        p = 2, n = 3 (order 8): Q8
-        p = 2, n != 3: C_(2^(n-1)) x C_2 (joined, for n >= 4, by the
-            extension family M(n,2), which has the identical spectrum)
-    """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if n < 2:
-        raise InputError(f"exponent must be >= 2, got {n}")
-    entries, completeness = p_group_catalog(p, n, census)
-    rows, best, argmax = _p_group_rows(entries, _edges)
-    notes = []
-    if p == 2 and n == 3:
-        expected = {GeneralizedQuaternion(8).render()}
-    else:
-        expected = {Abelian(p, (n - 1, 1)).render()}
-        if n >= 3:
-            expected.add(Modular(n, p).render())
-        if p == 2 and n >= 4:
-            notes.append(_M2_NOTE)
-    ok = set(argmax) == expected
-    witnesses = [] if ok else [r for r in rows if r["argmax"]]
-    verdict = _verdict_for(ok, completeness)
-    headline = (f"max undirected edge count among non-cyclic groups of order "
-                f"{p}^{n} is {best}, attained by {{{', '.join(argmax)}}}; "
-                f"expected {{{', '.join(sorted(expected))}}}")
-    return VerificationReport(
-        claim="prop-2.8",
-        params={"p": p, "n": n, "order": p ** n,
-                "expected": sorted(expected), "candidates": len(rows)},
-        completeness=completeness, verdict=verdict, headline=headline,
-        rows=rows, argmax=argmax, witnesses=witnesses, notes=notes)
+        headline=headline, rows=rows, witnesses=bad, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -654,15 +629,36 @@ def verify_lemma_2_1(pairs: int = DEFAULT_PAIRS, max_order: int = DEFAULT_MAX_OR
         rows.append(row)
         if not row["holds"]:
             bad.append(row)
-    ok = not bad
     headline = (f"phi multiplicativity held on {len(rows) - len(bad)}/{len(rows)} "
                 f"random coprime pairs (seed {seed}, orders <= {max_order})")
     return VerificationReport(
         claim="lemma-2.1",
         params={"pairs": pairs, "max_order": max_order, "seed": seed,
                 "pool_size": len(pool)},
-        completeness=Completeness.COMPLETE, verdict=_verdict_for(ok, Completeness.COMPLETE),
-        headline=headline, rows=rows, argmax=[], witnesses=bad, notes=[])
+        headline=headline, rows=rows, witnesses=bad)
+
+
+# ---------------------------------------------------------------------------
+# The claim table
+# ---------------------------------------------------------------------------
+
+# Each claim once: its harness and the settings it takes, in argument order.
+CLAIMS = {
+    "main-theorem": (verify_main_theorem, ("n", "census", "allow_even")),
+    "prop-2.2": (verify_prop_2_2, ("p", "n", "census")),
+    "cor-2.3": (verify_cor_2_3, ("p", "n")),
+    "lemma-2.4": (verify_lemma_2_4, ("p_max", "m_max")),
+    "lemma-2.5": (verify_lemma_2_5, ("p_max", "m_max")),
+    "cor-2.6": (verify_cor_2_6, ("p_max", "m_max")),
+    "prop-2.8": (verify_prop_2_8, ("p", "n", "census")),
+    "lemma-2.1": (verify_lemma_2_1, ("pairs", "max_order", "seed")),
+}
+
+
+def verify(claim: str, *settings) -> VerificationReport:
+    """Run one claim of CLAIMS on its settings, in the table's order: the CLI's
+    one call into the claims, which pgxbench's tracer times as census.verify."""
+    return CLAIMS[claim][0](*settings)
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +671,9 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
     order n. Exploratory output only: the report never fails."""
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")
+    if n_max > SCAN_BOUND:
+        raise ResourceError(f"a scan of the orders up to {n_max} is above the scan bound "
+                            f"{SCAN_BOUND}")
     rows = []
     supported = 0
     unsupported = []
@@ -684,8 +683,7 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
         if f.is_square_free:
             continue
         members, completeness = enumerate_nilpotent(n, census, _sylow_memo=sylow_memo)
-        expected_sylows = _expected_sylows(f)
-        expected = next(m for m in members if m.sylow_specs == expected_sylows)
+        expected = _expected_member(f, members)
         noncyclic = [m for m in members if not m.is_cyclic]
 
         def edges(m: CensusMember) -> int:
@@ -722,6 +720,6 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
     return VerificationReport(
         claim="conjecture-2.9",
         params={"n_max": n_max, "orders_scanned": len(rows)},
+        headline=headline, rows=rows,
         completeness=Completeness.COMPLETE if not incomplete else Completeness.INCOMPLETE,
-        verdict=Verdict.REPORT_ONLY, headline=headline,
-        rows=rows, argmax=[], witnesses=[], notes=notes)
+        notes=notes, report_only=True)

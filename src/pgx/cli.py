@@ -21,20 +21,14 @@ import sys
 from pathlib import Path
 
 from .census import (
+    CLAIMS,
     DEFAULT_M_MAX,
     DEFAULT_MAX_ORDER,
     DEFAULT_P_MAX,
     DEFAULT_PAIRS,
     VerificationReport,
     scan_conjecture_2_9,
-    verify_cor_2_3,
-    verify_cor_2_6,
-    verify_lemma_2_1,
-    verify_lemma_2_4,
-    verify_lemma_2_5,
-    verify_main_theorem,
-    verify_prop_2_2,
-    verify_prop_2_8,
+    verify,
 )
 from .constructors import Census, build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
@@ -43,9 +37,6 @@ from .powergraph import build_directed, build_undirected, export, oracle_counts
 from .spectrum import GroupStats, OrderSpectrum, order_spectrum, stats_from_spectrum
 
 _FORMATS = ("json", "csv", "text")
-
-CLAIMS = ("main-theorem", "prop-2.2", "cor-2.3", "lemma-2.4", "lemma-2.5",
-          "cor-2.6", "prop-2.8", "lemma-2.1")
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +119,8 @@ def resolve_config(args: argparse.Namespace) -> None:
         raise InputError(f"{path}: unknown config key {next(iter(entries))!r}")
     if args.brute_cap < 1 or args.full_assoc_cap < 1 or args.sample_triples < 1:
         raise InputError("caps and sample counts must be positive")
+    if args.seed < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
 
 
 def _census(args: argparse.Namespace, directory: str | None) -> Census | None:
@@ -275,45 +268,25 @@ def cmd_graph(args: argparse.Namespace) -> int:
         graph = build_undirected(g, args.brute_cap)
     if args.out:
         try:
-            fh = open(args.out, "w")
+            with open(args.out, "w") as fh:
+                export(graph, args.graph_format, fh)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
-        with fh:
-            export(graph, args.graph_format, fh)
     else:
         export(graph, args.graph_format, sys.stdout)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    claim = args.claim
-
-    def need(flag: str, value) -> int:
-        if value is None:
-            raise InputError(f"verify {claim} requires {flag}")
-        return value
-
-    census = _census(args, args.census_dir)
-    if claim == "main-theorem":
-        report = verify_main_theorem(need("--n", args.n), census,
-                                     allow_even=args.allow_even)
-    elif claim == "prop-2.2":
-        report = verify_prop_2_2(need("--p", args.p), need("--n", args.n), census)
-    elif claim == "cor-2.3":
-        report = verify_cor_2_3(need("--p", args.p), need("--n", args.n))
-    elif claim == "lemma-2.4":
-        report = verify_lemma_2_4(args.p_max, args.m_max)
-    elif claim == "lemma-2.5":
-        report = verify_lemma_2_5(args.p_max, args.m_max)
-    elif claim == "cor-2.6":
-        report = verify_cor_2_6(q_max=args.p_max, t_max=args.m_max)
-    elif claim == "prop-2.8":
-        report = verify_prop_2_8(need("--p", args.p), need("--n", args.n), census)
-    elif claim == "lemma-2.1":
-        report = verify_lemma_2_1(pairs=args.pairs, max_order=args.max_order,
-                                  seed=args.seed)
-    else:  # unreachable: argparse restricts choices
-        raise InputError(f"unknown claim {claim!r}")
+    settings = []
+    for name in CLAIMS[args.claim][1]:
+        if name == "census":
+            settings.append(_census(args, args.census_dir))
+        elif getattr(args, name) is None:       # --p and --n have no default
+            raise InputError(f"verify {args.claim} requires --{name}")
+        else:
+            settings.append(getattr(args, name))
+    report = verify(args.claim, *settings)
     sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 
@@ -457,7 +430,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:      # file reads and --out fail as InputError, so this is stdout
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout once more at exit; send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

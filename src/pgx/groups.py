@@ -143,28 +143,12 @@ class ValidationFailure:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    name: str
-    size: int
-    mode: str
-    ok: bool
-    checks: tuple[str, ...]
+    mode: str                           # "full" or "sampled(k)"
     failure: ValidationFailure | None
 
-    def to_json_dict(self) -> dict:
-        d: dict = {
-            "name": self.name,
-            "size": self.size,
-            "mode": self.mode,
-            "ok": self.ok,
-            "checks": list(self.checks),
-        }
-        if self.failure is not None:
-            d["failure"] = {
-                "axiom": self.failure.axiom,
-                "witness": list(self.failure.witness),
-                "detail": self.failure.detail,
-            }
-        return d
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
@@ -240,38 +224,22 @@ def _assoc_sampled(t: np.ndarray, k: int, seed: int) -> ValidationFailure | None
     return None
 
 
-def validate(g: GroupTable, mode: str = "auto", *,
+def validate(g: GroupTable, *,
              sample_triples: int = DEFAULT_SAMPLE_TRIPLES,
              seed: int = DEFAULT_SEED,
              full_cap: int = FULL_ASSOC_CAP) -> ValidationReport:
     """Check the group axioms on g.
 
-    mode "full" checks every triple; "sampled" checks `sample_triples` random
-    triples (identity, Latin-square and inverse checks stay exhaustive);
-    "auto" picks full at or below `full_cap` and sampled above.
+    The identity, Latin-square and inverse checks are exhaustive. Associativity
+    is checked on every triple at or below `full_cap` ("full") and on
+    `sample_triples` random triples above it ("sampled(k)").
     """
-    if mode not in ("auto", "full", "sampled"):
-        raise InputError(f"unknown validation mode {mode!r}")
-    if mode == "auto":
-        mode = "full" if g.size <= full_cap else "sampled"
+    full = g.size <= full_cap
     t = g.table
-    checks = ["identity", "latin-square", "inverses"]
     failure = _validate_structure(t, g.identity)
     if failure is None:
-        if mode == "full":
-            checks.append("associativity-full")
-            failure = _assoc_full(t)
-            mode_str = "full"
-        else:
-            checks.append(f"associativity-sampled({sample_triples})")
-            failure = _assoc_sampled(t, sample_triples, seed)
-            mode_str = f"sampled({sample_triples})"
-    else:
-        mode_str = mode
-    return ValidationReport(
-        name=g.name, size=g.size, mode=mode_str,
-        ok=failure is None, checks=tuple(checks), failure=failure,
-    )
+        failure = _assoc_full(t) if full else _assoc_sampled(t, sample_triples, seed)
+    return ValidationReport("full" if full else f"sampled({sample_triples})", failure)
 
 
 # ---------------------------------------------------------------------------

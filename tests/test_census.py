@@ -148,26 +148,37 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def test_counterexample_report_requires_witnesses():
-    with pytest.raises(InvariantError):
-        VerificationReport(
-            claim="demo", params={}, completeness=Completeness.COMPLETE,
-            verdict=Verdict.COUNTEREXAMPLE, headline="broken")
-    report = VerificationReport(
-        claim="demo", params={}, completeness=Completeness.COMPLETE,
-        verdict=Verdict.COUNTEREXAMPLE, headline="broken",
-        witnesses=[{"n": 9}])
-    assert report.exit_code == 1
-
-
 def test_exit_code_table():
-    for verdict, code in [(Verdict.VERIFIED, 0), (Verdict.COUNTEREXAMPLE, 1),
-                          (Verdict.VERIFIED_INCOMPLETE, 2), (Verdict.REPORT_ONLY, 0)]:
+    # (report_only, witnesses, completeness) -> (verdict, exit code)
+    table = [
+        (False, [], Completeness.COMPLETE, Verdict.VERIFIED, 0),
+        (False, [], Completeness.COMPLETE_VIA_CENSUS, Verdict.VERIFIED, 0),
+        (False, [], Completeness.INCOMPLETE, Verdict.VERIFIED_INCOMPLETE, 2),
+        (False, [{"w": 1}], Completeness.COMPLETE, Verdict.COUNTEREXAMPLE, 1),
+        (False, [{"w": 1}], Completeness.INCOMPLETE, Verdict.COUNTEREXAMPLE, 1),
+        (True, [], Completeness.INCOMPLETE, Verdict.REPORT_ONLY, 0),
+        (True, [{"w": 1}], Completeness.COMPLETE, Verdict.REPORT_ONLY, 0),
+    ]
+    for report_only, witnesses, completeness, verdict, code in table:
         report = VerificationReport(
-            claim="demo", params={}, completeness=Completeness.COMPLETE,
-            verdict=verdict, headline="h",
-            witnesses=[{"w": 1}] if verdict is Verdict.COUNTEREXAMPLE else [])
-        assert report.exit_code == code
+            claim="demo", params={}, headline="h", witnesses=witnesses,
+            completeness=completeness, report_only=report_only)
+        assert (report.verdict, report.exit_code) == (verdict, code)
+        assert report.to_json_dict()["verdict"] == verdict.value
+
+
+@pytest.mark.parametrize("run", [lambda: verify_main_theorem(45),
+                                 lambda: scan_conjecture_2_9(9)], ids=["main-theorem", "scan"])
+def test_missing_expected_member_is_an_internal_error(monkeypatch, run):
+    enumerate_ = pgx.census.enumerate_nilpotent
+
+    def cyclic_only(n, census=None, **kwargs):
+        members, completeness = enumerate_(n, census, **kwargs)
+        return [m for m in members if m.is_cyclic], completeness
+
+    monkeypatch.setattr(pgx.census, "enumerate_nilpotent", cyclic_only)
+    with pytest.raises(InvariantError, match=r"expected maximizer Ab\(3;1,1\)\S* missing"):
+        run()
 
 
 def test_report_json_dict_shape():

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import pgx.constructors
-from pgx.constructors import Abelian
+from pgx.constructors import Abelian, CatalogEntry, Heisenberg, Modular
 from pgx.groups import GroupTable, write_cayley
+from pgx.spectrum import order_sum, phi_sum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -476,6 +477,103 @@ def test_verify_json_report_shape(run_cli):
 
 
 # ---------------------------------------------------------------------------
+# verify: claims driven to a counterexample by a patched invariant
+# ---------------------------------------------------------------------------
+
+def _inflate_heisenberg(monkeypatch):
+    """Add 2*10^6 to sigma and phi of every He* catalog entry, so He3 (and
+    He3xC5) becomes the only argmax at order 27 (and 135)."""
+    def bump(e):
+        return 2_000_000 if e.render().startswith("He") else 0
+
+    monkeypatch.setattr(CatalogEntry, "sigma",
+                        property(lambda e: order_sum(e.spectrum) + bump(e)))
+    monkeypatch.setattr(CatalogEntry, "phi",
+                        property(lambda e: phi_sum(e.spectrum) + bump(e)))
+
+
+def _modular_27_as_heisenberg(monkeypatch):
+    """Give M(3,3) the order spectrum of He3, so its mutual-edge count drops."""
+    spectrum = Modular.spectrum
+    monkeypatch.setattr(Modular, "spectrum", lambda self: Heisenberg(3).spectrum()
+                        if (self.n, self.p) == (3, 3) else spectrum(self))
+
+
+HE3_WITNESS = {"group": "He3", "sigma": 2000079, "phi_sum": 2000053, "edges": 1000039,
+               "argmax": True, "source": "parametric"}
+
+FORCED_COUNTEREXAMPLES = [
+    (_inflate_heisenberg, ("prop-2.2", "--p", "3", "--n", "3"), [HE3_WITNESS], """\
+group  sigma    phi_sum  edges    argmax  source
+He3    2000079  2000053  1000039  yes     parametric
+"""),
+    (_inflate_heisenberg, ("prop-2.8", "--p", "3", "--n", "3"), [HE3_WITNESS], """\
+group  sigma    phi_sum  edges    argmax  source
+He3    2000079  2000053  1000039  yes     parametric
+"""),
+    (_inflate_heisenberg, ("main-theorem", "--n", "135"),
+     [{"member": "He3xC5", "phi_sum": 34000901, "argmax": True, "expected": False}], """\
+member  phi_sum   argmax  expected
+He3xC5  34000901  yes     no
+"""),
+    (_modular_27_as_heisenberg, ("cor-2.3", "--p", "3", "--n", "3"),
+     [{"group": "Ab(3;2,1)", "size": 27, "phi_sum": 125, "mutual_edges": 49},
+      {"group": "M(3,3)", "size": 27, "phi_sum": 53, "mutual_edges": 13}], """\
+group      size  phi_sum  mutual_edges
+Ab(3;2,1)  27    125      49
+M(3,3)     27    53       13
+"""),
+]
+
+
+@pytest.mark.parametrize("force,argv,witnesses,witness_text", FORCED_COUNTEREXAMPLES,
+                         ids=[argv[0] for _, argv, _, _ in FORCED_COUNTEREXAMPLES])
+def test_verify_forced_counterexample(run_cli, monkeypatch, force, argv, witnesses,
+                                      witness_text):
+    force(monkeypatch)
+    code, out, err = run_cli("verify", *argv)
+    assert (code, err) == (1, "")
+    assert "verdict: counterexample\ncompleteness: complete\nexit-code: 1\n" in out
+    assert out.endswith("\n\nwitnesses:\n" + witness_text)
+    code, out, _ = run_cli("verify", *argv, "--format", "json")
+    report = json.loads(out)
+    assert (code, report["verdict"], report["exit_code"]) == (1, "counterexample", 1)
+    assert report["witnesses"] == witnesses
+    code, out, _ = run_cli("verify", *argv, "--format", "csv")
+    assert code == 1 and out.count("\n") == len(report["rows"]) + 1
+
+
+def test_verify_forced_prop_2_2_counterexample_text(run_cli, monkeypatch):
+    _inflate_heisenberg(monkeypatch)
+    code, out, _ = run_cli("verify", "prop-2.2", "--p", "3", "--n", "3")
+    assert code == 1
+    assert out == """\
+claim: prop-2.2
+verdict: counterexample
+completeness: complete
+exit-code: 1
+headline: max phi-sum among non-cyclic groups of order 3^3 is 2000053, attained by {He3}; expected {Ab(3;2,1), M(3,3)}
+param p: 3
+param n: 3
+param order: 27
+param expected: Ab(3;2,1), M(3,3)
+param candidates: 4
+argmax: He3
+note: p-group identity p*phi = (p-1)*sigma + 1 failed for: He3
+
+group        sigma    phi_sum  edges    argmax  source
+He3          2000079  2000053  1000039  yes     parametric
+Ab(3;2,1)    187      125      111      no      parametric
+M(3,3)       187      125      111      no      parametric
+Ab(3;1,1,1)  79       53       39       no      parametric
+
+witnesses:
+group  sigma    phi_sum  edges    argmax  source
+He3    2000079  2000053  1000039  yes     parametric
+"""
+
+
+# ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
 
@@ -518,6 +616,13 @@ def test_scan_argument_validation(run_cli):
     assert code == 3 and "invalid choice" in err
     code, _, err = run_cli("scan", "conjecture-2.9", "--n-max", "8")
     assert code == 3 and "n_max must be >= 9" in err
+
+
+def test_scan_refuses_orders_past_the_bound(run_cli):
+    code, out, err = run_cli("scan", "conjecture-2.9", "--n-max", "100000000000")
+    assert (code, out) == (3, "")
+    assert err == ("error: a scan of the orders up to 100000000000 is above the scan "
+                   "bound 10000000\n")
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +841,40 @@ def test_config_underscore_keys_and_comments(run_cli, tmp_path):
 def test_config_rejects_nonpositive_caps(run_cli):
     code, _, err = run_cli("stats", "C6", "--brute-cap", "0")
     assert code == 3 and "must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "ingest", "census", "--full-assoc-cap", "8"),
+    ("verify", "prop-2.8", "--p", "2", "--n", "4", "--full-assoc-cap", "8"),
+    ("verify", "lemma-2.1"),
+])
+def test_config_rejects_a_negative_seed(run_cli, monkeypatch, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, err = run_cli(*argv, "--seed", "-1")
+    assert (code, out, err) == (3, "", "error: seed must be non-negative, got -1\n")
+
+
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(),
+                                    reason="needs /dev/full, a device whose writes fail")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv,message", [
+    (("graph", "C8", "directed", "dot", "--out", "/dev/full"), "cannot write /dev/full"),
+    (("stats", "C8"), "cannot write stdout"),
+    (("graph", "Q8", "directed", "dot"), "cannot write stdout"),
+])
+def test_write_failures_are_input_errors(argv, message):
+    """Output that cannot be written is one error line and exit 3, with no
+    traceback and no second report when the interpreter flushes at exit."""
+    to_stdout = "--out" not in argv
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "pgx.cli", *argv],
+                              stdout=full if to_stdout else subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT)
+    assert (proc.returncode, proc.stdout or "") == (3, "")
+    assert proc.stderr.startswith(f"error: {message}: [Errno 28]")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_without_arguments_fails_cleanly(run_cli):

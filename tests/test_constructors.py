@@ -179,7 +179,7 @@ def test_abelian_from_partition_name_and_structure():
 def test_family_models_validate_and_have_expected_exponent(builder, order, top):
     g = builder()
     assert g.size == order
-    assert validate(g, mode="full").ok
+    assert validate(g).ok
     assert max(g.element_orders()) == top
 
 
