@@ -148,6 +148,21 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
 # Report plumbing
 # ---------------------------------------------------------------------------
 
+def test_counterexample_report_requires_witnesses():
+    # A verdict cannot be declared: it follows from the witnesses, so a
+    # counterexample without one cannot be built.
+    with pytest.raises(TypeError):
+        VerificationReport(
+            claim="demo", params={}, completeness=Completeness.COMPLETE,
+            verdict=Verdict.COUNTEREXAMPLE, headline="broken")
+    report = VerificationReport(
+        claim="demo", params={}, completeness=Completeness.COMPLETE,
+        headline="broken")
+    assert report.verdict is Verdict.VERIFIED and report.exit_code == 0
+    report.witnesses.append({"n": 9})
+    assert report.verdict is Verdict.COUNTEREXAMPLE and report.exit_code == 1
+
+
 def test_exit_code_table():
     # (report_only, witnesses, completeness) -> (verdict, exit code)
     table = [
