@@ -103,6 +103,16 @@ def settings_calls() -> list[list[str]]:
             ["verify", "prop-2.8", "--p", "2", "--n", "4", *settings, *CENSUS]]
 
 
+def formula_calls() -> list[list[str]]:
+    """The claims that compare edge counts or factor n, not covered above."""
+    claims = (("cor-2.3", "--p", "3", "--n", "5"),
+              ("cor-2.3", "--p", "5", "--n", "4", "--format", "json"),
+              ("lemma-2.1",),
+              ("main-theorem", "--n", "48", "--allow-even"),
+              ("prop-2.2", "--p", "5", "--n", "3", "--format", "json"))
+    return [["verify", *claim, *CENSUS] for claim in claims]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -124,7 +134,7 @@ def run() -> None:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
-        for calls in (golden_calls(), later_calls(), settings_calls()):
+        for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

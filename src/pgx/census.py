@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cache, reduce
 from math import prod
 
 from .constructors import (
@@ -36,10 +36,8 @@ from .constructors import (
 from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_SEED
 from .spectrum import (
-    OrderSpectrum,
     factor,
     is_prime,
-    mutual_edges,
     phi_cyclic_prime_power,
     phi_sum,
     spectrum_cyclic,
@@ -69,44 +67,6 @@ SCAN_BOUND = 10_000_000
 
 
 # ---------------------------------------------------------------------------
-# Factorization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod p_i^a_i with strictly increasing primes.
-
-    s_index is the 1-based position of the smallest prime whose exponent
-    exceeds 1, or None when n is square-free.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-    s_index: int | None
-
-    @property
-    def is_square_free(self) -> bool:
-        return self.s_index is None
-
-    @property
-    def s_prime(self) -> int | None:
-        return None if self.s_index is None else self.factors[self.s_index - 1][0]
-
-    def render(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"factorize needs a positive integer, got {n!r}")
-    factors = factor(n)
-    s_index = next((i + 1 for i, (_, a) in enumerate(factors) if a > 1), None)
-    return Factorization(n, tuple(factors), s_index)
-
-
-# ---------------------------------------------------------------------------
 # Nilpotent enumeration
 # ---------------------------------------------------------------------------
 
@@ -116,16 +76,12 @@ class CensusMember:
 
     sigma and phi are its element-order and totient sums, the products of its
     Sylow entries' values: both are multiplicative over coprime direct
-    products (Lemma 2.1). The full spectrum is convolved when first read.
+    products (Lemma 2.1).
     """
 
     sylows: tuple[CatalogEntry, ...]
     sigma: int
     phi: int
-
-    @cached_property
-    def spectrum(self) -> OrderSpectrum:
-        return reduce(spectrum_product, (e.spectrum for e in self.sylows))
 
     @property
     def sylow_specs(self) -> tuple[GroupSpec, ...]:
@@ -144,25 +100,24 @@ class CensusMember:
         return self.spec.render()
 
 
-def enumerate_nilpotent(n: int, census: Census | None = None, *,
-                        _sylow_memo: dict | None = None
+def sylow_catalogs(census: Census | None):
+    """p_group_catalog(p, a, census) as a function of (p, a) that builds each
+    catalog once: one per verification, shared by every order it enumerates."""
+    return cache(lambda p, a: p_group_catalog(p, a, census))
+
+
+def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], catalog
                         ) -> tuple[list[CensusMember], Completeness]:
     """All known nilpotent groups of order n, one per choice of Sylow entries.
 
-    _sylow_memo, when given, maps (p, a) to the catalog of order p^a and its
-    completeness, as p_group_catalog returns them; a caller enumerating many
-    orders with one census passes the same dict to every call. Raises
-    ResourceError, before listing any group, when the groups would number more
-    than CATALOG_BOUND.
+    factors is the factorization of n as `factor` returns it, and catalog(p, a)
+    the catalog of order p^a and its completeness, as sylow_catalogs gives them.
+    Raises ResourceError, before listing any group, when the groups would
+    number more than CATALOG_BOUND.
     """
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
-    memo = {} if _sylow_memo is None else _sylow_memo
-    sylows = []
-    for p, a in factorize(n).factors:
-        if (p, a) not in memo:
-            memo[p, a] = p_group_catalog(p, a, census)
-        sylows.append(memo[p, a])
+    sylows = [catalog(p, a) for p, a in factors]
     count = prod(len(entries) for entries, _ in sylows)
     if count > CATALOG_BOUND:
         raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
@@ -257,16 +212,17 @@ _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
 # Claim: maximum phi-sum among non-cyclic nilpotent groups of odd order
 # ---------------------------------------------------------------------------
 
-def _expected_member(f: Factorization, members: list[CensusMember]) -> CensusMember:
+def _expected_member(n: int, factors: list[tuple[int, int]], p_s: int,
+                     members: list[CensusMember]) -> CensusMember:
     """The member C_(n/p_s) x C_(p_s) of an order-n enumeration: one p_s split
-    off the s-th Sylow factor."""
-    sylows = tuple(Abelian(p, (a - 1, 1)) if i == f.s_index - 1 else Cyclic(p ** a)
-                   for i, (p, a) in enumerate(f.factors))
+    off the Sylow p_s-factor."""
+    sylows = tuple(Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a)
+                   for p, a in factors)
     for m in members:
         if m.sylow_specs == sylows:
             return m
     raise InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
-                         f"missing from the order-{f.n} enumeration")
+                         f"missing from the order-{n} enumeration")
 
 
 def verify_main_theorem(n: int, census: Census | None = None,
@@ -279,17 +235,17 @@ def verify_main_theorem(n: int, census: Census | None = None,
     """
     if n < 2:
         raise InputError(f"order must be >= 2, got {n}")
-    f = factorize(n)
-    if f.is_square_free:
+    factors = factor(n)
+    p_s = next((p for p, a in factors if a > 1), None)     # None when n is square-free
+    if p_s is None:
         raise InputError(
             f"hypothesis violated: n = {n} is square-free, so every nilpotent "
             f"group of order {n} is cyclic and there is nothing to maximize")
     if n % 2 == 0 and not allow_even:
         raise InputError(
             f"hypothesis violated: n = {n} is even (pass allow_even to explore anyway)")
-    members, completeness = enumerate_nilpotent(n, census)
-    expected = _expected_member(f, members)
-    p_s = f.s_prime
+    members, completeness = enumerate_nilpotent(n, factors, sylow_catalogs(census))
+    expected = _expected_member(n, factors, p_s, members)
     expected_display = f"C{n // p_s}xC{p_s}"
     noncyclic = [m for m in members if not m.is_cyclic]
     scored, best, argmax = _argmax(noncyclic, lambda m: m.phi)
@@ -313,8 +269,11 @@ def verify_main_theorem(n: int, census: Census | None = None,
                 f"({expected.render()}) gives {expected.phi}")
     return VerificationReport(
         claim="main-theorem",
-        params={"n": n, "factorization": f.render(), "s_prime": p_s,
-                "expected": expected.render(), "expected_display": expected_display,
+        params={"n": n,
+                "factorization": " * ".join(f"{p}^{a}" if a > 1 else str(p)
+                                            for p, a in factors),
+                "s_prime": p_s, "expected": expected.render(),
+                "expected_display": expected_display,
                 "candidates": len(noncyclic)},
         headline=headline, rows=rows, witnesses=witnesses, completeness=completeness,
         argmax=argmax, notes=notes, report_only=n % 2 == 0)
@@ -324,8 +283,9 @@ def verify_main_theorem(n: int, census: Census | None = None,
 # Claims: the maximizers among non-cyclic p-groups
 # ---------------------------------------------------------------------------
 
-def _edges(e: CatalogEntry) -> int:
-    return undirected_from_sums(e.sigma, e.phi, e.spectrum.total)
+def _edges(g: CatalogEntry | CensusMember, size: int) -> int:
+    """Undirected edge count of a catalog entry or member of order size."""
+    return undirected_from_sums(g.sigma, g.phi, size)
 
 
 def _expected_p_group(p: int, n: int) -> set[str]:
@@ -351,7 +311,7 @@ def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None
         "group": e.render(),
         "sigma": e.sigma,
         "phi_sum": e.phi,
-        "edges": _edges(e),
+        "edges": _edges(e, p ** n),
         "argmax": v == best,
         "source": e.source,
     } for v, e in scored]
@@ -403,7 +363,8 @@ def verify_prop_2_8(p: int, n: int, census: Census | None = None) -> Verificatio
         raise InputError(f"{p} is not prime")
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
-    report = _p_group_report("prop-2.8", "undirected edge count", p, n, census, _edges)
+    report = _p_group_report("prop-2.8", "undirected edge count", p, n, census,
+                             lambda e: _edges(e, p ** n))
     if p == 2 and n >= 4:
         report.notes.append(_M2_NOTE)
     return report
@@ -426,7 +387,7 @@ def verify_cor_2_3(p: int, n: int) -> VerificationReport:
         st = stats_from_spectrum(spec.render(), s)
         rows.append({"group": st.name, "size": st.size, "phi_sum": st.phi_sum,
                      "mutual_edges": st.mutual_edges})
-    ok = mutual_edges(s_ab) == mutual_edges(s_mod)
+    ok = rows[0]["mutual_edges"] == rows[1]["mutual_edges"]
     notes = ["the two order spectra are identical" if s_ab == s_mod
              else "mutual counts compared despite differing spectra"]
     headline = (f"mutual-edge counts of {ab_spec.render()} and "
@@ -677,20 +638,17 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
     rows = []
     supported = 0
     unsupported = []
-    sylow_memo: dict = {}
+    catalog = sylow_catalogs(census)
     for n in range(9, n_max + 1, 2):
-        f = factorize(n)
-        if f.is_square_free:
+        factors = factor(n)
+        p_s = next((p for p, a in factors if a > 1), None)     # None when n is square-free
+        if p_s is None:
             continue
-        members, completeness = enumerate_nilpotent(n, census, _sylow_memo=sylow_memo)
-        expected = _expected_member(f, members)
+        members, completeness = enumerate_nilpotent(n, factors, catalog)
+        expected = _expected_member(n, factors, p_s, members)
         noncyclic = [m for m in members if not m.is_cyclic]
-
-        def edges(m: CensusMember) -> int:
-            return undirected_from_sums(m.sigma, m.phi, n)
-
-        scored, best, argmax = _argmax(noncyclic, edges)
-        expected_edges = edges(expected)
+        scored, best, argmax = _argmax(noncyclic, lambda m: _edges(m, n))
+        expected_edges = _edges(expected, n)
         holds = expected_edges == best
         if holds:
             supported += 1

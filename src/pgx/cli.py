@@ -306,8 +306,8 @@ def cmd_census_ingest(args: argparse.Namespace) -> int:
         raise InputError(f"no .cayley files found under {root}")
     census = _census(args, args.dir)
     rows = []
-    for f in files:
-        entry = census.admit(f)
+    for f in files:     # a table under <order>/ is checked against that order
+        entry = census.admit(f, int(f.parent.name) if f.parent.name.isdecimal() else None)
         stats = stats_from_spectrum(f.stem, entry.spectrum)
         rows.append({
             "file": f.relative_to(root).as_posix(),

@@ -325,6 +325,8 @@ def read_cayley(path: str | Path) -> GroupTable:
         if len(toks) != n + 1:
             raise fail(lineno, f"labels line has {len(toks) - 1} tokens, expected {n}")
         labels = toks[1:]
+        if len(set(labels)) < n:
+            raise fail(lineno, "labels line repeats a label; labels must be distinct")
         rest = rest[1:]
     if rest:
         raise fail(rest[0][0], f"unexpected trailing line {rest[0][1]!r}")

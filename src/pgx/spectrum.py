@@ -134,12 +134,13 @@ def factor(n: int) -> list[tuple[int, int]]:
     Trial division by the primes below 1000 strips the small factors; each
     remaining cofactor is proved prime by Miller-Rabin to the bases 2..41,
     split as a perfect square, or split by Pollard-Brent rho. Raises
-    InputError for n < 1, and ResourceError when a cofactor cannot be
-    settled exactly: a strong probable prime at or above MR_EXACT_BELOW, or
-    a composite that rho does not split within RHO_STEP_BUDGET steps.
+    InputError unless n is a positive int (bool excluded), and ResourceError
+    when a cofactor cannot be settled exactly: a strong probable prime at or
+    above MR_EXACT_BELOW, or a composite that rho does not split within
+    RHO_STEP_BUDGET steps.
     """
-    if n < 1:
-        raise InputError(f"cannot factor {n}: need a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"cannot factor {n!r}: need a positive integer")
     counts: dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -286,27 +287,6 @@ def phi_sum(s: OrderSpectrum) -> int:
     return total
 
 
-def directed_arcs(s: OrderSpectrum) -> int:
-    """Arc count of the directed power graph: order_sum - size."""
-    return order_sum(s) - s.total
-
-
-def mutual_edges(s: OrderSpectrum) -> int:
-    """Number of unordered pairs {g, h}, g != h, with arcs both ways.
-
-    Equals (phi_sum - size)/2; the division must be exact.
-    """
-    num = phi_sum(s) - s.total
-    if num < 0 or num % 2:
-        raise InvariantError(f"mutual-pair count 2*m = {num} is not a nonnegative even number")
-    return num // 2
-
-
-def undirected_edges(s: OrderSpectrum) -> int:
-    """Edge count of the undirected power graph: order_sum - (phi_sum + size)/2."""
-    return undirected_from_sums(order_sum(s), phi_sum(s), s.total)
-
-
 def undirected_from_sums(sigma: int, phi: int, size: int) -> int:
     """Undirected edge count from the element-order sum sigma, the totient sum
     phi and the group order: sigma - (phi + size)/2."""
@@ -374,7 +354,8 @@ class GroupStats:
 
 def stats_from_spectrum(name: str, s: OrderSpectrum) -> GroupStats:
     """GroupStats by the exact identities, sigma and phi summed once; mutual = arcs - edges."""
-    sigma, phi, arcs = order_sum(s), phi_sum(s), directed_arcs(s)
+    sigma, phi = order_sum(s), phi_sum(s)
+    arcs = sigma - s.total
     undirected = undirected_from_sums(sigma, phi, s.total)
     return GroupStats(name=name, size=s.total, sigma=sigma, phi_sum=phi,
                       directed_arcs=arcs, mutual_edges=arcs - undirected,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import pytest
 
 from pgx.census import (
-    factorize,
     scan_conjecture_2_9,
     verify_cor_2_3,
     verify_cor_2_6,
@@ -27,7 +26,7 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.census import Verdict, enumerate_nilpotent
+from pgx.census import Verdict, enumerate_nilpotent, sylow_catalogs
 from pgx.constructors import (
     Census,
     Completeness,
@@ -39,12 +38,11 @@ from pgx.constructors import (
 from pgx.powergraph import oracle_counts
 from pgx.spectrum import (
     OrderSpectrum,
-    directed_arcs,
+    factor,
     is_prime,
-    mutual_edges,
     phi_cyclic_prime_power,
+    stats_from_spectrum,
     totient,
-    undirected_edges,
 )
 
 SIZE_LIMIT = 2000
@@ -56,8 +54,7 @@ def census_orders() -> list[int]:
     """Odd non-square-free orders <= 2000 whose prime exponents are all <= 3."""
     out = []
     for n in range(9, SIZE_LIMIT + 1, 2):
-        f = factorize(n)
-        if not f.is_square_free and all(a <= 3 for _, a in f.factors):
+        if 1 < max(a for _, a in factor(n)) <= 3:
             out.append(n)
     return out
 
@@ -80,7 +77,7 @@ def inventory():
     orders = census_orders()
     assert len(orders) == 175
     for n in orders:
-        members, completeness = enumerate_nilpotent(n)
+        members, completeness = enumerate_nilpotent(n, factor(n), sylow_catalogs(None))
         assert completeness is Completeness.COMPLETE
         for member in members:
             specs[member.render()] = member.spec
@@ -124,9 +121,8 @@ def test_criterion_1(inventory):
     assert len(inventory) > 2400
     for name, rec in inventory.items():
         assert rec.tally == rec.formula, name
-        formula_counts = (directed_arcs(rec.formula),
-                          mutual_edges(rec.formula),
-                          undirected_edges(rec.formula))
+        stats = stats_from_spectrum(name, rec.formula)
+        formula_counts = (stats.directed_arcs, stats.mutual_edges, stats.undirected_edges)
         assert formula_counts == rec.graph, name
 
 
@@ -243,7 +239,7 @@ def test_criterion_8():
         assert list(row) == keys
         n = row["n"]
         assert previous < n <= SIZE_LIMIT and n % 2 == 1
-        assert not factorize(n).is_square_free
+        assert max(a for _, a in factor(n)) > 1
         previous = n
         assert row["candidates"] >= 1
         assert 0 <= row["expected_edges"] <= row["max_edges"]

@@ -1,16 +1,15 @@
-"""Factorization, nilpotent enumeration, claim verifiers, and the scan."""
+"""Factorization of n, nilpotent enumeration, claim verifiers, and the scan."""
 
 import pytest
 
 import pgx.census
 from pgx.census import (
     CensusMember,
-    Factorization,
     Verdict,
     VerificationReport,
     enumerate_nilpotent,
-    factorize,
     scan_conjecture_2_9,
+    sylow_catalogs,
     verify_cor_2_3,
     verify_cor_2_6,
     verify_lemma_2_1,
@@ -23,7 +22,7 @@ from pgx.census import (
 from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
-from pgx.spectrum import order_sum, phi_sum, spectrum_cyclic
+from pgx.spectrum import factor, order_sum, phi_sum, spectrum_cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -41,56 +40,63 @@ from pgx.spectrum import order_sum, phi_sum, spectrum_cyclic
     (1024, ((2, 10),), 1),
 ])
 def test_factorize(n, factors, s_index):
-    f = factorize(n)
-    assert f == Factorization(n, factors, s_index)
-    assert f.is_square_free == (s_index is None)
-    if s_index is not None:
-        assert f.s_prime == factors[s_index - 1][0]
+    """The main theorem reads its s-prime, the first prime with exponent > 1,
+    off `factor(n)`, and refuses a square-free n."""
+    assert factor(n) == list(factors)
+    if s_index is None:
+        with pytest.raises(InputError, match="square-free" if n > 1 else ">= 2"):
+            verify_main_theorem(n)
     else:
-        assert f.s_prime is None
+        report = verify_main_theorem(n, allow_even=True)
+        assert report.params["s_prime"] == factors[s_index - 1][0]
 
 
 def test_factorization_render():
-    assert factorize(1).render() == "1"
-    assert factorize(45).render() == "3^2 * 5"
-    assert factorize(30).render() == "2 * 3 * 5"
-    assert factorize(675).render() == "3^3 * 5^2"
+    def rendered(n):
+        return verify_main_theorem(n, allow_even=True).params["factorization"]
+
+    assert rendered(45) == "3^2 * 5"
+    assert rendered(90) == "2 * 3^2 * 5"
+    assert rendered(675) == "3^3 * 5^2"
 
 
 @pytest.mark.parametrize("bad", [0, -5, True, "12", 1.5])
 def test_factorize_rejects_non_positive_ints(bad):
     with pytest.raises(InputError):
-        factorize(bad)
+        factor(bad)
 
 
 # ---------------------------------------------------------------------------
 # Nilpotent enumeration
 # ---------------------------------------------------------------------------
 
+def enumerate_order(n, census=None):
+    return enumerate_nilpotent(n, factor(n), sylow_catalogs(census))
+
+
 def test_enumerate_nilpotent_order_45():
-    members, completeness = enumerate_nilpotent(45)
+    members, completeness = enumerate_order(45)
     assert completeness is Completeness.COMPLETE
     assert [m.render() for m in members] == ["C9xC5", "Ab(3;1,1)xC5"]
     assert [m.is_cyclic for m in members] == [True, False]
-    assert members[0].spectrum == spectrum_cyclic(45)
+    assert members[0].spec.spectrum() == spectrum_cyclic(45)
     for m in members:
-        assert m.spectrum == m.spec.spectrum()
         assert tuple(e.source for e in m.sylows) == ("parametric", "parametric")
 
 
 def test_enumerate_nilpotent_prime_and_composite():
-    members, completeness = enumerate_nilpotent(2)
+    members, completeness = enumerate_order(2)
     assert [m.render() for m in members] == ["C2"]
     assert completeness is Completeness.COMPLETE
-    members, _ = enumerate_nilpotent(12)
+    members, _ = enumerate_order(12)
     assert [m.render() for m in members] == ["C4xC3", "Ab(2;1,1)xC3"]
 
 
 def test_enumerate_nilpotent_sixteen_with_and_without_census(census_dir):
-    members, completeness = enumerate_nilpotent(16)
+    members, completeness = enumerate_order(16)
     assert len(members) == 9
     assert completeness is Completeness.INCOMPLETE
-    members, completeness = enumerate_nilpotent(16, Census(census_dir))
+    members, completeness = enumerate_order(16, Census(census_dir))
     assert len(members) == 10
     assert completeness is Completeness.COMPLETE_VIA_CENSUS
     assert sum(e.source.endswith(".cayley") for m in members for e in m.sylows) == 1
@@ -98,34 +104,34 @@ def test_enumerate_nilpotent_sixteen_with_and_without_census(census_dir):
 
 def test_enumerate_nilpotent_rejects_trivial_order():
     with pytest.raises(InputError):
-        enumerate_nilpotent(1)
+        enumerate_order(1)
 
 
 def test_enumerate_nilpotent_refuses_more_members_than_the_bound(monkeypatch):
     # 105^10: three Sylow catalogs of 43 entries (42 partitions of 10 and M(10,p))
     with pytest.raises(ResourceError) as err:
-        enumerate_nilpotent(105 ** 10)
+        enumerate_order(105 ** 10)
     assert str(err.value) == (f"order {105 ** 10} has {43 ** 3} nilpotent groups, one per "
                               f"choice of Sylow catalog entries, above the catalog bound "
                               f"{CATALOG_BOUND}")
     # the bound counts members: 5 * 5 of order 3^3 * 5^3, 5 * 5 * 2 with a factor 7^2
     monkeypatch.setattr(pgx.census, "CATALOG_BOUND", 25)
-    assert len(enumerate_nilpotent(3 ** 3 * 5 ** 3)[0]) == 25
+    assert len(enumerate_order(3 ** 3 * 5 ** 3)[0]) == 25
     with pytest.raises(ResourceError):
-        enumerate_nilpotent(3 ** 3 * 5 ** 3 * 7 ** 2)
+        enumerate_order(3 ** 3 * 5 ** 3 * 7 ** 2)
 
 
 def test_sylow_scores_equal_the_convolved_spectrum():
     """A member's (sigma, phi), multiplied from its Sylow entries, equals
     order_sum and phi_sum of its lcm-convolved spectrum."""
     for n in range(9, 3001, 2):
-        if factorize(n).is_square_free:
+        if all(a == 1 for _, a in factor(n)):
             continue
-        members, _ = enumerate_nilpotent(n)
+        members, _ = enumerate_order(n)
         for m in members:
             assert isinstance(m, CensusMember)
-            assert (m.sigma, m.phi) == (order_sum(m.spectrum), phi_sum(m.spectrum)), \
-                (n, m.render())
+            s = m.spec.spectrum()
+            assert (m.sigma, m.phi) == (order_sum(s), phi_sum(s)), (n, m.render())
 
 
 def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
@@ -142,6 +148,18 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
     assert len(first) == len(set(first)) > 1
     scan_conjecture_2_9(300)
     assert calls == first + first   # nothing is carried over between calls
+
+
+@pytest.mark.parametrize("argv,orders", [
+    (("verify", "main-theorem", "--n", "675"), [675]),
+    (("scan", "conjecture-2.9", "--n-max", "200"), list(range(9, 201, 2))),
+], ids=["main-theorem", "scan"])
+def test_each_order_is_factored_once(monkeypatch, run_cli, argv, orders):
+    calls = []
+    real = pgx.census.factor
+    monkeypatch.setattr(pgx.census, "factor", lambda n: calls.append(n) or real(n))
+    assert run_cli(*argv)[0] == 0
+    assert calls == orders
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +205,8 @@ def test_exit_code_table():
 def test_missing_expected_member_is_an_internal_error(monkeypatch, run):
     enumerate_ = pgx.census.enumerate_nilpotent
 
-    def cyclic_only(n, census=None, **kwargs):
-        members, completeness = enumerate_(n, census, **kwargs)
+    def cyclic_only(*args):
+        members, completeness = enumerate_(*args)
         return [m for m in members if m.is_cyclic], completeness
 
     monkeypatch.setattr(pgx.census, "enumerate_nilpotent", cyclic_only)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, configuration."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import pgx.constructors
-from pgx.constructors import Abelian, CatalogEntry, Heisenberg, Modular
+from pgx.constructors import (
+    Abelian,
+    CatalogEntry,
+    GeneralizedQuaternion,
+    Heisenberg,
+    Modular,
+)
 from pgx.groups import GroupTable, write_cayley
 from pgx.spectrum import order_sum, phi_sum
 
@@ -681,6 +688,28 @@ def test_census_ingest_error_paths(run_cli, tmp_path):
     (bad / "junk.cayley").write_text(f"order 3\nidentity 0\n{rows}\n")
     code, _, err = run_cli("census", "ingest", str(bad))
     assert code == 3 and "failed on witness" in err
+
+
+def test_census_ingest_checks_each_table_against_its_order_directory(run_cli, tmp_path,
+                                                                     census_dir):
+    # the catalogs refuse a table whose order is not its directory's; so does ingest
+    (tmp_path / "c1").mkdir()
+    shutil.copytree(census_dir / "16", tmp_path / "c1" / "16")
+    q8 = GeneralizedQuaternion(8).build()
+    write_cayley(q8, tmp_path / "c1" / "16" / "q8.cayley")
+    mismatch = "order 8 does not match census directory 16"
+    code, out, err = run_cli("census", "ingest", str(tmp_path / "c1"))
+    assert (code, out) == (3, "") and mismatch in err
+    code, out, err = run_cli("census", "ingest", str(tmp_path / "c1" / "16"))
+    assert (code, out) == (3, "") and mismatch in err
+    code, _, err = run_cli("verify", "prop-2.8", "--p", "2", "--n", "4",
+                           "--census-dir", str(tmp_path / "c1"))
+    assert code == 3 and mismatch in err
+    # a table outside an <order>/ directory is ingested at whatever order it has
+    (tmp_path / "loose").mkdir()
+    write_cayley(q8, tmp_path / "loose" / "q8.cayley")
+    code, out, _ = run_cli("census", "ingest", str(tmp_path / "loose"), "--format", "csv")
+    assert code == 0 and "q8.cayley,q8,8,full" in out
 
 
 def _broken_table(p: int) -> GroupTable:

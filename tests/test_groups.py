@@ -292,6 +292,7 @@ def test_cayley_comments_and_whitespace(tmp_path):
     ("order 2\nidentity 0\n0 7\n1 0\n", "outside 0..1"),
     ("order 2\nidentity 0\n0 q\n1 0\n", "non-integer"),
     ("order 2\nidentity 0\n0 1\n1 0\nlabels a\n", "labels line has 1 tokens"),
+    ("order 2\nidentity 0\n0 1\n1 0\nlabels a a\n", "broken.cayley:5: labels line repeats"),
     ("order 2\nidentity 0\n0 1\n1 0\nnames a b\n", "unexpected line"),
     ("order 2\nidentity 0\n0 1\n1 0\nlabels a b\nextra\n", "unexpected trailing"),
     # rows the one-pass parse must hand back to the row-by-row parse

@@ -19,13 +19,7 @@ from pgx.powergraph import (
     export,
     oracle_counts,
 )
-from pgx.spectrum import (
-    directed_arcs,
-    mutual_edges,
-    order_spectrum,
-    totient,
-    undirected_edges,
-)
+from pgx.spectrum import order_spectrum, stats_from_spectrum, totient
 from test_groups import NONASSOCIATIVE_LOOP, reference_cyclic_subgroup
 
 K2 = np.array([[0, 1], [1, 0]])
@@ -98,12 +92,12 @@ GRAPH_SPECS = ["C1", "C2", "C12", "D8", "Q16", "SD16", "M(4,2)",
 @pytest.mark.parametrize("text", GRAPH_SPECS)
 def test_graphs_agree_with_spectrum_formulas(text):
     g = build_group(parse_group_spec(text))
-    spectrum = order_spectrum(g)
+    stats = stats_from_spectrum(text, order_spectrum(g))
     directed = build_directed(g)
     undirected = build_undirected(g)
-    assert directed.num_arcs == directed_arcs(spectrum)
-    assert len(mutual_pairs(directed)) == mutual_edges(spectrum)
-    assert undirected.num_edges == undirected_edges(spectrum)
+    assert directed.num_arcs == stats.directed_arcs
+    assert len(mutual_pairs(directed)) == stats.mutual_edges
+    assert undirected.num_edges == stats.undirected_edges
     assert oracle_counts(g) == (directed.num_arcs, len(mutual_pairs(directed)),
                                 undirected.num_edges)
 

@@ -18,10 +18,8 @@ from pgx.spectrum import (
     MR_EXACT_BELOW,
     GroupStats,
     OrderSpectrum,
-    directed_arcs,
     factor,
     is_prime,
-    mutual_edges,
     order_spectrum,
     order_sum,
     phi_cyclic_prime_power,
@@ -30,7 +28,6 @@ from pgx.spectrum import (
     spectrum_product,
     stats_from_spectrum,
     totient,
-    undirected_edges,
     undirected_from_sums,
 )
 from pgx.constructors import Cyclic
@@ -285,26 +282,26 @@ def test_phi_sum_examples():
 
 
 def test_edge_count_examples():
-    assert directed_arcs(spectrum_cyclic(1)) == 0
-    assert directed_arcs(spectrum_cyclic(3)) == 4
-    assert directed_arcs(Q8_SPECTRUM) == 19
-    assert mutual_edges(spectrum_cyclic(1)) == 0
-    assert mutual_edges(spectrum_cyclic(6)) == 2
+    def counts(s):
+        st = stats_from_spectrum("g", s)
+        return st.directed_arcs, st.mutual_edges, st.undirected_edges
+
+    assert counts(spectrum_cyclic(1)) == (0, 0, 0)
+    assert counts(spectrum_cyclic(3))[0] == 4
+    assert counts(Q8_SPECTRUM) == (19, 3, 16)
+    assert counts(spectrum_cyclic(6))[1] == 2
     s93 = spectrum_product(spectrum_cyclic(9), spectrum_cyclic(3))
-    assert mutual_edges(s93) == 49
-    assert undirected_edges(Q8_SPECTRUM) == 16
+    assert counts(s93)[1] == 49
     elementary8 = OrderSpectrum({1: 1, 2: 7})
-    assert undirected_edges(elementary8) == 7
+    assert counts(elementary8)[2] == 7
     c4xc2 = spectrum_product(spectrum_cyclic(4), spectrum_cyclic(2))
-    assert undirected_edges(c4xc2) == 13
+    assert counts(c4xc2)[2] == 13
 
 
 def test_parity_guards_reject_corrupt_spectrum():
     corrupt = OrderSpectrum({1: 1, 2: 2, 4: 1})   # passes cheap checks, phi-size odd
-    with pytest.raises(InvariantError):
-        mutual_edges(corrupt)
-    with pytest.raises(InvariantError):
-        undirected_edges(corrupt)
+    with pytest.raises(InvariantError, match="is odd"):
+        stats_from_spectrum("corrupt", corrupt)
     with pytest.raises(InvariantError, match="below the group order"):
         undirected_from_sums(10, 3, 5)            # phi < size: a negative mutual count
 
