@@ -30,12 +30,14 @@ from .constructors import (
     GroupSpec,
     Modular,
     Product,
+    join_names,
     merge_completeness,
     p_group_catalog,
 )
 from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_SEED
 from .spectrum import (
+    OddSieve,
     factor,
     is_prime,
     phi_cyclic_prime_power,
@@ -102,8 +104,20 @@ class CensusMember:
 
 def sylow_catalogs(census: Census | None):
     """p_group_catalog(p, a, census) as a function of (p, a) that builds each
-    catalog once: one per verification, shared by every order it enumerates."""
+    catalog once, for enumerate_nilpotent: one per verification or audit,
+    shared by every order it enumerates."""
     return cache(lambda p, a: p_group_catalog(p, a, census))
+
+
+def _member_count(n: int, sizes: list[int]) -> int:
+    """The number of nilpotent groups of order n, one per choice of Sylow
+    catalog entries, from the catalog sizes. Raises ResourceError when it is
+    above CATALOG_BOUND."""
+    count = prod(sizes)
+    if count > CATALOG_BOUND:
+        raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
+                            f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
+    return count
 
 
 def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], catalog
@@ -118,10 +132,7 @@ def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], catalog
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
     sylows = [catalog(p, a) for p, a in factors]
-    count = prod(len(entries) for entries, _ in sylows)
-    if count > CATALOG_BOUND:
-        raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
-                            f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
+    _member_count(n, [len(entries) for entries, _ in sylows])
     members = [CensusMember(combo, prod(e.sigma for e in combo), prod(e.phi for e in combo))
                for combo in itertools.product(*(entries for entries, _ in sylows))]
     return members, merge_completeness([comp for _, comp in sylows])
@@ -212,17 +223,26 @@ _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
 # Claim: maximum phi-sum among non-cyclic nilpotent groups of odd order
 # ---------------------------------------------------------------------------
 
+def _expected_sylow(p: int, a: int, p_s: int) -> GroupSpec:
+    """The Sylow p-factor of C_(n/p_s) x C_(p_s): one p_s split off the Sylow
+    p_s-factor, every other factor cyclic."""
+    return Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a)
+
+
+def _missing_expected(n: int, factors: list[tuple[int, int]], p_s: int) -> InvariantError:
+    sylows = [_expected_sylow(p, a, p_s) for p, a in factors]
+    return InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
+                          f"missing from the order-{n} enumeration")
+
+
 def _expected_member(n: int, factors: list[tuple[int, int]], p_s: int,
                      members: list[CensusMember]) -> CensusMember:
-    """The member C_(n/p_s) x C_(p_s) of an order-n enumeration: one p_s split
-    off the Sylow p_s-factor."""
-    sylows = tuple(Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a)
-                   for p, a in factors)
+    """The member C_(n/p_s) x C_(p_s) of an order-n enumeration."""
+    sylows = tuple(_expected_sylow(p, a, p_s) for p, a in factors)
     for m in members:
         if m.sylow_specs == sylows:
             return m
-    raise InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
-                         f"missing from the order-{n} enumeration")
+    raise _missing_expected(n, factors, p_s)
 
 
 def verify_main_theorem(n: int, census: Census | None = None,
@@ -626,10 +646,32 @@ def verify(claim: str, *settings) -> VerificationReport:
 # Exploratory scan: does the same member maximize undirected edges?
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _ScanSylow:
+    """A Sylow catalog of order p^a as the scan reads it, each name rendered
+    once: its size and completeness, its cyclic entry as (sigma, phi, name),
+    its non-cyclic entries likewise, and the index among them of
+    C_(p^(a-1)) x C_p, None when the catalog lacks it."""
+
+    size: int
+    completeness: Completeness
+    cyclic: tuple[int, int, str]
+    noncyclic: list[tuple[int, int, str]]
+    split: int | None
+
+
 def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> VerificationReport:
     """For every odd non-square-free n <= n_max, compare the undirected edge
     count of C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of
-    order n. Exploratory output only: the report never fails."""
+    order n. Exploratory output only: the report never fails.
+
+    Only the members with one non-cyclic Sylow factor are scored. In a p-group
+    p*phi = (p-1)*sigma + 1, and phi <= sigma in every group, so making a
+    non-cyclic factor at p cyclic raises the edge count by
+    (sigma_c - sigma_i) * (sigma_rest - (p-1)/(2p) * phi_rest) > 0. Each
+    member with two or more non-cyclic factors thus scores below two distinct
+    such members, and the argmax and the runner-up are among them.
+    """
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")
     if n_max > SCAN_BOUND:
@@ -638,17 +680,44 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
     rows = []
     supported = 0
     unsupported = []
-    catalog = sylow_catalogs(census)
+
+    @cache
+    def sylow(p: int, a: int) -> _ScanSylow:
+        entries, completeness = p_group_catalog(p, a, census)
+        noncyclic = [e for e in entries if not e.is_cyclic]
+        cyclic = next(e for e in entries if e.is_cyclic)    # C_(p^a), listed once
+        split = Abelian(p, (a - 1, 1)) if a > 1 else None
+        return _ScanSylow(
+            len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
+            [(e.sigma, e.phi, e.render()) for e in noncyclic],
+            next((k for k, e in enumerate(noncyclic) if e.spec == split), None))
+
+    sieve = OddSieve(n_max)
     for n in range(9, n_max + 1, 2):
-        factors = factor(n)
-        p_s = next((p for p, a in factors if a > 1), None)     # None when n is square-free
-        if p_s is None:
+        factors = sieve.factor(n)
+        s = next((i for i, (_, a) in enumerate(factors) if a > 1), None)
+        if s is None:       # n is square-free
             continue
-        members, completeness = enumerate_nilpotent(n, factors, catalog)
-        expected = _expected_member(n, factors, p_s, members)
-        noncyclic = [m for m in members if not m.is_cyclic]
-        scored, best, argmax = _argmax(noncyclic, lambda m: _edges(m, n))
-        expected_edges = _edges(expected, n)
+        sylows = [sylow(p, a) for p, a in factors]
+        candidates = _member_count(n, [x.size for x in sylows]) - 1
+        if sylows[s].split is None:
+            raise _missing_expected(n, factors, factors[s][0])
+        scored = []     # (edges, i, k): entry k of the non-cyclic ones at prime i
+        for i, x in enumerate(sylows):
+            if x.noncyclic:
+                rest = [y.cyclic for j, y in enumerate(sylows) if j != i]
+                rest_sigma = prod(c[0] for c in rest)
+                rest_phi = prod(c[1] for c in rest)
+                scored += [(undirected_from_sums(sigma * rest_sigma, phi * rest_phi, n), i, k)
+                           for k, (sigma, phi, _) in enumerate(x.noncyclic)]
+
+        def name(i: int, k: int) -> str:
+            return join_names([x.noncyclic[k][2] if j == i else x.cyclic[2]
+                               for j, x in enumerate(sylows)])
+
+        edges = sorted((e for e, _, _ in scored), reverse=True)
+        best = edges[0]
+        expected_edges = next(e for e, i, k in scored if (i, k) == (s, sylows[s].split))
         holds = expected_edges == best
         if holds:
             supported += 1
@@ -656,14 +725,14 @@ def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> Verificatio
             unsupported.append(n)
         rows.append({
             "n": n,
-            "candidates": len(noncyclic),
-            "expected": expected.render(),
+            "candidates": candidates,
+            "expected": name(s, sylows[s].split),
             "expected_edges": expected_edges,
             "max_edges": best,
-            "margin": best - (scored[1][0] if len(scored) > 1 else best),
+            "margin": best - edges[1] if len(edges) > 1 else 0,
             "supported": holds,
-            "argmax": ";".join(argmax),
-            "completeness": completeness.value,
+            "argmax": ";".join(sorted(name(i, k) for e, i, k in scored if e == best)),
+            "completeness": merge_completeness([x.completeness for x in sylows]).value,
         })
     notes = ["exploratory scan: rows carry no pass/fail contract"]
     incomplete = sum(1 for r in rows if r["completeness"] == Completeness.INCOMPLETE.value)

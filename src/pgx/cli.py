@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .census import (
@@ -415,10 +416,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """build_parser(), run on the first call only: parse_args makes a fresh
+    namespace each time, and resolve_config writes to that namespace only, so
+    the parser carries nothing from one call to the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         resolve_config(args)
         return args.func(args)
     except (InputError, ResourceError) as exc:

@@ -419,6 +419,12 @@ class FileTable(GroupSpec):
         return self.table
 
 
+def join_names(names: list[str]) -> str:
+    """Atom names joined as a direct product: by x, with spaces when one is a
+    file: path, since a path runs to the next whitespace."""
+    return (" x " if any(name.startswith("file:") for name in names) else "x").join(names)
+
+
 @dataclass(frozen=True)
 class Product(GroupSpec):
     left: GroupSpec
@@ -432,11 +438,7 @@ class Product(GroupSpec):
         return self.left.order * self.right.order
 
     def render(self) -> str:
-        """The atoms joined by x, with spaces when one is a file: path, since
-        a path runs to the next whitespace."""
-        names = [f.render() for f in self.factors()]
-        sep = " x " if any(name.startswith("file:") for name in names) else "x"
-        return sep.join(names)
+        return join_names([f.render() for f in self.factors()])
 
     def spectrum(self) -> OrderSpectrum:
         return spectrum_product(self.left.spectrum(), self.right.spectrum())

@@ -8,8 +8,9 @@ orders, and all three power-graph edge counts:
     mutual pairs     = (phi_sum - size) / 2
     undirected edges = order_sum - (phi_sum + size) / 2
 
-Everything in this module is arbitrary-precision Python integer arithmetic;
-the divisions above must be exact and raise InvariantError otherwise.
+Everything in this module is arbitrary-precision Python integer arithmetic,
+except the int32 table of OddSieve; the divisions above must be exact and
+raise InvariantError otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
+
+import numpy as np
 
 from .errors import InputError, InvariantError, ResourceError
 
@@ -159,6 +162,35 @@ def factor(n: int) -> list[tuple[int, int]]:
         d = r if r * r == m else _pollard_brent(m)
         pending += (d, m // d)
     return sorted(counts.items())
+
+
+class OddSieve:
+    """The smallest prime factor of every odd number up to n_max, 4 bytes each
+    (n_max below 2^31), for factoring a run of odd numbers without `factor`'s
+    trial division."""
+
+    def __init__(self, n_max: int):
+        spf = np.zeros((n_max + 1) // 2, dtype=np.int32)   # index i holds n = 2i + 1
+        for p in range(3, math.isqrt(n_max) + 1, 2):
+            if spf[p >> 1] == 0:                            # p is prime
+                multiples = spf[p * p >> 1::p]              # p^2, p^2 + 2p, ...
+                multiples[multiples == 0] = p
+        primes = np.flatnonzero(spf == 0)                   # and 1, at index 0
+        spf[primes] = 2 * primes + 1
+        self._spf = memoryview(spf)     # indexing gives a Python int
+
+    def factor(self, n: int) -> list[tuple[int, int]]:
+        """factor(n) for an odd n from 1 to n_max."""
+        spf = self._spf
+        factors = []
+        while n > 1:
+            p = spf[n >> 1]
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            factors.append((p, a))
+        return factors
 
 
 def totient(m: int) -> int:

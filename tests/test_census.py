@@ -22,7 +22,7 @@ from pgx.census import (
 from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
-from pgx.spectrum import factor, order_sum, phi_sum, spectrum_cyclic
+from pgx.spectrum import factor, order_sum, phi_sum, spectrum_cyclic, undirected_from_sums
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +150,19 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
     assert calls == first + first   # nothing is carried over between calls
 
 
-@pytest.mark.parametrize("argv,orders", [
-    (("verify", "main-theorem", "--n", "675"), [675]),
-    (("scan", "conjecture-2.9", "--n-max", "200"), list(range(9, 201, 2))),
+@pytest.mark.parametrize("argv,factored,sieved", [
+    (("verify", "main-theorem", "--n", "675"), [675], []),
+    (("scan", "conjecture-2.9", "--n-max", "200"), [], [200]),
 ], ids=["main-theorem", "scan"])
-def test_each_order_is_factored_once(monkeypatch, run_cli, argv, orders):
-    calls = []
-    real = pgx.census.factor
-    monkeypatch.setattr(pgx.census, "factor", lambda n: calls.append(n) or real(n))
+def test_each_order_is_factored_once(monkeypatch, run_cli, argv, factored, sieved):
+    """main-theorem factors its order once; the scan calls no `factor` but
+    sieves the odd numbers up to n_max once."""
+    calls, sieves = [], []
+    real_factor, real_sieve = pgx.census.factor, pgx.census.OddSieve
+    monkeypatch.setattr(pgx.census, "factor", lambda n: calls.append(n) or real_factor(n))
+    monkeypatch.setattr(pgx.census, "OddSieve", lambda n: sieves.append(n) or real_sieve(n))
     assert run_cli(*argv)[0] == 0
-    assert calls == orders
+    assert (calls, sieves) == (factored, sieved)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +206,13 @@ def test_exit_code_table():
 @pytest.mark.parametrize("run", [lambda: verify_main_theorem(45),
                                  lambda: scan_conjecture_2_9(9)], ids=["main-theorem", "scan"])
 def test_missing_expected_member_is_an_internal_error(monkeypatch, run):
-    enumerate_ = pgx.census.enumerate_nilpotent
+    catalog = pgx.census.p_group_catalog
 
-    def cyclic_only(*args):
-        members, completeness = enumerate_(*args)
-        return [m for m in members if m.is_cyclic], completeness
+    def without_split(p, k, census=None):
+        entries, completeness = catalog(p, k, census)
+        return [e for e in entries if e.render() != "Ab(3;1,1)"], completeness
 
-    monkeypatch.setattr(pgx.census, "enumerate_nilpotent", cyclic_only)
+    monkeypatch.setattr(pgx.census, "p_group_catalog", without_split)
     with pytest.raises(InvariantError, match=r"expected maximizer Ab\(3;1,1\)\S* missing"):
         run()
 
@@ -539,6 +542,52 @@ def test_scan_up_to_one_hundred():
 def test_scan_rejects_too_small_bound():
     with pytest.raises(InputError):
         scan_conjecture_2_9(8)
+
+
+def enumerated_scan_rows(n_max, census=None):
+    """The scan's rows as the full enumeration gives them: every non-cyclic
+    nilpotent group of each order is scored and ranked by _argmax."""
+    catalog = sylow_catalogs(census)
+    rows = []
+    for n in range(9, n_max + 1, 2):
+        factors = factor(n)
+        p_s = next((p for p, a in factors if a > 1), None)
+        if p_s is None:
+            continue
+        members, completeness = enumerate_nilpotent(n, factors, catalog)
+        expected = pgx.census._expected_member(n, factors, p_s, members)
+        noncyclic = [m for m in members if not m.is_cyclic]
+        scored, best, argmax = pgx.census._argmax(
+            noncyclic, lambda m: undirected_from_sums(m.sigma, m.phi, n))
+        expected_edges = undirected_from_sums(expected.sigma, expected.phi, n)
+        rows.append({
+            "n": n,
+            "candidates": len(noncyclic),
+            "expected": expected.render(),
+            "expected_edges": expected_edges,
+            "max_edges": best,
+            "margin": best - (scored[1][0] if len(scored) > 1 else best),
+            "supported": expected_edges == best,
+            "argmax": ";".join(argmax),
+            "completeness": completeness.value,
+        })
+    return rows
+
+
+def test_scan_agrees_with_the_full_enumeration():
+    """Scoring only the members with one non-cyclic Sylow factor gives every
+    column of every row that ranking all members gives."""
+    assert scan_conjecture_2_9(20_000).rows == enumerated_scan_rows(20_000)
+
+
+def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):
+    order_dir = tmp_path / "81"
+    order_dir.mkdir()
+    write_cayley(Cyclic(81).build(), order_dir / "c81.cayley")
+    rows = scan_conjecture_2_9(1000, Census(tmp_path)).rows
+    assert rows == enumerated_scan_rows(1000, Census(tmp_path))
+    assert {r["n"] for r in rows if r["completeness"] == "complete-via-ingested-census"} \
+        == {81, 405, 567, 891}
 
 
 def test_scan_census_dir_upgrades_completeness(tmp_path):

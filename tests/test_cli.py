@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pgx.cli
 import pgx.constructors
 from pgx.constructors import (
     Abelian,
@@ -904,6 +905,31 @@ def test_write_failures_are_input_errors(argv, message):
     assert (proc.returncode, proc.stdout or "") == (3, "")
     assert proc.stderr.startswith(f"error: {message}: [Errno 28]")
     assert proc.stderr.count("\n") == 1
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(run_cli, monkeypatch):
+    builds = []
+    real = pgx.cli.build_parser
+    monkeypatch.setattr(pgx.cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.chdir(REPO_ROOT)      # where the default census dir is ./census
+    pgx.cli._parser.cache_clear()
+    try:
+        code, out, _ = run_cli("stats", "C6", "--format", "json")
+        assert code == 0 and json.loads(out)["undirected_edges"] == 13
+        assert run_cli("stats", "C6") == (0, C6_STATS_TEXT, "")
+        prop_2_8 = ("verify", "prop-2.8", "--p", "2", "--n", "4")
+        code, out, _ = run_cli(*prop_2_8, "--census-dir", "")
+        assert code == 2 and "completeness: incomplete\n" in out
+        code, out, _ = run_cli(*prop_2_8)
+        assert code == 0 and "completeness: complete-via-ingested-census\n" in out
+        for usage_error in (("verify", "no-such-claim"), ("scan", "conjecture-2.9"),
+                            ("stats", "C6", "--brute-cap", "x")):
+            code, out, err = run_cli(*usage_error)
+            assert (code, out) == (3, "") and err.startswith("error: ")
+            assert run_cli("stats", "C6") == (0, C6_STATS_TEXT, "")
+    finally:
+        pgx.cli._parser.cache_clear()     # later calls build with the real builder
+    assert builds == [1]
 
 
 def test_cli_without_arguments_fails_cleanly(run_cli):

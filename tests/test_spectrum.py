@@ -17,6 +17,7 @@ from pgx.groups import GroupTable
 from pgx.spectrum import (
     MR_EXACT_BELOW,
     GroupStats,
+    OddSieve,
     OrderSpectrum,
     factor,
     is_prime,
@@ -106,6 +107,19 @@ def test_factor_and_is_prime_match_the_reference_up_to_20000():
     for n in range(1, 20001):
         assert factor(n) == reference_factor(n), n
         assert is_prime(n) == reference_is_prime(n), n
+
+
+def test_odd_sieve_factors_as_factor_does_up_to_20000():
+    sieve = OddSieve(20_000)
+    for n in range(1, 20_001, 2):
+        assert sieve.factor(n) == factor(n), n
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 9, 10, 24, 25, 26, 49])
+def test_odd_sieve_reaches_n_max(n_max):
+    sieve = OddSieve(n_max)
+    for n in range(1, n_max + 1, 2):
+        assert sieve.factor(n) == factor(n), n
 
 
 def test_factor_matches_the_reference_on_a_seeded_sample_below_1e12():
