@@ -113,6 +113,14 @@ def formula_calls() -> list[list[str]]:
     return [["verify", *claim, *CENSUS] for claim in claims]
 
 
+def scan_calls() -> list[list[str]]:
+    """The scan on a census whose 3^5 table duplicates a parametric spectrum,
+    and the scan's JSON report."""
+    return [["scan", "conjecture-2.9", "--n-max", "20000", "--format", "csv",
+             "--census-dir", "{gen}"],
+            ["scan", "conjecture-2.9", "--n-max", "3000", "--format", "json", *CENSUS]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -134,7 +142,8 @@ def run() -> None:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
-        for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls()):
+        for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
+                      scan_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())
