@@ -17,7 +17,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, reduce
-from math import prod
+from math import isqrt, prod
+from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from .constructors import (
     CATALOG_BOUND,
@@ -448,13 +450,11 @@ def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, i
     _check_rows(len(primes) * (m_max - 1), "grid points")
     grid: dict[tuple[int, int], tuple[int, int, int]] = {}
     for p in primes:
-        cyc: dict[int, int] = {}
-        for m in range(1, m_max + 1):
-            cyc[m] = phi_sum(spectrum_cyclic(p ** m))
+        cyc = [spectrum_cyclic(p ** m) for m in range(m_max + 1)]
+        phi = [phi_sum(s) for s in cyc]
         for m in range(2, m_max + 1):
-            split = phi_sum(spectrum_product(spectrum_cyclic(p ** (m - 1)),
-                                             spectrum_cyclic(p)))
-            grid[(p, m)] = (cyc[m], split, cyc[m - 1])
+            split = phi_sum(spectrum_product(cyc[m - 1], cyc[1]))
+            grid[(p, m)] = (phi[m], split, phi[m - 1])
     return grid
 
 
@@ -646,94 +646,165 @@ def verify(claim: str, *settings) -> VerificationReport:
 # Exploratory scan: does the same member maximize undirected edges?
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ScanSylow:
-    """A Sylow catalog of order p^a as the scan reads it, each name rendered
-    once: its size and completeness, its cyclic entry as (sigma, phi, name),
-    its non-cyclic entries likewise, and the index among them of
-    C_(p^(a-1)) x C_p, None when the catalog lacks it."""
+# The columns of a scan row, in the order scan_rows gives them.
+SCAN_COLUMNS = ("n", "candidates", "expected", "expected_edges", "max_edges", "margin",
+                "supported", "argmax", "completeness")
+
+
+class _ScanSylow(NamedTuple):
+    """A Sylow catalog of order p^a reduced to what the scan reads, each name
+    rendered once: its size and completeness; its cyclic entry as
+    (sigma, phi, name); the (sigma, phi) of its non-cyclic entries of the
+    largest sigma, with all their names; the (sigma, phi) of the largest
+    sigma below that; and C_(p^(a-1)) x C_p as (sigma, phi, name). The last
+    three are None when the catalog has no such entry."""
 
     size: int
     completeness: Completeness
     cyclic: tuple[int, int, str]
-    noncyclic: list[tuple[int, int, str]]
-    split: int | None
+    top: tuple[int, int, list[str]] | None
+    second: tuple[int, int] | None
+    split: tuple[int, int, str] | None
 
 
-def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> VerificationReport:
-    """For every odd non-square-free n <= n_max, compare the undirected edge
-    count of C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of
-    order n. Exploratory output only: the report never fails.
+def _scan_sylow(p: int, a: int, entries: list[CatalogEntry],
+                completeness: Completeness) -> _ScanSylow:
+    """The catalog p_group_catalog(p, a) gave, reduced for the scan."""
+    cyclic = next(e for e in entries if e.is_cyclic)    # C_(p^a), listed once
+    noncyclic = [e for e in entries if not e.is_cyclic]
+    sigmas = sorted({e.sigma for e in noncyclic}, reverse=True)
+    top = second = None
+    if sigmas:
+        tied = [e for e in noncyclic if e.sigma == sigmas[0]]
+        top = (sigmas[0], tied[0].phi, [e.render() for e in tied])
+    if len(sigmas) > 1:
+        second = next((e.sigma, e.phi) for e in noncyclic if e.sigma == sigmas[1])
+    split_spec = Abelian(p, (a - 1, 1)) if a > 1 else None
+    split = next(((e.sigma, e.phi, e.render()) for e in noncyclic if e.spec == split_spec), None)
+    return _ScanSylow(len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
+                      top, second, split)
 
-    Only the members with one non-cyclic Sylow factor are scored. In a p-group
-    p*phi = (p-1)*sigma + 1, and phi <= sigma in every group, so making a
-    non-cyclic factor at p cyclic raises the edge count by
-    (sigma_c - sigma_i) * (sigma_rest - (p-1)/(2p) * phi_rest) > 0. Each
-    member with two or more non-cyclic factors thus scores below two distinct
-    such members, and the argmax and the runner-up are among them.
+
+def _prime_sylow(p: int) -> _ScanSylow:
+    """The catalog of order p, which is C_p alone, without building it: its
+    order sum is 1 + (p-1)p and its totient sum 1 + (p-1)^2."""
+    return _ScanSylow(1, Completeness.COMPLETE, (p * p - p + 1, p * p - 2 * p + 2, f"C{p}"),
+                      None, None, None)
+
+
+def _scan_catalogs(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
+    """Every Sylow catalog a scan to n_max reads, keyed by (p, a) and built in
+    the order the scan first reads them; raises the error the first order
+    that fails would raise.
+
+    A factor p^a with a >= 2 is first read at n = p^a. A prime-order factor p
+    is first read at 9p (75 for p = 3), and its catalog is built only when the
+    census has a <p>/ directory, whose tables must still be admitted; the
+    scan takes every other prime-order factor from _prime_sylow."""
+    first: dict[int, tuple[int, int]] = {}      # the order that first reads (p, a)
+    for p in filter(is_prime, range(3, isqrt(n_max) + 1, 2)):
+        a = 2
+        while p ** a <= n_max:
+            first[p ** a] = (p, a)
+            a += 1
+    if census is not None and Path(census.dir).is_dir():
+        for d in Path(census.dir).iterdir():
+            p = int(d.name) if d.name.isdecimal() else 0
+            n = 75 if p == 3 else 9 * p
+            if p % 2 and is_prime(p) and n <= n_max:
+                first[n] = (p, 1)
+    catalogs = {}
+    for n in sorted(first):
+        p, a = first[n]
+        catalogs[p, a] = x = _scan_sylow(p, a, *p_group_catalog(p, a, census))
+        if a > 1 and x.split is None:
+            raise _missing_expected(n, [(p, a)], p)
+    return catalogs
+
+
+def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
+    """The scan row of order n from its Sylow catalogs, s the index of the
+    first with exponent >= 2; the values in SCAN_COLUMNS order."""
+    sigma = phi = 1
+    for x in sylows:
+        sigma *= x.cyclic[0]
+        phi *= x.cyclic[1]
+    cyclic_names = [x.cyclic[2] for x in sylows]
+
+    def edges(i: int, entry: tuple) -> int:
+        """Edges of the member with (sigma, phi) = entry[:2] at prime i, cyclic elsewhere."""
+        c = sylows[i].cyclic
+        return undirected_from_sums(entry[0] * (sigma // c[0]), entry[1] * (phi // c[1]), n)
+
+    def name(i: int, entry_name: str) -> str:
+        return join_names(cyclic_names[:i] + [entry_name] + cyclic_names[i + 1:])
+
+    tops = {i: edges(i, x.top) for i, x in enumerate(sylows) if x.top is not None}
+    best = max(tops.values())
+    at_best = [(i, entry_name) for i, e in tops.items() if e == best
+               for entry_name in sylows[i].top[2]]
+    runner_up = best
+    if len(at_best) == 1:       # the best entry below it at its prime, or the best elsewhere
+        i = at_best[0][0]
+        below = [e for j, e in tops.items() if j != i]
+        if sylows[i].second is not None:
+            below.append(edges(i, sylows[i].second))
+        runner_up = max(below, default=best)
+    x = sylows[s]
+    expected_edges = tops[s] if x.split[0] == x.top[0] else edges(s, x.split)
+    expected = name(s, x.split[2])
+    argmax = sorted(expected if key == (s, x.split[2]) else name(*key) for key in at_best)
+    return (n, _member_count(n, [x.size for x in sylows]) - 1, expected, expected_edges, best,
+            best - runner_up, expected_edges == best, ";".join(argmax),
+            merge_completeness([x.completeness for x in sylows]).value)
+
+
+def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
+    """The conjecture-2.9 scan's rows, as tuples in SCAN_COLUMNS order: for
+    every odd non-square-free n <= n_max, the undirected edge count of
+    C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of order n.
+
+    Every catalog is built, and every error but the catalog bound raised,
+    before this returns; the rows are then made one at a time as they are
+    read, so a caller that writes each one out holds none of them.
+
+    Two reductions make a row exact from at most two entries per prime:
+    - Only the members with one non-cyclic Sylow factor are scored. In a
+      p-group p*phi = (p-1)*sigma + 1, and phi <= sigma in every group, so
+      making a non-cyclic factor at p cyclic raises the edge count by
+      (sigma_c - sigma_i) * (sigma_rest - (p-1)/(2p) * phi_rest) > 0. Each
+      member with two or more non-cyclic factors thus scores below two
+      distinct such members, and the argmax and the runner-up are among them.
+    - Among those with their non-cyclic factor at p, the edge count is
+      sigma_i * (sigma_rest - (p-1)/(2p) * phi_rest) minus a constant, by the
+      same identity: it rises strictly with sigma_i, and equal sigma_i means
+      equal edges. So the entries of the largest sigma at each prime hold the
+      argmax, and the runner-up is the best at another prime or the largest
+      sigma below them at the argmax prime.
     """
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")
     if n_max > SCAN_BOUND:
         raise ResourceError(f"a scan of the orders up to {n_max} is above the scan bound "
                             f"{SCAN_BOUND}")
-    rows = []
-    supported = 0
-    unsupported = []
-
-    @cache
-    def sylow(p: int, a: int) -> _ScanSylow:
-        entries, completeness = p_group_catalog(p, a, census)
-        noncyclic = [e for e in entries if not e.is_cyclic]
-        cyclic = next(e for e in entries if e.is_cyclic)    # C_(p^a), listed once
-        split = Abelian(p, (a - 1, 1)) if a > 1 else None
-        return _ScanSylow(
-            len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
-            [(e.sigma, e.phi, e.render()) for e in noncyclic],
-            next((k for k, e in enumerate(noncyclic) if e.spec == split), None))
-
     sieve = OddSieve(n_max)
-    for n in range(9, n_max + 1, 2):
-        factors = sieve.factor(n)
-        s = next((i for i, (_, a) in enumerate(factors) if a > 1), None)
-        if s is None:       # n is square-free
-            continue
-        sylows = [sylow(p, a) for p, a in factors]
-        candidates = _member_count(n, [x.size for x in sylows]) - 1
-        if sylows[s].split is None:
-            raise _missing_expected(n, factors, factors[s][0])
-        scored = []     # (edges, i, k): entry k of the non-cyclic ones at prime i
-        for i, x in enumerate(sylows):
-            if x.noncyclic:
-                rest = [y.cyclic for j, y in enumerate(sylows) if j != i]
-                rest_sigma = prod(c[0] for c in rest)
-                rest_phi = prod(c[1] for c in rest)
-                scored += [(undirected_from_sums(sigma * rest_sigma, phi * rest_phi, n), i, k)
-                           for k, (sigma, phi, _) in enumerate(x.noncyclic)]
+    catalogs = _scan_catalogs(n_max, census)
 
-        def name(i: int, k: int) -> str:
-            return join_names([x.noncyclic[k][2] if j == i else x.cyclic[2]
-                               for j, x in enumerate(sylows)])
+    def rows() -> Iterator[tuple]:
+        for n in sieve.not_square_free():
+            factors = sieve.factor(n)
+            sylows = [catalogs.get(f) or _prime_sylow(f[0]) for f in factors]
+            yield _scan_row(n, sylows, next(i for i, (_, a) in enumerate(factors) if a > 1))
 
-        edges = sorted((e for e, _, _ in scored), reverse=True)
-        best = edges[0]
-        expected_edges = next(e for e, i, k in scored if (i, k) == (s, sylows[s].split))
-        holds = expected_edges == best
-        if holds:
-            supported += 1
-        else:
-            unsupported.append(n)
-        rows.append({
-            "n": n,
-            "candidates": candidates,
-            "expected": name(s, sylows[s].split),
-            "expected_edges": expected_edges,
-            "max_edges": best,
-            "margin": best - edges[1] if len(edges) > 1 else 0,
-            "supported": holds,
-            "argmax": ";".join(sorted(name(i, k) for e, i, k in scored if e == best)),
-            "completeness": merge_completeness([x.completeness for x in sylows]).value,
-        })
+    return rows()
+
+
+def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> VerificationReport:
+    """The rows of scan_rows as a report, each row a dict keyed by
+    SCAN_COLUMNS. Exploratory output only: the report never fails."""
+    rows = [dict(zip(SCAN_COLUMNS, row)) for row in scan_rows(n_max, census)]
+    unsupported = [r["n"] for r in rows if not r["supported"]]
+    supported = len(rows) - len(unsupported)
     notes = ["exploratory scan: rows carry no pass/fail contract"]
     incomplete = sum(1 for r in rows if r["completeness"] == Completeness.INCOMPLETE.value)
     if incomplete:

@@ -27,8 +27,10 @@ from .census import (
     DEFAULT_MAX_ORDER,
     DEFAULT_P_MAX,
     DEFAULT_PAIRS,
+    SCAN_COLUMNS,
     VerificationReport,
     scan_conjecture_2_9,
+    scan_rows,
     verify,
 )
 from .constructors import Census, build_group, parse_group_spec
@@ -157,15 +159,20 @@ def _text_table(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _write_csv(sink, headers, rows) -> None:
+    """Write the header line, then each row of values as it comes."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([_cell(v, csv_mode=True) for v in row])
+
+
 def _csv_table(rows: list[dict]) -> str:
-    buf = io.StringIO()
     if not rows:
         return ""
     headers = list(rows[0].keys())
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for r in rows:
-        writer.writerow([_cell(r.get(h, ""), csv_mode=True) for h in headers])
+    buf = io.StringIO()
+    _write_csv(buf, headers, ([r.get(h, "") for h in headers] for r in rows))
     return buf.getvalue()
 
 
@@ -293,7 +300,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    report = scan_conjecture_2_9(args.n_max, _census(args, args.census_dir))
+    census = _census(args, args.census_dir)
+    if args.format == "csv":
+        rows = scan_rows(args.n_max, census)    # raises, if at all, before any output
+        _write_csv(sys.stdout, SCAN_COLUMNS, rows)
+        return 0            # the scan is report-only
+    report = scan_conjecture_2_9(args.n_max, census)
     sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 

@@ -568,10 +568,10 @@ class Completeness(str, Enum):
 
 
 def merge_completeness(values: "list[Completeness]") -> Completeness:
-    if any(v is Completeness.INCOMPLETE for v in values):
-        return Completeness.INCOMPLETE
-    if any(v is Completeness.COMPLETE_VIA_CENSUS for v in values):
-        return Completeness.COMPLETE_VIA_CENSUS
+    """The weakest of values: incomplete, else complete via the census, else complete."""
+    for weakest in (Completeness.INCOMPLETE, Completeness.COMPLETE_VIA_CENSUS):
+        if weakest in values:
+            return weakest
     return Completeness.COMPLETE
 
 

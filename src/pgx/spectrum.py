@@ -165,19 +165,27 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 
 class OddSieve:
-    """The smallest prime factor of every odd number up to n_max, 4 bytes each
-    (n_max below 2^31), for factoring a run of odd numbers without `factor`'s
-    trial division."""
+    """The smallest prime factor of every odd number up to n_max (n_max below
+    2^31), for factoring a run of odd numbers without `factor`'s trial
+    division, and from the same pass which of them a prime square divides:
+    5 bytes per odd number."""
 
     def __init__(self, n_max: int):
         spf = np.zeros((n_max + 1) // 2, dtype=np.int32)   # index i holds n = 2i + 1
+        square = np.zeros(len(spf), dtype=bool)
         for p in range(3, math.isqrt(n_max) + 1, 2):
             if spf[p >> 1] == 0:                            # p is prime
                 multiples = spf[p * p >> 1::p]              # p^2, p^2 + 2p, ...
                 multiples[multiples == 0] = p
+                square[p * p >> 1::p * p] = True            # p^2, 3p^2, 5p^2, ...
         primes = np.flatnonzero(spf == 0)                   # and 1, at index 0
         spf[primes] = 2 * primes + 1
         self._spf = memoryview(spf)     # indexing gives a Python int
+        self._square = square
+
+    def not_square_free(self) -> Iterator[int]:
+        """The odd numbers up to n_max that are not square-free, ascending."""
+        return iter(memoryview(2 * np.flatnonzero(self._square) + 1))
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """factor(n) for an odd n from 1 to n_max."""

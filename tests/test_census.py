@@ -3,12 +3,14 @@
 import pytest
 
 import pgx.census
+import pgx.constructors
 from pgx.census import (
     CensusMember,
     Verdict,
     VerificationReport,
     enumerate_nilpotent,
     scan_conjecture_2_9,
+    scan_rows,
     sylow_catalogs,
     verify_cor_2_3,
     verify_cor_2_6,
@@ -22,7 +24,14 @@ from pgx.census import (
 from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
-from pgx.spectrum import factor, order_sum, phi_sum, spectrum_cyclic, undirected_from_sums
+from pgx.spectrum import (
+    factor,
+    is_prime,
+    order_sum,
+    phi_sum,
+    spectrum_cyclic,
+    undirected_from_sums,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +155,32 @@ def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
     scan_conjecture_2_9(300)
     first = list(calls)
     assert len(first) == len(set(first)) > 1
+    assert all(k > 1 for _, k in first)     # with no census, C_p needs no catalog
     scan_conjecture_2_9(300)
     assert calls == first + first   # nothing is carried over between calls
+
+
+def test_prime_order_sylow_is_the_catalog_of_order_p():
+    """The scan's C_p, taken without building a catalog, is the single entry
+    of p_group_catalog(p, 1) for every odd prime up to 10^4."""
+    for p in range(3, 10_001, 2):
+        if not is_prime(p):
+            continue
+        (entry,), completeness = pgx.constructors.p_group_catalog(p, 1)
+        x = pgx.census._prime_sylow(p)
+        assert x.cyclic == (entry.sigma, entry.phi, entry.render()), p
+        assert (x.size, x.completeness, x.top, x.split) == (1, completeness, None, None)
+
+
+def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_path):
+    """A <p>/ census directory is read as the order-p catalog: a table of
+    order 5 there fails where the scan first reads p = 7 with exponent 1,
+    at 63, and not below."""
+    (tmp_path / "7").mkdir()
+    write_cayley(Cyclic(5).build(), tmp_path / "7" / "c5.cayley")
+    assert scan_conjecture_2_9(62, Census(tmp_path)).rows == scan_conjecture_2_9(62).rows
+    with pytest.raises(InputError, match="order 5 does not match census directory 7"):
+        scan_rows(63, Census(tmp_path))
 
 
 @pytest.mark.parametrize("argv,factored,sieved", [
@@ -578,6 +611,21 @@ def test_scan_agrees_with_the_full_enumeration():
     """Scoring only the members with one non-cyclic Sylow factor gives every
     column of every row that ranking all members gives."""
     assert scan_conjecture_2_9(20_000).rows == enumerated_scan_rows(20_000)
+
+
+def test_scan_agrees_with_the_full_enumeration_when_the_top_entry_is_unique(monkeypatch):
+    """Without M(a,p), C_(p^(a-1)) x C_p is the one entry of the largest sigma
+    at p^a for a >= 3, so a runner-up can be the next sigma at that prime."""
+    catalog = pgx.census.p_group_catalog
+
+    def without_modular(p, k, census=None):
+        entries, completeness = catalog(p, k, census)
+        return [e for e in entries if not e.render().startswith("M(")], completeness
+
+    monkeypatch.setattr(pgx.census, "p_group_catalog", without_modular)
+    rows = scan_conjecture_2_9(5000).rows
+    assert rows == enumerated_scan_rows(5000)
+    assert rows[2]["n"] == 27 and rows[2]["argmax"] == "Ab(3;2,1)" and rows[2]["margin"] > 0
 
 
 def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):

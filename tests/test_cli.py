@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -626,6 +627,31 @@ def test_scan_argument_validation(run_cli):
     assert code == 3 and "n_max must be >= 9" in err
 
 
+def test_csv_scan_memory_stays_flat_in_the_row_count(monkeypatch):
+    """The CSV scan writes each row as it is made: to 2*10^5 (19,000 rows),
+    traced allocations peak under 4 MiB when stdout keeps nothing."""
+
+    class CountingSink:
+        def __init__(self):
+            self.bytes = 0
+
+        def write(self, text):
+            self.bytes += len(text)
+
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    scan = ["scan", "conjecture-2.9", "--format", "csv", "--census-dir", ""]
+    pgx.cli.main(scan + ["--n-max", "9"])   # the parser and numpy's first use, untraced
+    tracemalloc.start()
+    try:
+        code = pgx.cli.main(scan + ["--n-max", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.bytes > 1_000_000
+    assert peak < 4 * 2 ** 20
+
+
 def test_scan_refuses_orders_past_the_bound(run_cli):
     code, out, err = run_cli("scan", "conjecture-2.9", "--n-max", "100000000000")
     assert (code, out) == (3, "")
@@ -731,6 +757,8 @@ def _broken_table(p: int) -> GroupTable:
 @pytest.mark.parametrize("p,command", [
     (2, ("verify", "prop-2.8", "--p", "2", "--n", "4")),
     (3, ("scan", "conjecture-2.9", "--n-max", "81")),
+    # the CSV scan streams its rows, and still fails before writing the first
+    (3, ("scan", "conjecture-2.9", "--n-max", "1000", "--format", "csv")),
 ])
 def test_census_settings_admit_a_table_alike_in_ingest_and_catalogs(run_cli, tmp_path,
                                                                     p, command):

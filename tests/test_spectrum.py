@@ -109,10 +109,15 @@ def test_factor_and_is_prime_match_the_reference_up_to_20000():
         assert is_prime(n) == reference_is_prime(n), n
 
 
+def _odd_not_square_free(n_max):
+    return [n for n in range(1, n_max + 1, 2) if any(a > 1 for _, a in factor(n))]
+
+
 def test_odd_sieve_factors_as_factor_does_up_to_20000():
     sieve = OddSieve(20_000)
     for n in range(1, 20_001, 2):
         assert sieve.factor(n) == factor(n), n
+    assert list(sieve.not_square_free()) == _odd_not_square_free(20_000)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 9, 10, 24, 25, 26, 49])
@@ -120,6 +125,7 @@ def test_odd_sieve_reaches_n_max(n_max):
     sieve = OddSieve(n_max)
     for n in range(1, n_max + 1, 2):
         assert sieve.factor(n) == factor(n), n
+    assert list(sieve.not_square_free()) == _odd_not_square_free(n_max)
 
 
 def test_factor_matches_the_reference_on_a_seeded_sample_below_1e12():
