@@ -132,6 +132,15 @@ def _census(args: argparse.Namespace, directory: str | None) -> Census | None:
     return Census(directory, args.full_assoc_cap, args.sample_triples, args.seed)
 
 
+def _note_missing_census(report: VerificationReport, census: Census | None) -> VerificationReport:
+    """report, with a note naming the census directory when one is set but
+    is not a directory, so that no census table was read."""
+    if census is not None and not Path(census.dir).is_dir():
+        report.notes.append(f"census directory {census.dir} is not a directory; "
+                            "no census table was read")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -287,14 +296,16 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     settings = []
+    census = None
     for name in CLAIMS[args.claim][1]:
         if name == "census":
-            settings.append(_census(args, args.census_dir))
+            census = _census(args, args.census_dir)
+            settings.append(census)
         elif getattr(args, name) is None:       # --p and --n have no default
             raise InputError(f"verify {args.claim} requires --{name}")
         else:
             settings.append(getattr(args, name))
-    report = verify(args.claim, *settings)
+    report = _note_missing_census(verify(args.claim, *settings), census)
     sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 
@@ -305,7 +316,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rows = scan_rows(args.n_max, census)    # raises, if at all, before any output
         _write_csv(sys.stdout, SCAN_COLUMNS, rows)
         return 0            # the scan is report-only
-    report = scan_conjecture_2_9(args.n_max, census)
+    report = _note_missing_census(scan_conjecture_2_9(args.n_max, census), census)
     sys.stdout.write(render_report(report, args.format))
     return report.exit_code
 

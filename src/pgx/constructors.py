@@ -3,11 +3,14 @@
 Each family is one frozen spec class that holds all of its facts: it
 validates its parameters on construction and gives its canonical name
 (`render`), its `order`, its order `spectrum` (a closed form wherever one
-exists) and its dense table (`build`). Tables are assembled in int32 from
-small lookup tables, so no builder computes a residue over all n^2 entries,
-and every builder asserts its defining relations on the freshly built model.
-`build_group` refuses orders above the brute-force cap before anything
-n-by-n is allocated.
+exists) and its dense table (`build`). Every builder does its arithmetic in
+`index_dtype(n)` of the order n it builds, never in the dtype of a factor's
+order, and asserts its defining relations on the freshly built model. Where
+the major index digit is a cyclic factor acting by addition (M(n,p), and a
+product whose left factor is a C spec), the table is a translate of its first
+rows (`_translated`); the other laws are assembled from small lookup tables,
+so no builder computes a residue over all n^2 entries. `build_group` refuses
+orders above the brute-force cap before anything n-by-n is allocated.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
 
@@ -31,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, InvariantError, ResourceError
 from .groups import (DEFAULT_SAMPLE_TRIPLES, DEFAULT_SEED, DEFAULT_TABLE_CAP, FULL_ASSOC_CAP,
-                     GroupTable, check_brute_cap, read_cayley, validate)
+                     GroupTable, check_brute_cap, index_dtype, read_cayley, validate)
 from .spectrum import (
     OrderSpectrum,
     is_prime,
@@ -59,18 +62,46 @@ _ORDER_DIGITS = len(str(1 << ORDER_BITS))
 # ---------------------------------------------------------------------------
 
 def _addition_table(m: int) -> np.ndarray:
-    """(i + j) mod m as a read-only m-by-m int32 view: row i is the window
-    starting at i of 0..m-1 written twice."""
-    idx = np.arange(m, dtype=np.int32)
+    """(i + j) mod m as a read-only m-by-m view in index_dtype(m): row i is
+    the window starting at i of 0..m-1 written twice."""
+    idx = np.arange(m, dtype=index_dtype(m))
     return sliding_window_view(np.concatenate([idx, idx]), m)[:m]
+
+
+def _wrap(out: np.ndarray, n: int) -> np.ndarray:
+    """out mod n in place, for unsigned entries below 2n: an entry below n
+    wraps past the dtype's top when n is subtracted, so the minimum keeps it.
+    Rows go in blocks of about 2^16 entries, so the difference stays in cache."""
+    rows = out.reshape(-1, out.shape[-1])
+    step = max(1, (1 << 16) // rows.shape[1])
+    diff = np.empty((step, rows.shape[1]), dtype=out.dtype)
+    for r in range(0, len(rows), step):
+        block, d = rows[r:r + step], diff[:len(rows) - r]
+        np.minimum(block, np.subtract(block, n, out=d), out=block)
+    return out
+
+
+def _translated(block: np.ndarray, n: int) -> np.ndarray:
+    """The n-by-n table whose row k*s + r is (block[r] + k*s) mod n, s = len(block):
+    the table of a group whose major index digit is a cyclic factor acting by
+    addition, from its rows with major digit 0. block is in index_dtype(n)."""
+    s = len(block)
+    shifts = np.arange(0, n, s, dtype=block.dtype)[:, None, None]
+    return _wrap(block[None] + shifts, n).reshape(n, n)
 
 
 def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndarray:
     """Table on pairs (a, b), index a + nn*b with b in {0, 1}, of the product
     (a1, 0)(a2, b2) = (a1 + a2, b2) and (a1, 1)(a2, b2) = (a1 + twist_b2[a2], 1 - b2),
     first coordinates mod nn."""
-    add = _addition_table(nn)
-    return np.block([[add, add + nn], [add[:, twist0] + nn, add[:, twist1]]])
+    dt = index_dtype(2 * nn)
+    idx = np.arange(nn, dtype=dt)
+    second = np.array([[idx, idx], [twist0, twist1]], dtype=dt)    # [b1, b2, a2]
+    table = np.empty((2, nn, 2, nn), dtype=dt)                      # [b1, a1, b2, a2]
+    for b1 in (0, 1):
+        _wrap(np.add(idx[:, None, None], second[b1, None], out=table[b1]), nn)
+        table[b1, :, 1 - b1] += nn
+    return table.reshape(2 * nn, 2 * nn)
 
 
 def _checked(g: GroupTable, relations: dict[str, bool]) -> GroupTable:
@@ -100,10 +131,16 @@ def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
     return OrderSpectrum(counts)
 
 
-def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Direct product; index (a, b) <-> a * |h| + b."""
-    n = g.size * h.size
-    table = (g.table[:, None, :, None] * h.size + h.table[None, :, None, :]).reshape(n, n)
+def direct_product(g: GroupTable, h: GroupTable, cyclic_left: bool = False) -> GroupTable:
+    """Direct product; index (a, b) <-> a * |h| + b. When g is Z_m under
+    addition (cyclic_left), the table is translated from its rows (0, b)."""
+    n, s = g.size * h.size, h.size
+    dt = index_dtype(n)
+    gt, ht = g.table.astype(dt, copy=False), h.table.astype(dt, copy=False)
+    if cyclic_left:
+        table = _translated((gt[0, None, :, None] * s + ht[:, None, :]).reshape(s, n), n)
+    else:
+        table = (gt[:, None, :, None] * s + ht[None, :, None, :]).reshape(n, n)
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
@@ -183,8 +220,9 @@ class Abelian(GroupSpec):
         return reduce(spectrum_product, [spectrum_cyclic(self.p ** a) for a in self.partition or (0,)])
 
     def build(self) -> GroupTable:
-        """The direct product of the cyclic factors; one factor keeps its C name."""
-        g = reduce(direct_product, [Cyclic(self.p ** a).build() for a in self.partition or (0,)])
+        """The direct product of the cyclic factors, folded from the left, so the
+        first product is translated; one factor keeps its C name."""
+        g = reduce(Product, [Cyclic(self.p ** a) for a in self.partition or (0,)]).build()
         if len(self.partition) > 1:
             g.name = self.render()
         return g
@@ -231,11 +269,12 @@ class Modular(GroupSpec):
         p = self.p
         P = p ** (self.n - 1)
         e = 1 + p ** (self.n - 2)
-        # i2 * e^j1 mod P is a p-by-P lookup table
-        twist = np.outer([pow(e, j, P) for j in range(p)], np.arange(P)) % P
-        i_out = np.take(_addition_table(P) * p, twist, axis=1)   # [i1, j1, i2]
-        table = (i_out[:, :, :, None] + _addition_table(p)[None, :, None, :]).reshape(P * p, P * p)
-        g = GroupTable(P * p, 0, table=table, name=self.render(),
+        dt = index_dtype(P * p)
+        # rows (0, j1): (i2 * e^j1 mod P, j1 + j2 mod p); i1 only translates them
+        twist = (np.outer([pow(e, j, P) for j in range(p)], np.arange(P)) % P).astype(dt)
+        block = twist[:, :, None] * p + _addition_table(p).astype(dt)[:, None, :]   # [j1, i2, j2]
+        g = GroupTable(P * p, 0, table=_translated(block.reshape(p, P * p), P * p),
+                       name=self.render(),
                        labels=[f"a{i}b{j}" for i in range(P) for j in range(p)])
         a, b, b_inv = p, p - 1, 1      # (1,0), (0,p-1), (0,1)
         return _checked(g, {
@@ -372,7 +411,7 @@ class Heisenberg(GroupSpec):
         n = p ** 3
         p2 = p * p
         # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
-        add = _addition_table(p)
+        add = _addition_table(p).astype(index_dtype(n))
         mul = np.outer(np.arange(p), np.arange(p)) % p
         c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
         table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
@@ -444,7 +483,8 @@ class Product(GroupSpec):
         return spectrum_product(self.left.spectrum(), self.right.spectrum())
 
     def build(self) -> GroupTable:
-        return direct_product(self.left.build(), self.right.build())
+        return direct_product(self.left.build(), self.right.build(),
+                              cyclic_left=isinstance(self.left, Cyclic))
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -1,10 +1,12 @@
 """Finite groups as indexed multiplication tables.
 
 Elements are the indices 0..n-1 and every group carries a dense n-by-n
-table (numpy int32, read-only), so only groups up to the brute-force cap are
-ever built; larger groups are handled by their spectra alone. Table entries
-are indices < n, so fixed-width storage cannot overflow; element orders and
-every statistic derived from them are plain Python integers.
+table (read-only), so only groups up to the brute-force cap are ever built;
+larger groups are handled by their spectra alone. A table is stored in
+`index_dtype(n)`, the narrowest unsigned dtype that holds the sum of two
+indices below n (uint16 through n = 2^15), so a builder may add two indices
+and reduce mod n without overflow; element orders and every statistic derived
+from them are plain Python integers.
 """
 
 from __future__ import annotations
@@ -24,12 +26,18 @@ DEFAULT_SAMPLE_TRIPLES = 10**6
 DEFAULT_SEED = 1729
 
 
+def index_dtype(n: int) -> type[np.unsignedinteger]:
+    """The dtype of an order-n table: the narrowest unsigned dtype in which
+    the sum of two indices below n cannot overflow."""
+    return np.uint16 if 2 * n <= 1 << 16 else np.uint32
+
+
 class GroupTable:
     """A finite group on indices 0..size-1 with a designated identity.
 
-    `table` is the dense n-by-n product table. It is kept as given (no
-    copy) and made read-only; `name` and `labels` are presentation metadata
-    only.
+    `table` is the dense n-by-n product table, stored in `index_dtype(size)`
+    and made read-only; one given in that dtype is kept as given (no copy).
+    `name` and `labels` are presentation metadata only.
     """
 
     def __init__(self, size: int, identity: int, *,
@@ -42,11 +50,12 @@ class GroupTable:
             raise InputError(f"identity index {identity} out of range for size {size}")
         if table is None:
             raise InputError("a group needs its product table")
-        table = np.asarray(table, dtype=np.int32)
+        table = np.asarray(table)
         if table.shape != (size, size):
             raise InputError(f"table shape {table.shape} does not match size {size}")
-        if table.min() < 0 or table.max() >= size:
+        if table.max() >= size or (table.dtype.kind != "u" and table.min() < 0):
             raise InputError("table entries must be element indices")
+        table = table.astype(index_dtype(size), copy=False)
         table.setflags(write=False)
         if labels is not None:
             labels = list(labels)
@@ -256,7 +265,7 @@ def _parse_rows(rows: list[str], n: int) -> np.ndarray | None:
     each below n, with single spaces between (as write_cayley writes); else None."""
     if any(row.count(" ") != n - 1 for row in rows):
         return None
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=index_dtype(n))
     step = max(1, (1 << 18) // n)   # about 2^18 entries per parse bounds the temporaries
     for r in range(0, n, step):
         text = " ".join(rows[r:r + step])
@@ -302,7 +311,7 @@ def read_cayley(path: str | Path) -> GroupTable:
         raise InputError(f"{path}: expected {n} table rows, found {len(lines) - 2}")
     table = _parse_rows([row for _, row in lines[2:2 + n]], n)
     if table is None:
-        table = np.empty((n, n), dtype=np.int32)
+        table = np.empty((n, n), dtype=index_dtype(n))
         for r in range(n):
             lineno, row = lines[2 + r]
             toks = row.split()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -276,10 +277,7 @@ class OrderSpectrum:
 
 def order_spectrum(g: "GroupTable") -> OrderSpectrum:
     """Tally the order of every element of g by successive multiplication."""
-    counts: dict[int, int] = {}
-    for o in g.element_orders():
-        counts[o] = counts.get(o, 0) + 1
-    s = OrderSpectrum(counts)
+    s = OrderSpectrum(Counter(g.element_orders()))
     if s.total != g.size:
         raise InvariantError("order tally lost elements")  # unreachable for valid tables
     return s

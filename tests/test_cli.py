@@ -427,6 +427,20 @@ def test_verify_default_census_dir_is_cwd_relative(run_cli, monkeypatch):
     assert "complete-via-ingested-census" in out
 
 
+def test_verify_and_scan_name_a_missing_census_directory(run_cli, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    note = "note: census directory {} is not a directory; no census table was read\n"
+    code, out, _ = run_cli("verify", "prop-2.8", "--p", "2", "--n", "4")
+    assert code == 2 and "completeness: incomplete\n" in out
+    assert out.count("note: census directory") == 1 and note.format("census") in out
+    code, out, _ = run_cli("scan", "conjecture-2.9", "--n-max", "100", "--census-dir", "file")
+    assert code == 0 and note.format("file") in out
+    for census in ("", str(REPO_ROOT / "census")):
+        code, out, _ = run_cli("verify", "prop-2.8", "--p", "2", "--n", "4", "--census-dir", census)
+        assert "note: census directory" not in out
+
+
 def test_verify_cor_2_3(run_cli):
     code, out, _ = run_cli("verify", "cor-2.3", "--p", "3", "--n", "3")
     assert code == 0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import pgx.constructors
+import pgx.groups
+from pgx.census import enumerate_nilpotent, sylow_catalogs
 from pgx.constructors import (
     CATALOG_BOUND,
     ORDER_BITS,
@@ -17,6 +19,7 @@ from pgx.constructors import (
     Dihedral,
     FileTable,
     GeneralizedQuaternion,
+    GroupSpec,
     Heisenberg,
     Modular,
     Product,
@@ -28,8 +31,8 @@ from pgx.constructors import (
     parse_group_spec,
 )
 from pgx.errors import InputError, ResourceError
-from pgx.groups import read_cayley, validate, write_cayley
-from pgx.spectrum import OrderSpectrum, order_spectrum
+from pgx.groups import index_dtype, read_cayley, validate, write_cayley
+from pgx.spectrum import OrderSpectrum, factor, order_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,40 @@ def test_spectrum_of_spec_matches_brute_tally(text):
     g = build_group(spec)
     assert spec.spectrum() == order_spectrum(g)
     assert g.size == spec.order
+
+
+def _specs_up_to_128() -> list[GroupSpec]:
+    """Every family at each order <= 128 the acceptance inventory builds, and
+    more: each C and D, every catalog entry of order p^k, the nilpotent
+    members of each odd non-square-free order, and products whose left
+    factor is cyclic, non-cyclic, or itself a product."""
+    specs: list[GroupSpec] = [Cyclic(m) for m in range(1, 129)]
+    specs += [Dihedral(m) for m in range(4, 129, 2)]
+    for p in (2, 3, 5, 7, 11):
+        specs += [e.spec for k in range(1, 8) if p ** k <= 128 for e in p_group_catalog(p, k)[0]]
+    for n in range(9, 129, 2):
+        if max(a for _, a in factor(n)) > 1:
+            specs += [m.spec for m in enumerate_nilpotent(n, factor(n), sylow_catalogs(None))[0]]
+    specs += [parse_group_spec(t) for t in ("Q8xC3", "SD16xC7", "C5xD12", "He3xC4",
+                                           "C2xHe3", "Ab(2;1,1)xQ8", "C3xC5xD8")]
+    return specs
+
+
+def test_builders_wrap_at_the_top_of_the_index_dtype(monkeypatch):
+    """With uint8 tables through order 128, where the sum of two indices
+    reaches 254, every builder still gives its uint16 table; a larger group
+    built from such factors shows that no builder computes in a factor's dtype."""
+    cases = [(spec, np.uint8) for spec in _specs_up_to_128()] + [
+        (parse_group_spec(t), np.uint16) for t in ("He13", "M(5,3)", "Ab(5;2,2)", "Ab(2;5,5,1)",
+                                                   "C97xQ8", "Q8xC97", "D16xC27", "SD128xC3")]
+    expected = [build_group(spec).table for spec, _ in cases]
+    narrow = lambda n: np.uint8 if 2 * n <= 1 << 8 else index_dtype(n)
+    monkeypatch.setattr(pgx.groups, "index_dtype", narrow)
+    monkeypatch.setattr(pgx.constructors, "index_dtype", narrow)
+    for (spec, dtype), table in zip(cases, expected):
+        g = build_group(spec)
+        assert g.table.dtype == dtype, spec.render()
+        assert np.array_equal(g.table, table), spec.render()
 
 
 def test_build_group_respects_cap():

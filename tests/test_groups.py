@@ -9,7 +9,7 @@ import pytest
 from pgx.constructors import Cyclic, GeneralizedQuaternion, build_group, parse_group_spec
 from pgx.errors import InputError, InvariantError
 from pgx import groups
-from pgx.groups import GroupTable, read_cayley, validate, write_cayley
+from pgx.groups import GroupTable, index_dtype, read_cayley, validate, write_cayley
 
 C3_TABLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
@@ -144,7 +144,17 @@ def test_constructor_rejects_bad_arguments():
     with pytest.raises(InputError):
         GroupTable(3, 0, table=C3_TABLE + 1)
     with pytest.raises(InputError):
+        GroupTable(3, 0, table=C3_TABLE - 1)         # negative, not wrapped to 2^16 - 1
+    with pytest.raises(InputError):
+        GroupTable(3, 0, table=(C3_TABLE + 1).astype(np.uint16))
+    with pytest.raises(InputError):
         GroupTable(3, 0, table=C3_TABLE, labels=["a", "b"])
+
+
+def test_index_dtype_holds_the_sum_of_two_indices():
+    assert index_dtype(1) == index_dtype(32768) == np.uint16
+    assert index_dtype(32769) == np.uint32
+    assert GroupTable(3, 0, table=C3_TABLE).table.dtype == np.uint16
 
 
 def test_size_and_repr():
@@ -373,7 +383,7 @@ def test_read_cayley_accepts_every_int_token_form(g, sep, token, tmp_path):
     path = tmp_path / "g.cayley"
     path.write_text(_cayley_text(g, sep, token))
     back = read_cayley(path)
-    assert back.table.dtype == np.int32
+    assert back.table.dtype == index_dtype(g.size)
     assert np.array_equal(back.table, g.table)
 
 
