@@ -5,12 +5,12 @@ validates its parameters on construction and gives its canonical name
 (`render`), its `order`, its order `spectrum` (a closed form wherever one
 exists) and its dense table (`build`). Every builder does its arithmetic in
 `index_dtype(n)` of the order n it builds, never in the dtype of a factor's
-order, and asserts its defining relations on the freshly built model. Where
-the major index digit is a cyclic factor acting by addition (M(n,p), and a
-product whose left factor is a C spec), the table is a translate of its first
-rows (`_translated`); the other laws are assembled from small lookup tables,
-so no builder computes a residue over all n^2 entries. `build_group` refuses
-orders above the brute-force cap before anything n-by-n is allocated.
+order, and asserts its defining relations on the freshly built model. M(n,p),
+whose major index digit is a cyclic factor acting by addition, is a translate
+of its first rows (`_translated`); a direct product is one add of its
+factors' tables; the other laws are assembled from small lookup tables, so no
+builder computes a residue over all n^2 entries. `build_group` refuses orders
+above the brute-force cap before anything n-by-n is allocated.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
 
@@ -131,16 +131,15 @@ def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
     return OrderSpectrum(counts)
 
 
-def direct_product(g: GroupTable, h: GroupTable, cyclic_left: bool = False) -> GroupTable:
-    """Direct product; index (a, b) <-> a * |h| + b. When g is Z_m under
-    addition (cyclic_left), the table is translated from its rows (0, b)."""
-    n, s = g.size * h.size, h.size
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """Direct product; index (a, b) <-> a * |h| + b. Row block a1 is g's row
+    a1, each entry times |h| and repeated |h| times, plus h tiled |g| times:
+    one add whose inner axis has length n and whose sums stay below n."""
+    m, s = g.size, h.size
+    n = m * s
     dt = index_dtype(n)
     gt, ht = g.table.astype(dt, copy=False), h.table.astype(dt, copy=False)
-    if cyclic_left:
-        table = _translated((gt[0, None, :, None] * s + ht[:, None, :]).reshape(s, n), n)
-    else:
-        table = (gt[:, None, :, None] * s + ht[None, :, None, :]).reshape(n, n)
+    table = (np.repeat(gt * s, s, axis=1)[:, None, :] + np.tile(ht, (1, m))[None]).reshape(n, n)
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
@@ -220,9 +219,8 @@ class Abelian(GroupSpec):
         return reduce(spectrum_product, [spectrum_cyclic(self.p ** a) for a in self.partition or (0,)])
 
     def build(self) -> GroupTable:
-        """The direct product of the cyclic factors, folded from the left, so the
-        first product is translated; one factor keeps its C name."""
-        g = reduce(Product, [Cyclic(self.p ** a) for a in self.partition or (0,)]).build()
+        """The direct product of the cyclic factors; one factor keeps its C name."""
+        g = reduce(direct_product, [Cyclic(self.p ** a).build() for a in self.partition or (0,)])
         if len(self.partition) > 1:
             g.name = self.render()
         return g
@@ -483,8 +481,7 @@ class Product(GroupSpec):
         return spectrum_product(self.left.spectrum(), self.right.spectrum())
 
     def build(self) -> GroupTable:
-        return direct_product(self.left.build(), self.right.build(),
-                              cyclic_left=isinstance(self.left, Cyclic))
+        return direct_product(self.left.build(), self.right.build())
 
 
 def parse_group_spec(text: str) -> GroupSpec:

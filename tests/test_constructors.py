@@ -156,6 +156,39 @@ def test_direct_product_indexing_and_labels():
     assert g.identity == 0
 
 
+@pytest.mark.parametrize("left,right", [("C9", "C3"), ("C4", "Q8"), ("C1", "D6"), ("C97", "C2"),
+                                        ("C3", "C1"), ("D8", "C3"), ("Q8", "C2"), ("M(4,2)", "C3")])
+def test_direct_product_table_is_the_componentwise_law(left, right):
+    g, h = parse_group_spec(left).build(), parse_group_spec(right).build()
+    n, s = g.size * h.size, h.size
+    gt, ht = g.table.astype(np.int64), h.table.astype(np.int64)
+    law = (gt[:, None, :, None] * s + ht[None, :, None, :]).reshape(n, n)
+    table = direct_product(g, h).table
+    assert table.dtype == index_dtype(n)
+    assert np.array_equal(table, law)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (3, 3), (4, 3), (3, 5), (3, 7)])
+def test_modular_table_is_the_law_of_its_docstring(n, p):
+    """(i1,j1)*(i2,j2) = (i1 + i2*(1+p^(n-2))^j1 mod p^(n-1), j1+j2 mod p), index i*p + j."""
+    P, e = p ** (n - 1), 1 + p ** (n - 2)
+    i1, j1, i2, j2 = np.ix_(np.arange(P), np.arange(p), np.arange(P), np.arange(p))
+    twist = np.array([pow(e, j, P) for j in range(p)])
+    law = ((i1 + i2 * twist[j1]) % P * p + (j1 + j2) % p).reshape(P * p, P * p)
+    g = Modular(n, p).build()
+    assert g.table.dtype == index_dtype(P * p)
+    assert np.array_equal(g.table, law)
+
+
+@pytest.mark.parametrize("order", [4, 6, 12, 30])
+def test_dihedral_table_is_rotation_and_flip(order):
+    """r^a1 s^b1 * r^a2 s^b2 = r^(a1 + (-1)^b1 a2) s^(b1 + b2), index a + k*b."""
+    k = order // 2
+    b1, a1, b2, a2 = np.ix_(np.arange(2), np.arange(k), np.arange(2), np.arange(k))
+    law = ((a1 + (-1) ** b1 * a2) % k + k * ((b1 + b2) % 2)).reshape(order, order)
+    assert np.array_equal(Dihedral(order).build().table, law)
+
+
 def test_quaternion_classical_labels():
     q8 = GeneralizedQuaternion(8).build()
     assert q8.labels == ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
