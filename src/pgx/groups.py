@@ -21,8 +21,10 @@ from .errors import InputError, InvariantError, ResourceError
 from .spectrum import factor
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
-FULL_ASSOC_CAP = 256          # full associativity mandatory through this order
+FULL_ASSOC_CAP = 256          # associativity decided exactly through this order
 DEFAULT_SAMPLE_TRIPLES = 10**6
+_LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
+_BLOCK = 1 << 16              # entries per block of the validation checks
 DEFAULT_SEED = 1729
 
 
@@ -160,25 +162,39 @@ class ValidationReport:
         return self.failure is None
 
 
+def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False) -> int | None:
+    """The first row (or column) of the square table t that is not a
+    permutation of idx = 0..n-1, or None. Lines are sorted in C-contiguous
+    blocks of about 2^16 entries; a block of columns is copied row by row and
+    transposed in cache, since a strided copy or sort of whole columns is
+    several times slower."""
+    step = max(1, _BLOCK // len(idx))
+    for i0 in range(0, len(idx), step):
+        block = t[:, i0:i0 + step].copy().T.copy() if columns else t[i0:i0 + step].copy()
+        block.sort(axis=1)
+        bad = (block != idx).any(axis=1)
+        if bad.any():
+            return i0 + int(bad.argmax())
+    return None
+
+
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
     """Identity, Latin-square and two-sided-inverse checks on a dense table."""
     n = t.shape[0]
     idx = np.arange(n)
-    if not np.array_equal(t[e], idx):
-        b = int(np.flatnonzero(t[e] != idx)[0])
+    bad = t[e] != idx
+    if bad.any():
+        b = int(bad.argmax())
         return ValidationFailure("identity", (e, b), f"e*{b} = {int(t[e, b])} != {b}")
-    if not np.array_equal(t[:, e], idx):
-        a = int(np.flatnonzero(t[:, e] != idx)[0])
+    bad = t[:, e] != idx
+    if bad.any():
+        a = int(bad.argmax())
         return ValidationFailure("identity", (a, e), f"{a}*e = {int(t[a, e])} != {a}")
-    rows_sorted = np.sort(t, axis=1)
-    bad = np.flatnonzero((rows_sorted != idx).any(axis=1))
-    if bad.size:
-        a = int(bad[0])
+    a = _first_non_permutation(t, idx)
+    if a is not None:
         return ValidationFailure("latin-row", (a,), f"row {a} is not a permutation")
-    cols_sorted = np.sort(t, axis=0)
-    bad = np.flatnonzero((cols_sorted != idx[:, None]).any(axis=0))
-    if bad.size:
-        b = int(bad[0])
+    b = _first_non_permutation(t, idx, columns=True)
+    if b is not None:
         return ValidationFailure("latin-column", (b,), f"column {b} is not a permutation")
     right_inv = np.argmax(t == e, axis=1)       # rows are permutations, so unique
     bad = np.flatnonzero(t[right_inv, idx] != e)
@@ -192,7 +208,8 @@ def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
 
 
 def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
-    """Exhaustive associativity over all n^3 triples, in cache-sized row blocks."""
+    """The lexicographically first failing triple, by a scan of all n^3
+    triples in cache-sized row blocks; None if the table is associative."""
     n = t.shape[0]
     blk = max(1, (1 << 20) // (n * n))
     for a0 in range(0, n, blk):
@@ -210,25 +227,83 @@ def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
     return None
 
 
-def _assoc_sampled(t: np.ndarray, k: int, seed: int) -> ValidationFailure | None:
+def _generators(t: np.ndarray, e: int) -> list[int]:
+    """Greedy generators of a Latin square with identity e: the least element
+    not yet reached, then the reached set W closed under products by
+    W <- W u W*W. There are at most floor(log2 n) of them: once W is closed,
+    each row h of W maps W onto W, so a new generator g gives |W| products
+    h*g outside W and at least doubles W."""
     n = t.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        size = 0
+        while True:
+            w = np.flatnonzero(reached)
+            if w.size in (size, n):
+                break
+            size = w.size
+            reached[t[np.ix_(w, w)]] = True
+    return gens
+
+
+def _light(t: np.ndarray, gens: list[int]) -> bool:
+    """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a,
+    in row blocks of about 2^16 entries. The elements a that satisfy it are
+    closed under the product, so it holds for all a once it holds for a
+    generating set: the table is associative."""
+    n = t.shape[0]
+    a_y = t[gens]                                   # a_y[j, y] = gens[j]*y
+    step = max(1, _BLOCK // (len(gens) * n))
+    for x0 in range(0, n, step):
+        rows = t[x0:x0 + step]
+        # [x, j, y]: (x*a)*y gathers whole rows, x*(a*y) permutes the columns of rows
+        if not np.array_equal(t[rows[:, gens]], np.take(rows, a_y, axis=1)):
+            return False
+    return True
+
+
+def _assoc_exact(t: np.ndarray, e: int) -> ValidationFailure | None:
+    """Exact associativity of a Latin square with identity e: Light's test on
+    greedy generators, then, if it fails, the scan of `_assoc_full` to name
+    the first failing triple. Below `_LIGHT_MIN_ORDER` the scan decides alone."""
+    if t.shape[0] >= _LIGHT_MIN_ORDER and _light(t, _generators(t, e)):
+        return None
+    return _assoc_full(t)
+
+
+def _assoc_sampled(t: np.ndarray, k: int, seed: int) -> ValidationFailure | None:
+    """Associativity on k seeded random triples, drawn in batches of at most
+    2^20 and gathered from the flat table in sub-blocks of 2^16 triples; the
+    first failing triple drawn is the witness."""
+    n = t.shape[0]
+    flat = t.ravel()
     rng = np.random.default_rng(seed)
     remaining = k
     while remaining > 0:
         bs = min(remaining, 1 << 20)
-        a = rng.integers(0, n, size=bs)
-        b = rng.integers(0, n, size=bs)
-        c = rng.integers(0, n, size=bs)
-        lhs = t[t[a, b], c]
-        rhs = t[a, t[b, c]]
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            i = int(bad[0])
-            wa, wb, wc = int(a[i]), int(b[i]), int(c[i])
-            return ValidationFailure(
-                "associativity", (wa, wb, wc),
-                f"({wa}*{wb})*{wc} != {wa}*({wb}*{wc})",
-            )
+        # int32 draws take the same values and stream as the default int64
+        # ones (both use the 32-bit bounded generator below 2^32) at half the memory
+        a = rng.integers(0, n, size=bs, dtype=np.int32)
+        b = rng.integers(0, n, size=bs, dtype=np.int32)
+        c = rng.integers(0, n, size=bs, dtype=np.int32)
+        for i0 in range(0, bs, _BLOCK):
+            sb, sc = b[i0:i0 + _BLOCK], c[i0:i0 + _BLOCK]
+            # indices and entries are narrow: scale by n in intp, or a product wraps
+            sa = np.multiply(a[i0:i0 + _BLOCK], n, dtype=np.intp)
+            lhs = flat.take(np.multiply(flat.take(sa + sb), n, dtype=np.intp) + sc)
+            rhs = flat.take(sa + flat.take(np.multiply(sb, n, dtype=np.intp) + sc))
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size:
+                i = i0 + int(bad[0])
+                wa, wb, wc = int(a[i]), int(b[i]), int(c[i])
+                return ValidationFailure(
+                    "associativity", (wa, wb, wc),
+                    f"({wa}*{wb})*{wc} != {wa}*({wb}*{wc})",
+                )
         remaining -= bs
     return None
 
@@ -239,15 +314,19 @@ def validate(g: GroupTable, *,
              full_cap: int = FULL_ASSOC_CAP) -> ValidationReport:
     """Check the group axioms on g.
 
-    The identity, Latin-square and inverse checks are exhaustive. Associativity
-    is checked on every triple at or below `full_cap` ("full") and on
-    `sample_triples` random triples above it ("sampled(k)").
+    The identity, Latin-square and inverse checks are exhaustive. At or below
+    `full_cap` associativity is decided exactly ("full") by Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961): the
+    identity (x*a)*y = x*(a*y) is checked for all x, y and each a of a
+    generating set, in O(k n^2) for k <= log2 n generators; a failure is
+    named by the lexicographically first failing triple. Above `full_cap`
+    it is checked on `sample_triples` seeded random triples ("sampled(k)").
     """
     full = g.size <= full_cap
     t = g.table
     failure = _validate_structure(t, g.identity)
     if failure is None:
-        failure = _assoc_full(t) if full else _assoc_sampled(t, sample_triples, seed)
+        failure = _assoc_exact(t, g.identity) if full else _assoc_sampled(t, sample_triples, seed)
     return ValidationReport("full" if full else f"sampled({sample_triples})", failure)
 
 

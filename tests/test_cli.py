@@ -20,6 +20,7 @@ from pgx.constructors import (
 )
 from pgx.groups import GroupTable, write_cayley
 from pgx.spectrum import order_sum, phi_sum
+from test_groups import block_edit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -754,18 +755,11 @@ def test_census_ingest_checks_each_table_against_its_order_directory(run_cli, tm
 
 
 def _broken_table(p: int) -> GroupTable:
-    """The table of C_p^4 with one p-by-p block changed: rows a + <h> and
-    columns b + <h> give a + b + (i + j + 1)h where the group gives
-    a + b + (i + j)h. Identity, Latin square, inverses and element orders
-    stay those of the group; associativity fails on a few triples."""
-    g = Abelian(p, (1, 1, 1, 1)).build()
-    t = g.table.copy()
-    h = [g.power(1, i) for i in range(p)]
-    a, b = p, p * p
-    for i in range(p):
-        for j in range(p):
-            t[g.table[a, h[i]], g.table[b, h[j]]] = g.table[g.table[a, b], h[(i + j + 1) % p]]
-    return GroupTable(p ** 4, 0, table=t)
+    """The table of C_p^4 with the p-by-p block of rows p + <h> and columns
+    p^2 + <h> shifted by h (see `block_edit`). Identity, Latin square,
+    inverses and element orders stay those of the group; associativity fails
+    on a few triples."""
+    return GroupTable(p ** 4, 0, table=block_edit(p, 4, p, p * p, 1))
 
 
 @pytest.mark.parametrize("p,command", [

@@ -1,12 +1,15 @@
 """GroupTable arithmetic, axiom validation, and the Cayley file format."""
 
+import functools
 import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pgx.constructors import Cyclic, GeneralizedQuaternion, build_group, parse_group_spec
+from pgx.constructors import Abelian, Cyclic, GeneralizedQuaternion, build_group, parse_group_spec
 from pgx.errors import InputError, InvariantError
 from pgx import groups
 from pgx.groups import GroupTable, index_dtype, read_cayley, validate, write_cayley
@@ -237,6 +240,164 @@ def test_full_associativity_witness_from_a_late_block_is_the_first_triple():
     report = validate(GroupTable(5 * m, 0, table=t))
     assert report.mode == "full" and report.failure.axiom == "associativity"
     assert report.failure.witness == tuple(m * v for v in first)
+
+
+def reference_validate(g: GroupTable, *, sample_triples: int = groups.DEFAULT_SAMPLE_TRIPLES,
+                       seed: int = groups.DEFAULT_SEED,
+                       full_cap: int = groups.FULL_ASSOC_CAP) -> groups.ValidationReport:
+    """`validate` with no generating set and no blocks: the Latin checks sort
+    the whole table, full mode scans every triple, and sampled mode draws the
+    same seeded triples and gathers them from the 2-D table. The reference
+    for validate's reports."""
+    t, e, n = g.table, g.identity, g.size
+    full = n <= full_cap
+    report = functools.partial(groups.ValidationReport, "full" if full else f"sampled({sample_triples})")
+    fail = groups.ValidationFailure
+    idx = np.arange(n)
+    if not np.array_equal(t[e], idx):
+        b = int(np.flatnonzero(t[e] != idx)[0])
+        return report(fail("identity", (e, b), f"e*{b} = {int(t[e, b])} != {b}"))
+    if not np.array_equal(t[:, e], idx):
+        a = int(np.flatnonzero(t[:, e] != idx)[0])
+        return report(fail("identity", (a, e), f"{a}*e = {int(t[a, e])} != {a}"))
+    bad = np.flatnonzero((np.sort(t, axis=1) != idx).any(axis=1))
+    if bad.size:
+        return report(fail("latin-row", (int(bad[0]),), f"row {bad[0]} is not a permutation"))
+    bad = np.flatnonzero((np.sort(t, axis=0) != idx[:, None]).any(axis=0))
+    if bad.size:
+        return report(fail("latin-column", (int(bad[0]),), f"column {bad[0]} is not a permutation"))
+    right_inv = np.argmax(t == e, axis=1)
+    bad = np.flatnonzero(t[right_inv, idx] != e)
+    if bad.size:
+        a, r = int(bad[0]), int(right_inv[bad[0]])
+        return report(fail("inverse", (a, r), f"right inverse {r} of {a} is not a left inverse"))
+    if full:
+        for a in range(n):
+            bad = np.argwhere(t[t[a]] != t[a][t])     # [b, c]: (a*b)*c != a*(b*c)
+            if bad.size:
+                b, c = (int(v) for v in bad[0])
+                return report(fail("associativity", (a, b, c),
+                                   f"({a}*{b})*{c} = {int(t[t[a, b], c])} but "
+                                   f"{a}*({b}*{c}) = {int(t[a, t[b, c]])}"))
+        return report(None)
+    rng = np.random.default_rng(seed)
+    for done in range(0, sample_triples, 1 << 20):
+        bs = min(sample_triples - done, 1 << 20)
+        a, b, c = (rng.integers(0, n, size=bs) for _ in range(3))
+        bad = np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])
+        if bad.size:
+            wa, wb, wc = (int(v[bad[0]]) for v in (a, b, c))
+            return report(fail("associativity", (wa, wb, wc),
+                               f"({wa}*{wb})*{wc} != {wa}*({wb}*{wc})"))
+    return report(None)
+
+
+def block_edit(p: int, k: int, a: int, b: int, shift: int) -> np.ndarray:
+    """The table of C_p^k with one p-by-p block changed: rows a + <h> and
+    columns b + <h>, for h the element 1 of order p, give a + b + (i + j +
+    shift)h where the group gives a + b + (i + j)h. The Latin square stays
+    one, as in the broken census tables of the CLI tests."""
+    g = Abelian(p, (1,) * k).build()
+    t = g.table.copy()
+    h = [g.power(1, i) for i in range(p)]
+    for i in range(p):
+        for j in range(p):
+            t[g.table[a, h[i]], g.table[b, h[j]]] = g.table[g.table[a, b], h[(i + j + shift) % p]]
+    return t
+
+
+# every builder family, on both sides of groups._LIGHT_MIN_ORDER and up to
+# the default full-associativity cap
+FAMILY_SPECS = ("C1", "C2", "C7", "C45", "C128", "Ab(2;1,1,1,1,1,1)", "Ab(3;2,1)", "Ab(5;1,1)",
+                "M(4,2)", "M(5,3)", "D10", "D48", "D128", "Q8", "Q32", "SD16", "SD64",
+                "SD256", "He3", "He5", "C9xC5", "Q8xC6", "D8xC3xC2")
+
+
+@st.composite
+def validation_cases(draw):
+    """A table and validate's settings. The table is a group of some family;
+    NONASSOCIATIVE_LOOP or ONE_SIDED_INVERSE times a group of order at most
+    51, on either side; or a block edit of C_p^k. It may be relabelled, and
+    three cases in seven have one entry changed or two entries of a row or
+    column swapped. Two cases in three use full mode, the rest a short
+    seeded sample."""
+    kind = draw(st.sampled_from(["group", "loop-product", "block-edit"]))
+    if kind == "block-edit":
+        p, k = draw(st.sampled_from([(2, 4), (2, 6), (2, 8), (3, 3), (3, 4), (5, 2), (5, 3)]))
+        n = p ** k
+        t = block_edit(p, k, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+                       draw(st.integers(0, p - 1)))
+        e = 0
+    else:
+        g = build_group(parse_group_spec(draw(st.sampled_from(FAMILY_SPECS))))
+        t, e = g.table.astype(np.int64), g.identity
+        if kind == "loop-product" and g.size <= 51:
+            m = g.size
+            loop = draw(st.sampled_from([NONASSOCIATIVE_LOOP, ONE_SIDED_INVERSE]))
+            if draw(st.booleans()):
+                t = (loop[:, None, :, None] * m + t[None, :, None, :]).reshape(5 * m, 5 * m)
+            else:
+                t = (t[:, None, :, None] * 5 + loop[None, :, None, :]).reshape(5 * m, 5 * m)
+                e = 5 * e
+    n = t.shape[0]
+    if draw(st.booleans()):                                 # relabel by a permutation
+        perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)
+        inv = np.argsort(perm)
+        t, e = perm[t[np.ix_(inv, inv)]], int(perm[e])
+    edit = draw(st.sampled_from(["none"] * 4 + ["entry", "row-swap", "column-swap"]))
+    x, y, z = (draw(st.integers(0, n - 1)) for _ in range(3))
+    t = np.array(t)
+    if edit == "entry":
+        t[x, y] = z
+    elif edit == "row-swap":                                # row x stays a permutation
+        t[x, [y, z]] = t[x, [z, y]]
+    elif edit == "column-swap":                             # column x stays a permutation
+        t[[y, z], x] = t[[z, y], x]
+    if draw(st.integers(0, 2)):
+        settings_ = {"full_cap": groups.FULL_ASSOC_CAP}
+    else:
+        settings_ = {"full_cap": 0, "sample_triples": draw(st.integers(1, 3000)),
+                     "seed": draw(st.integers(0, 2**32 - 1))}
+    return GroupTable(n, e, table=t), settings_
+
+
+@settings(max_examples=200, deadline=None)
+@given(validation_cases())
+def test_validate_equals_the_exhaustive_and_2d_sampled_reference(case):
+    g, kw = case
+    assert validate(g, **kw) == reference_validate(g, **kw)
+    # the generator bound holds in every Latin square with an identity, so
+    # Light's test never needs more than floor(log2 n) generators
+    if groups._validate_structure(g.table, g.identity) is None:
+        assert len(groups._generators(g.table, g.identity)) <= g.size.bit_length() - 1
+
+
+def test_sampled_witness_from_a_late_sub_block_is_the_first_triple_drawn():
+    # one changed intercalate of C_2^10 fails on few triples: with seed 0 the
+    # first failing triple drawn lies past the first 2^16-triple sub-block
+    g = GroupTable(1024, 0, table=block_edit(2, 10, 2, 4, 1))
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.integers(0, 1024, size=1 << 20) for _ in range(3))
+    t = g.table
+    first = int(np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])[0])
+    assert first >= 1 << 16
+    report = validate(g, sample_triples=1 << 20, seed=0)
+    assert report.failure.witness == (a[first], b[first], c[first])
+    assert report == reference_validate(g, sample_triples=1 << 20, seed=0)
+
+
+@pytest.mark.parametrize("axiom", ["latin-row", "latin-column"])
+def test_latin_failure_from_a_late_block_names_the_first_line(axiom):
+    # order 300 sorts 218 lines per block, so line 250 lies in the second block
+    t = Cyclic(300).build().table.copy()
+    if axiom == "latin-row":
+        t[[250, 260], 7] = t[[260, 250], 7]       # columns stay permutations
+    else:
+        t[7, [250, 260]] = t[7, [260, 250]]       # rows stay permutations
+    g = GroupTable(300, 0, table=t)
+    report = validate(g, sample_triples=10)
+    assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
+    assert report == reference_validate(g, sample_triples=10)
 
 
 def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):
