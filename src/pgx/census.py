@@ -654,42 +654,38 @@ SCAN_COLUMNS = ("n", "candidates", "expected", "expected_edges", "max_edges", "m
 class _ScanSylow(NamedTuple):
     """A Sylow catalog of order p^a reduced to what the scan reads, each name
     rendered once: its size and completeness; its cyclic entry as
-    (sigma, phi, name); the (sigma, phi) of its non-cyclic entries of the
-    largest sigma, with all their names; the (sigma, phi) of the largest
-    sigma below that; and C_(p^(a-1)) x C_p as (sigma, phi, name). The last
-    three are None when the catalog has no such entry."""
+    (sigma, phi, name); the candidates, one (sigma, phi, name) for every
+    non-cyclic entry whose sigma is one of the two largest among them; and
+    C_(p^(a-1)) x C_p as (sigma, phi, name), None for a = 1."""
 
     size: int
     completeness: Completeness
     cyclic: tuple[int, int, str]
-    top: tuple[int, int, list[str]] | None
-    second: tuple[int, int] | None
+    candidates: list[tuple[int, int, str]]
     split: tuple[int, int, str] | None
 
 
 def _scan_sylow(p: int, a: int, entries: list[CatalogEntry],
                 completeness: Completeness) -> _ScanSylow:
-    """The catalog p_group_catalog(p, a) gave, reduced for the scan."""
+    """The catalog p_group_catalog(p, a) gave, reduced for the scan; raises
+    InvariantError when C_(p^(a-1)) x C_p is missing from it for a >= 2."""
     cyclic = next(e for e in entries if e.is_cyclic)    # C_(p^a), listed once
     noncyclic = [e for e in entries if not e.is_cyclic]
-    sigmas = sorted({e.sigma for e in noncyclic}, reverse=True)
-    top = second = None
-    if sigmas:
-        tied = [e for e in noncyclic if e.sigma == sigmas[0]]
-        top = (sigmas[0], tied[0].phi, [e.render() for e in tied])
-    if len(sigmas) > 1:
-        second = next((e.sigma, e.phi) for e in noncyclic if e.sigma == sigmas[1])
-    split_spec = Abelian(p, (a - 1, 1)) if a > 1 else None
+    kept = sorted({e.sigma for e in noncyclic}, reverse=True)[:2]
+    split_spec = _expected_sylow(p, a, p) if a > 1 else None
     split = next(((e.sigma, e.phi, e.render()) for e in noncyclic if e.spec == split_spec), None)
+    if split_spec is not None and split is None:
+        raise _missing_expected(p ** a, [(p, a)], p)
     return _ScanSylow(len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
-                      top, second, split)
+                      [(e.sigma, e.phi, e.render()) for e in noncyclic if e.sigma in kept],
+                      split)
 
 
 def _prime_sylow(p: int) -> _ScanSylow:
     """The catalog of order p, which is C_p alone, without building it: its
     order sum is 1 + (p-1)p and its totient sum 1 + (p-1)^2."""
     return _ScanSylow(1, Completeness.COMPLETE, (p * p - p + 1, p * p - 2 * p + 2, f"C{p}"),
-                      None, None, None)
+                      [], None)
 
 
 def _scan_catalogs(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
@@ -716,15 +712,15 @@ def _scan_catalogs(n_max: int, census: Census | None) -> dict[tuple[int, int], _
     catalogs = {}
     for n in sorted(first):
         p, a = first[n]
-        catalogs[p, a] = x = _scan_sylow(p, a, *p_group_catalog(p, a, census))
-        if a > 1 and x.split is None:
-            raise _missing_expected(n, [(p, a)], p)
+        catalogs[p, a] = _scan_sylow(p, a, *p_group_catalog(p, a, census))
     return catalogs
 
 
 def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
     """The scan row of order n from its Sylow catalogs, s the index of the
-    first with exponent >= 2; the values in SCAN_COLUMNS order."""
+    first with exponent >= 2; the values in SCAN_COLUMNS order. Every
+    candidate is scored; the runner-up is the second score in rank, so it
+    equals the best when the best is tied."""
     sigma = phi = 1
     for x in sylows:
         sigma *= x.cyclic[0]
@@ -739,21 +735,14 @@ def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
     def name(i: int, entry_name: str) -> str:
         return join_names(cyclic_names[:i] + [entry_name] + cyclic_names[i + 1:])
 
-    tops = {i: edges(i, x.top) for i, x in enumerate(sylows) if x.top is not None}
-    best = max(tops.values())
-    at_best = [(i, entry_name) for i, e in tops.items() if e == best
-               for entry_name in sylows[i].top[2]]
-    runner_up = best
-    if len(at_best) == 1:       # the best entry below it at its prime, or the best elsewhere
-        i = at_best[0][0]
-        below = [e for j, e in tops.items() if j != i]
-        if sylows[i].second is not None:
-            below.append(edges(i, sylows[i].second))
-        runner_up = max(below, default=best)
+    scored = sorted([(edges(i, c), i, c[2]) for i, x in enumerate(sylows) for c in x.candidates],
+                    reverse=True)
+    best = scored[0][0]
+    argmax = sorted(name(i, entry_name) for e, i, entry_name in scored if e == best)
+    runner_up = scored[1][0] if len(scored) > 1 else best
     x = sylows[s]
-    expected_edges = tops[s] if x.split[0] == x.top[0] else edges(s, x.split)
+    expected_edges = edges(s, x.split)
     expected = name(s, x.split[2])
-    argmax = sorted(expected if key == (s, x.split[2]) else name(*key) for key in at_best)
     return (n, _member_count(n, [x.size for x in sylows]) - 1, expected, expected_edges, best,
             best - runner_up, expected_edges == best, ";".join(argmax),
             merge_completeness([x.completeness for x in sylows]).value)
@@ -768,7 +757,7 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     before this returns; the rows are then made one at a time as they are
     read, so a caller that writes each one out holds none of them.
 
-    Two reductions make a row exact from at most two entries per prime:
+    Two reductions make a row exact from the entries of two sigmas per prime:
     - Only the members with one non-cyclic Sylow factor are scored. In a
       p-group p*phi = (p-1)*sigma + 1, and phi <= sigma in every group, so
       making a non-cyclic factor at p cyclic raises the edge count by
@@ -778,9 +767,9 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     - Among those with their non-cyclic factor at p, the edge count is
       sigma_i * (sigma_rest - (p-1)/(2p) * phi_rest) minus a constant, by the
       same identity: it rises strictly with sigma_i, and equal sigma_i means
-      equal edges. So the entries of the largest sigma at each prime hold the
-      argmax, and the runner-up is the best at another prime or the largest
-      sigma below them at the argmax prime.
+      equal edges. So the non-cyclic entries of the two largest sigmas at
+      each prime hold the argmax and the runner-up, which equals the best
+      when the best is tied.
     """
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")

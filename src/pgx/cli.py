@@ -7,7 +7,8 @@ KEY = VALUE lines) > built-in defaults.
 
 Exit codes: 0 verified / report emitted, 1 counterexample, 2 verified on an
 incomplete catalog, 3 input or resource error, 4 internal error (a failed
-consistency check). Identical invocations produce byte-identical output.
+consistency check, or any other uncaught exception of the command-line entry
+point). Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -469,6 +470,9 @@ def main_entry() -> None:
         # the interpreter flushes stdout once more at exit; send what is left nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 3
+    except Exception as exc:    # a crash, caught here only: callers of main see it raised
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = 4
     sys.exit(code)
 
 

@@ -468,20 +468,29 @@ class Product(GroupSpec):
     right: GroupSpec
 
     def factors(self) -> list[GroupSpec]:
-        return self.left.factors() + self.right.factors()
+        """The atoms, left to right, walked with a stack: a spec of thousands
+        of atoms nests as deep."""
+        atoms, stack = [], [self]
+        while stack:
+            spec = stack.pop()
+            if isinstance(spec, Product):
+                stack += (spec.right, spec.left)
+            else:
+                atoms.append(spec)
+        return atoms
 
     @property
     def order(self) -> int:
-        return self.left.order * self.right.order
+        return prod(f.order for f in self.factors())
 
     def render(self) -> str:
         return join_names([f.render() for f in self.factors()])
 
     def spectrum(self) -> OrderSpectrum:
-        return spectrum_product(self.left.spectrum(), self.right.spectrum())
+        return reduce(spectrum_product, [f.spectrum() for f in self.factors()])
 
     def build(self) -> GroupTable:
-        return direct_product(self.left.build(), self.right.build())
+        return reduce(direct_product, [f.build() for f in self.factors()])
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -90,14 +90,7 @@ class GroupTable:
         self._check_index(a)
         if m < 0:
             raise InputError(f"exponent must be nonnegative, got {m}")
-        result = self.identity
-        base = a
-        while m:
-            if m & 1:
-                result = self.product(result, base)
-            base = self.product(base, base)
-            m >>= 1
-        return result
+        return int(_powers(self.table, np.array(a), m, self.identity))
 
     def element_orders(self) -> list[int]:
         """Orders of all elements, a fresh list of ints computed once (the table is read-only).

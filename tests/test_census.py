@@ -1,5 +1,7 @@
 """Factorization of n, nilpotent enumeration, claim verifiers, and the scan."""
 
+from math import prod
+
 import pytest
 
 import pgx.census
@@ -169,7 +171,7 @@ def test_prime_order_sylow_is_the_catalog_of_order_p():
         (entry,), completeness = pgx.constructors.p_group_catalog(p, 1)
         x = pgx.census._prime_sylow(p)
         assert x.cyclic == (entry.sigma, entry.phi, entry.render()), p
-        assert (x.size, x.completeness, x.top, x.split) == (1, completeness, None, None)
+        assert (x.size, x.completeness, x.candidates, x.split) == (1, completeness, [], None)
 
 
 def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_path):
@@ -636,6 +638,59 @@ def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):
     assert rows == enumerated_scan_rows(1000, Census(tmp_path))
     assert {r["n"] for r in rows if r["completeness"] == "complete-via-ingested-census"} \
         == {81, 405, 567, 891}
+
+
+def _hand_sylow(cyclic_name, candidates, split=None):
+    """A Sylow catalog for _scan_row by hand, cyclic entry (100, 51): odd phi
+    sums keep phi + n even at n = 225, and every product stays above n."""
+    return pgx.census._ScanSylow(len(candidates) + 1, Completeness.COMPLETE,
+                                 (100, 51, cyclic_name), candidates, split)
+
+
+def _brute_scan_scores(n, sylows):
+    """max_edges, margin and argmax from scoring every candidate of every
+    Sylow catalog, the others cyclic, and ranking them as _argmax does."""
+    scored = []
+    for i, x in enumerate(sylows):
+        for candidate in x.candidates:
+            parts = [y.cyclic for y in sylows]
+            parts[i] = candidate
+            sigma, phi = (prod(part[k] for part in parts) for k in (0, 1))
+            scored.append((undirected_from_sums(sigma, phi, n),
+                           pgx.constructors.join_names([part[2] for part in parts])))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    best = scored[0][0]
+    return best, best - scored[1][0], [name for e, name in scored if e == best]
+
+
+# At n = 225 with both cyclic entries (100, 51), a candidate (sigma, phi) has
+# 100*sigma - (51*phi + 225)/2 edges: (60, 31) 5097, (50, 25) 4250, (40, 21) 3352
+# and (30, 15) 2505.
+@pytest.mark.parametrize("sylows,max_edges,margin,argmax", [
+    # the best tied across the two primes, and twice at the second
+    ([_hand_sylow("Y", [(60, 31, "Yz"), (40, 21, "Yc")], (60, 31, "Yz")),
+      _hand_sylow("X", [(60, 31, "Xn"), (60, 31, "Xm"), (30, 15, "Xc")])],
+     5097, 0, ["YxXm", "YxXn", "YzxX"]),
+    # a unique best, the runner-up the second sigma at its own prime
+    ([_hand_sylow("Y", [(60, 31, "Yb"), (50, 25, "Yc")], (50, 25, "Yc")),
+      _hand_sylow("X", [(40, 21, "Xb"), (30, 15, "Xc")])],
+     5097, 5097 - 4250, ["YbxX"]),
+    # a unique best, the runner-up the top entry of another prime
+    ([_hand_sylow("Y", [(60, 31, "Yb"), (30, 15, "Yc")], (30, 15, "Yc")),
+      _hand_sylow("X", [(50, 25, "Xb"), (40, 21, "Xc")])],
+     5097, 5097 - 4250, ["YbxX"]),
+])
+def test_scan_row_scores_ties_and_runners_up_as_brute_force(sylows, max_edges, margin, argmax):
+    """The scorer cases no order up to 2*10^5 reaches: a best tied across
+    primes, and each place a unique best's runner-up can come from."""
+    n = 225
+    row = dict(zip(pgx.census.SCAN_COLUMNS, pgx.census._scan_row(n, sylows, 0)))
+    assert (row["max_edges"], row["margin"], row["argmax"].split(";")) \
+        == _brute_scan_scores(n, sylows) == (max_edges, margin, argmax)
+    split = sylows[0].split
+    assert row["expected"] == f"{split[2]}xX"
+    assert row["expected_edges"] == undirected_from_sums(split[0] * 100, split[1] * 51, n)
+    assert row["supported"] == (row["expected_edges"] == max_edges)
 
 
 def test_scan_census_dir_upgrades_completeness(tmp_path):

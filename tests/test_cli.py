@@ -979,3 +979,27 @@ def test_module_invocation_round_trip():
         capture_output=True, text=True, cwd=REPO_ROOT)
     assert proc.returncode == 0
     assert proc.stdout == C6_STATS_TEXT
+
+
+def test_a_spec_of_thousands_of_atoms_exits_zero(run_cli):
+    """A product nests once per atom; 3000 atoms of C2 stay far inside the
+    order limit and must not exhaust the recursion limit."""
+    code, out, err = run_cli("spectrum", "x".join(["C2"] * 3000), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["spectrum"] == {"1": 1, "2": 2 ** 3000 - 1}
+
+
+def test_an_uncaught_exception_exits_4_with_one_line():
+    """A crash of the command-line entry point is an internal error, never the
+    exit code 1 of a counterexample."""
+    crash = ("import sys, pgx.cli\n"
+             "def crash(args):\n"
+             "    raise RecursionError('maximum recursion depth exceeded')\n"
+             "pgx.cli.cmd_spectrum = crash\n"
+             "sys.argv = ['pgx', 'spectrum', 'C6']\n"
+             "pgx.cli.main_entry()\n")
+    proc = subprocess.run([sys.executable, "-c", crash],
+                          capture_output=True, text=True, cwd=REPO_ROOT)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("internal error: "
+                           "RecursionError('maximum recursion depth exceeded')\n")
