@@ -4,10 +4,11 @@
 
 For each seed it builds the generated census that pgxbench/workloads.py
 lists for the io workload, validates every table, and prints the best-of-reps
-time of each as JSON with its order, validation mode and verdict; the shipped
-census/16 tables, which every io round ingests too, come first. The settings
-are validate's defaults, as `census ingest` uses them. Only the standard
-library and pgx are used; the spec list is read from pgxbench/workloads.py.
+time of each as JSON with its order, validation mode (always `full`) and
+verdict; the shipped census/16 tables, which every io round ingests too, come
+first. `validate` takes no settings, so each table is checked as
+`census ingest` checks it. Only the standard library and pgx are used; the
+spec list is read from pgxbench/workloads.py.
 """
 
 from __future__ import annotations

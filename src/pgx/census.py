@@ -37,7 +37,6 @@ from .constructors import (
     p_group_catalog,
 )
 from .errors import InputError, InvariantError, ResourceError
-from .groups import DEFAULT_SEED
 from .spectrum import (
     OddSieve,
     factor,
@@ -52,11 +51,12 @@ from .spectrum import (
 )
 
 # Defaults of the sweep claims: the largest prime and exponent of the grid
-# claims, and lemma-2.1's random pair count and largest factor order.
+# claims, and lemma-2.1's random pair count, largest factor order and seed.
 DEFAULT_P_MAX = 97
 DEFAULT_M_MAX = 12
 DEFAULT_PAIRS = 200
 DEFAULT_MAX_ORDER = 200
+DEFAULT_SEED = 1729
 
 # Bounds on the sweep claims, checked before the work starts as CATALOG_BOUND
 # is: the largest number primes are listed up to (p_max, q_max, max_order),
@@ -743,8 +743,9 @@ def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
     x = sylows[s]
     expected_edges = edges(s, x.split)
     expected = name(s, x.split[2])
+    # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
     return (n, _member_count(n, [x.size for x in sylows]) - 1, expected, expected_edges, best,
-            best - runner_up, expected_edges == best, ";".join(argmax),
+            best - runner_up, expected_edges == best, " | ".join(argmax),
             merge_completeness([x.completeness for x in sylows]).value)
 
 

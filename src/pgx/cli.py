@@ -28,6 +28,7 @@ from .census import (
     DEFAULT_MAX_ORDER,
     DEFAULT_P_MAX,
     DEFAULT_PAIRS,
+    DEFAULT_SEED,
     SCAN_COLUMNS,
     VerificationReport,
     scan_conjecture_2_9,
@@ -36,7 +37,7 @@ from .census import (
 )
 from .constructors import Census, build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
-from .groups import DEFAULT_SAMPLE_TRIPLES, DEFAULT_SEED, DEFAULT_TABLE_CAP, FULL_ASSOC_CAP
+from .groups import DEFAULT_TABLE_CAP
 from .powergraph import build_directed, build_undirected, export, oracle_counts
 from .spectrum import GroupStats, OrderSpectrum, order_spectrum, stats_from_spectrum
 
@@ -70,11 +71,7 @@ _SETTINGS = (
      "directory with <order>/*.cayley census tables; an empty string disables the census"),
     ("brute_cap", "PGX_BRUTE_CAP", DEFAULT_TABLE_CAP, _parse_int,
      "largest order for table materialization and graph oracles"),
-    ("full_assoc_cap", None, FULL_ASSOC_CAP, _parse_int,
-     "largest census table order validated with full associativity"),
-    ("seed", None, DEFAULT_SEED, _parse_int, "seed for sampled checks and random pair draws"),
-    ("sample_triples", None, DEFAULT_SAMPLE_TRIPLES, _parse_int,
-     "triples for sampled associativity"),
+    ("seed", None, DEFAULT_SEED, _parse_int, "seed for lemma-2.1's random pair draws"),
 )
 
 
@@ -121,16 +118,14 @@ def resolve_config(args: argparse.Namespace) -> None:
             setattr(args, name, value)
     if entries:
         raise InputError(f"{path}: unknown config key {next(iter(entries))!r}")
-    if args.brute_cap < 1 or args.full_assoc_cap < 1 or args.sample_triples < 1:
-        raise InputError("caps and sample counts must be positive")
+    if args.brute_cap < 1:
+        raise InputError(f"brute-force cap must be positive, got {args.brute_cap}")
     if args.seed < 0:
         raise InputError(f"seed must be non-negative, got {args.seed}")
 
 
-def _census(args: argparse.Namespace, directory: str | None) -> Census | None:
-    if directory is None:
-        return None
-    return Census(directory, args.full_assoc_cap, args.sample_triples, args.seed)
+def _census(directory: str | None) -> Census | None:
+    return None if directory is None else Census(directory)
 
 
 def _note_missing_census(report: VerificationReport, census: Census | None) -> VerificationReport:
@@ -300,7 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     census = None
     for name in CLAIMS[args.claim][1]:
         if name == "census":
-            census = _census(args, args.census_dir)
+            census = _census(args.census_dir)
             settings.append(census)
         elif getattr(args, name) is None:       # --p and --n have no default
             raise InputError(f"verify {args.claim} requires --{name}")
@@ -312,7 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    census = _census(args, args.census_dir)
+    census = _census(args.census_dir)
     if args.format == "csv":
         rows = scan_rows(args.n_max, census)    # raises, if at all, before any output
         _write_csv(sys.stdout, SCAN_COLUMNS, rows)
@@ -329,7 +324,7 @@ def cmd_census_ingest(args: argparse.Namespace) -> int:
     files = sorted(root.rglob("*.cayley"))
     if not files:
         raise InputError(f"no .cayley files found under {root}")
-    census = _census(args, args.dir)
+    census = _census(args.dir)
     rows = []
     for f in files:     # a table under <order>/ is checked against that order
         entry = census.admit(f, int(f.parent.name) if f.parent.name.isdecimal() else None)

@@ -33,8 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, InvariantError, ResourceError
-from .groups import (DEFAULT_SAMPLE_TRIPLES, DEFAULT_SEED, DEFAULT_TABLE_CAP, FULL_ASSOC_CAP,
-                     GroupTable, check_brute_cap, index_dtype, read_cayley, validate)
+from .groups import (DEFAULT_TABLE_CAP, GroupTable, check_brute_cap, index_dtype, read_cayley,
+                     validate)
 from .spectrum import (
     OrderSpectrum,
     is_prime,
@@ -462,8 +462,11 @@ def join_names(names: list[str]) -> str:
     return (" x " if any(name.startswith("file:") for name in names) else "x").join(names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(GroupSpec):
+    """A direct product. Equality, hash and repr go by the atoms, not the
+    nesting, so that they never recurse."""
+
     left: GroupSpec
     right: GroupSpec
 
@@ -478,6 +481,17 @@ class Product(GroupSpec):
             else:
                 atoms.append(spec)
         return atoms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Product):
+            return NotImplemented
+        return self.factors() == other.factors()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.factors()))
+
+    def __repr__(self) -> str:
+        return f"Product({', '.join(map(repr, self.factors()))})"
 
     @property
     def order(self) -> int:
@@ -649,23 +663,18 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Census:
-    """Census tables, laid out as <dir>/<order>/*.cayley, and the settings
-    each table is validated with before it is admitted."""
+    """Census tables, laid out as <dir>/<order>/*.cayley."""
 
     dir: str | Path
-    full_assoc_cap: int = FULL_ASSOC_CAP
-    sample_triples: int = DEFAULT_SAMPLE_TRIPLES
-    seed: int = DEFAULT_SEED
 
     def admit(self, path: Path, order: int | None = None) -> CatalogEntry:
         """The table at path as a catalog entry: read, checked to have the given
-        order, validated (full up to full_assoc_cap, else sampled) and tallied.
-        Raises InputError for a table that is not a group of that order."""
+        order, validated exhaustively (`validate`) and tallied. Raises
+        InputError for a table that is not a group of that order."""
         g = read_cayley(path)
         if order is not None and g.size != order:
             raise InputError(f"{path}: order {g.size} does not match census directory {order}")
-        report = validate(g, sample_triples=self.sample_triples, seed=self.seed,
-                          full_cap=self.full_assoc_cap)
+        report = validate(g)
         if not report.ok:
             fail = report.failure
             raise InputError(f"{path}: not a group table ({fail.axiom} failed on "

@@ -21,11 +21,8 @@ from .errors import InputError, InvariantError, ResourceError
 from .spectrum import factor
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
-FULL_ASSOC_CAP = 256          # associativity decided exactly through this order
-DEFAULT_SAMPLE_TRIPLES = 10**6
 _LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
 _BLOCK = 1 << 16              # entries per block of the validation checks
-DEFAULT_SEED = 1729
 
 
 def index_dtype(n: int) -> type[np.unsignedinteger]:
@@ -147,7 +144,7 @@ class ValidationFailure:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    mode: str                           # "full" or "sampled(k)"
+    mode: str                           # always "full": associativity is decided exactly
     failure: ValidationFailure | None
 
     @property
@@ -268,59 +265,19 @@ def _assoc_exact(t: np.ndarray, e: int) -> ValidationFailure | None:
     return _assoc_full(t)
 
 
-def _assoc_sampled(t: np.ndarray, k: int, seed: int) -> ValidationFailure | None:
-    """Associativity on k seeded random triples, drawn in batches of at most
-    2^20 and gathered from the flat table in sub-blocks of 2^16 triples; the
-    first failing triple drawn is the witness."""
-    n = t.shape[0]
-    flat = t.ravel()
-    rng = np.random.default_rng(seed)
-    remaining = k
-    while remaining > 0:
-        bs = min(remaining, 1 << 20)
-        # int32 draws take the same values and stream as the default int64
-        # ones (both use the 32-bit bounded generator below 2^32) at half the memory
-        a = rng.integers(0, n, size=bs, dtype=np.int32)
-        b = rng.integers(0, n, size=bs, dtype=np.int32)
-        c = rng.integers(0, n, size=bs, dtype=np.int32)
-        for i0 in range(0, bs, _BLOCK):
-            sb, sc = b[i0:i0 + _BLOCK], c[i0:i0 + _BLOCK]
-            # indices and entries are narrow: scale by n in intp, or a product wraps
-            sa = np.multiply(a[i0:i0 + _BLOCK], n, dtype=np.intp)
-            lhs = flat.take(np.multiply(flat.take(sa + sb), n, dtype=np.intp) + sc)
-            rhs = flat.take(sa + flat.take(np.multiply(sb, n, dtype=np.intp) + sc))
-            bad = np.flatnonzero(lhs != rhs)
-            if bad.size:
-                i = i0 + int(bad[0])
-                wa, wb, wc = int(a[i]), int(b[i]), int(c[i])
-                return ValidationFailure(
-                    "associativity", (wa, wb, wc),
-                    f"({wa}*{wb})*{wc} != {wa}*({wb}*{wc})",
-                )
-        remaining -= bs
-    return None
+def validate(g: GroupTable) -> ValidationReport:
+    """Check the group axioms on g, exhaustively ("full").
 
-
-def validate(g: GroupTable, *,
-             sample_triples: int = DEFAULT_SAMPLE_TRIPLES,
-             seed: int = DEFAULT_SEED,
-             full_cap: int = FULL_ASSOC_CAP) -> ValidationReport:
-    """Check the group axioms on g.
-
-    The identity, Latin-square and inverse checks are exhaustive. At or below
-    `full_cap` associativity is decided exactly ("full") by Light's test
-    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961): the
-    identity (x*a)*y = x*(a*y) is checked for all x, y and each a of a
-    generating set, in O(k n^2) for k <= log2 n generators; a failure is
-    named by the lexicographically first failing triple. Above `full_cap`
-    it is checked on `sample_triples` seeded random triples ("sampled(k)").
+    The identity, Latin-square and inverse checks scan the whole table.
+    Associativity is decided exactly by Light's test (Clifford & Preston,
+    The Algebraic Theory of Semigroups I, 1961): the identity
+    (x*a)*y = x*(a*y) is checked for all x, y and each a of a generating
+    set, in O(k n^2) for k <= log2 n generators; a failure is named by the
+    lexicographically first failing triple.
     """
-    full = g.size <= full_cap
     t = g.table
-    failure = _validate_structure(t, g.identity)
-    if failure is None:
-        failure = _assoc_exact(t, g.identity) if full else _assoc_sampled(t, sample_triples, seed)
-    return ValidationReport("full" if full else f"sampled({sample_triples})", failure)
+    failure = _validate_structure(t, g.identity) or _assoc_exact(t, g.identity)
+    return ValidationReport("full", failure)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic
+from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic, parse_group_spec
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import (
@@ -566,7 +566,7 @@ def test_scan_up_to_one_hundred():
     assert [r["n"] for r in report.rows] == [9, 25, 27, 45, 49, 63, 75, 81, 99]
     assert all(r["supported"] for r in report.rows)
     by_n = {r["n"]: r for r in report.rows}
-    assert by_n[27]["argmax"] == "Ab(3;2,1);M(3,3)"
+    assert by_n[27]["argmax"] == "Ab(3;2,1) | M(3,3)"
     assert by_n[27]["margin"] == 0       # tied with the modular group
     assert by_n[81]["completeness"] == "incomplete"
     assert report.completeness is Completeness.INCOMPLETE
@@ -603,7 +603,7 @@ def enumerated_scan_rows(n_max, census=None):
             "max_edges": best,
             "margin": best - (scored[1][0] if len(scored) > 1 else best),
             "supported": expected_edges == best,
-            "argmax": ";".join(argmax),
+            "argmax": " | ".join(argmax),
             "completeness": completeness.value,
         })
     return rows
@@ -613,6 +613,16 @@ def test_scan_agrees_with_the_full_enumeration():
     """Scoring only the members with one non-cyclic Sylow factor gives every
     column of every row that ranking all members gives."""
     assert scan_conjecture_2_9(20_000).rows == enumerated_scan_rows(20_000)
+
+
+def test_scan_argmax_splits_into_names_that_parse_back_to_themselves():
+    """The argmax column joins names with " | ", which no rendered name holds,
+    so each piece is one group spec, also where a name holds ; or x."""
+    rows = list(scan_rows(20_000))
+    assert rows[2][0] == 27 and rows[2][7] == "Ab(3;2,1) | M(3,3)"
+    for row in rows:
+        for name in row[7].split(" | "):
+            assert parse_group_spec(name).render() == name, row
 
 
 def test_scan_agrees_with_the_full_enumeration_when_the_top_entry_is_unique(monkeypatch):
@@ -685,7 +695,7 @@ def test_scan_row_scores_ties_and_runners_up_as_brute_force(sylows, max_edges, m
     primes, and each place a unique best's runner-up can come from."""
     n = 225
     row = dict(zip(pgx.census.SCAN_COLUMNS, pgx.census._scan_row(n, sylows, 0)))
-    assert (row["max_edges"], row["margin"], row["argmax"].split(";")) \
+    assert (row["max_edges"], row["margin"], row["argmax"].split(" | ")) \
         == _brute_scan_scores(n, sylows) == (max_edges, margin, argmax)
     split = sylows[0].split
     assert row["expected"] == f"{split[2]}xX"

@@ -630,7 +630,7 @@ def test_scan_csv_rows(run_cli):
     assert lines[0] == ("n,candidates,expected,expected_edges,max_edges,"
                         "margin,supported,argmax,completeness")
     assert [line.split(",")[0] for line in lines[1:]] == ["9", "25", "27", "45"]
-    assert lines[3] == '27,4,"Ab(3;2,1)",111,111,0,true,"Ab(3;2,1);M(3,3)",complete'
+    assert lines[3] == '27,4,"Ab(3;2,1)",111,111,0,true,"Ab(3;2,1) | M(3,3)",complete'
 
 
 def test_scan_argument_validation(run_cli):
@@ -770,23 +770,22 @@ def _broken_table(p: int) -> GroupTable:
 ])
 def test_census_settings_admit_a_table_alike_in_ingest_and_catalogs(run_cli, tmp_path,
                                                                     p, command):
+    # ingest and the catalogs validate alike, and exactly: only a few triples
+    # fail, and the seed plays no part in finding one
     (tmp_path / str(p ** 4)).mkdir()
     path = tmp_path / str(p ** 4) / "broken.cayley"
     write_cayley(_broken_table(p), path)
     census = ("--census-dir", str(tmp_path))
-    # full validation, the default at this order, finds the failing triple
     code, out, err = run_cli("census", "ingest", str(tmp_path))
     assert (code, out) == (3, "")
     assert err.startswith(f"error: {path}: not a group table (associativity failed")
     assert run_cli(*command, *census) == (3, "", err)
-    # one sampled triple misses it, and the table is admitted in both
-    sampled = ("--full-assoc-cap", "8", "--sample-triples", "1", "--seed", "1")
-    code, out, err = run_cli("census", "ingest", str(tmp_path), *sampled, "--format", "csv")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[1].startswith(f"{p ** 4}/broken.cayley,broken,{p ** 4},sampled(1),")
-    code, out, err = run_cli(*command, *census, *sampled)
-    assert (code, err) == (0, "")
-    assert "complete-via-ingested-census" in out
+    assert run_cli("census", "ingest", str(tmp_path), "--seed", "1", "--format", "csv") == \
+        (3, "", err)
+    assert run_cli(*command, *census, "--seed", "1") == (3, "", err)
+    # validation has no settings to weaken it
+    code, out, err = run_cli("census", "ingest", str(tmp_path), "--full-assoc-cap", "8")
+    assert (code, out) == (3, "") and "--full-assoc-cap" in err
 
 
 def test_census_validation_mode_is_the_same_in_ingest_and_catalogs(run_cli, tmp_path,
@@ -797,12 +796,11 @@ def test_census_validation_mode_is_the_same_in_ingest_and_catalogs(run_cli, tmp_
     validate = pgx.constructors.validate
     monkeypatch.setattr(pgx.constructors, "validate",
                         lambda *a, **k: modes.append(validate(*a, **k).mode) or validate(*a, **k))
-    for flags, mode in (((), "sampled(1000000)"), (("--full-assoc-cap", "300"), "full")):
-        modes.clear()
-        assert run_cli("census", "ingest", str(tmp_path), *flags)[0] == 0
-        assert run_cli("verify", "prop-2.2", "--p", "17", "--n", "2",
-                       "--census-dir", str(tmp_path), *flags)[0] == 0
-        assert modes == [mode, mode]
+    # full at order 289 in both
+    assert run_cli("census", "ingest", str(tmp_path))[0] == 0
+    assert run_cli("verify", "prop-2.2", "--p", "17", "--n", "2",
+                   "--census-dir", str(tmp_path))[0] == 0
+    assert modes == ["full", "full"]
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +896,7 @@ def test_config_underscore_keys_and_comments(run_cli, tmp_path):
     cfg.write_text(
         "# comment line\n"
         "\n"
-        "full_assoc_cap = 8\n"
+        "brute_cap = 8\n"
         'format = "text"\n')
     code, out, _ = run_cli("stats", "C6", "--config", str(cfg))
     assert code == 0 and out == C6_STATS_TEXT
@@ -910,8 +908,8 @@ def test_config_rejects_nonpositive_caps(run_cli):
 
 
 @pytest.mark.parametrize("argv", [
-    ("census", "ingest", "census", "--full-assoc-cap", "8"),
-    ("verify", "prop-2.8", "--p", "2", "--n", "4", "--full-assoc-cap", "8"),
+    ("census", "ingest", "census"),
+    ("verify", "prop-2.8", "--p", "2", "--n", "4"),
     ("verify", "lemma-2.1"),
 ])
 def test_config_rejects_a_negative_seed(run_cli, monkeypatch, argv):

@@ -106,6 +106,20 @@ def test_render_parse_round_trip(text):
     assert parse_group_spec(spec.render()) == spec
 
 
+def test_deep_product_equality_hash_and_repr_do_not_recurse():
+    # a parsed product nests once per atom, far deeper than the recursion limit
+    text = "x".join(["C2"] * 3000)
+    spec, again = parse_group_spec(text), parse_group_spec(text)
+    assert spec == again and spec is not again
+    assert hash(spec) == hash(again)
+    assert repr(spec) == "Product(" + ", ".join(["Cyclic(m=2)"] * 3000) + ")"
+    assert spec != parse_group_spec("x".join(["C2"] * 2999 + ["C3"]))
+    assert spec != Cyclic(2)
+    # the atoms decide, not the nesting: x is associative
+    assert Product(Cyclic(2), Product(Cyclic(3), Cyclic(5))) == parse_group_spec("C2xC3xC5")
+    assert len({spec, again, parse_group_spec("C2xC3")}) == 2
+
+
 def test_render_spec_file_products_keep_spaces():
     spec = Product(Cyclic(2), FileTable("tables/k4.cayley"))
     assert spec.render() == "C2 x file:tables/k4.cayley"

@@ -183,21 +183,21 @@ def test_validate_full_passes_on_groups():
     assert report.failure is None
 
 
-def test_validate_auto_switches_to_sampling_above_cap():
-    report = validate(Cyclic(300).build(), sample_triples=5000, full_cap=256)
-    assert report.ok and report.mode == "sampled(5000)"
-    small = validate(Cyclic(16).build())
-    assert small.mode == "full"
+def test_validate_is_full_at_every_order():
+    # exact on both sides of 256 and up to the largest census table the benchmark writes
+    for m in (16, 256, 300, 2048):
+        report = validate(Cyclic(m).build())
+        assert report.ok and report.mode == "full"
 
 
 def test_validate_identity_failure():
     report = validate(GroupTable(3, 1, table=C3_TABLE))
     assert (report.ok, report.failure.axiom, report.mode) == (False, "identity", "full")
-    # the mode names the associativity check of the order, also on a failure
+    # the mode is "full" at every order, also on a failure
     t = Cyclic(300).build().table.copy()
     t[[0, 1]] = t[[1, 0]]            # the identity's row is no longer the identity
-    report = validate(GroupTable(300, 0, table=t), sample_triples=10, full_cap=256)
-    assert (report.ok, report.failure.axiom, report.mode) == (False, "identity", "sampled(10)")
+    report = validate(GroupTable(300, 0, table=t))
+    assert (report.ok, report.failure.axiom, report.mode) == (False, "identity", "full")
 
 
 def test_validate_latin_row_failure():
@@ -242,16 +242,12 @@ def test_full_associativity_witness_from_a_late_block_is_the_first_triple():
     assert report.failure.witness == tuple(m * v for v in first)
 
 
-def reference_validate(g: GroupTable, *, sample_triples: int = groups.DEFAULT_SAMPLE_TRIPLES,
-                       seed: int = groups.DEFAULT_SEED,
-                       full_cap: int = groups.FULL_ASSOC_CAP) -> groups.ValidationReport:
+def reference_validate(g: GroupTable) -> groups.ValidationReport:
     """`validate` with no generating set and no blocks: the Latin checks sort
-    the whole table, full mode scans every triple, and sampled mode draws the
-    same seeded triples and gathers them from the 2-D table. The reference
-    for validate's reports."""
+    the whole table, and associativity is decided by a scan of every triple.
+    The reference for validate's reports."""
     t, e, n = g.table, g.identity, g.size
-    full = n <= full_cap
-    report = functools.partial(groups.ValidationReport, "full" if full else f"sampled({sample_triples})")
+    report = functools.partial(groups.ValidationReport, "full")
     fail = groups.ValidationFailure
     idx = np.arange(n)
     if not np.array_equal(t[e], idx):
@@ -271,24 +267,13 @@ def reference_validate(g: GroupTable, *, sample_triples: int = groups.DEFAULT_SA
     if bad.size:
         a, r = int(bad[0]), int(right_inv[bad[0]])
         return report(fail("inverse", (a, r), f"right inverse {r} of {a} is not a left inverse"))
-    if full:
-        for a in range(n):
-            bad = np.argwhere(t[t[a]] != t[a][t])     # [b, c]: (a*b)*c != a*(b*c)
-            if bad.size:
-                b, c = (int(v) for v in bad[0])
-                return report(fail("associativity", (a, b, c),
-                                   f"({a}*{b})*{c} = {int(t[t[a, b], c])} but "
-                                   f"{a}*({b}*{c}) = {int(t[a, t[b, c]])}"))
-        return report(None)
-    rng = np.random.default_rng(seed)
-    for done in range(0, sample_triples, 1 << 20):
-        bs = min(sample_triples - done, 1 << 20)
-        a, b, c = (rng.integers(0, n, size=bs) for _ in range(3))
-        bad = np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])
+    for a in range(n):
+        bad = np.argwhere(t[t[a]] != t[a][t])     # [b, c]: (a*b)*c != a*(b*c)
         if bad.size:
-            wa, wb, wc = (int(v[bad[0]]) for v in (a, b, c))
-            return report(fail("associativity", (wa, wb, wc),
-                               f"({wa}*{wb})*{wc} != {wa}*({wb}*{wc})"))
+            b, c = (int(v) for v in bad[0])
+            return report(fail("associativity", (a, b, c),
+                               f"({a}*{b})*{c} = {int(t[t[a, b], c])} but "
+                               f"{a}*({b}*{c}) = {int(t[a, t[b, c]])}"))
     return report(None)
 
 
@@ -306,8 +291,7 @@ def block_edit(p: int, k: int, a: int, b: int, shift: int) -> np.ndarray:
     return t
 
 
-# every builder family, on both sides of groups._LIGHT_MIN_ORDER and up to
-# the default full-associativity cap
+# every builder family, on both sides of groups._LIGHT_MIN_ORDER, up to order 256
 FAMILY_SPECS = ("C1", "C2", "C7", "C45", "C128", "Ab(2;1,1,1,1,1,1)", "Ab(3;2,1)", "Ab(5;1,1)",
                 "M(4,2)", "M(5,3)", "D10", "D48", "D128", "Q8", "Q32", "SD16", "SD64",
                 "SD256", "He3", "He5", "C9xC5", "Q8xC6", "D8xC3xC2")
@@ -315,12 +299,10 @@ FAMILY_SPECS = ("C1", "C2", "C7", "C45", "C128", "Ab(2;1,1,1,1,1,1)", "Ab(3;2,1)
 
 @st.composite
 def validation_cases(draw):
-    """A table and validate's settings. The table is a group of some family;
-    NONASSOCIATIVE_LOOP or ONE_SIDED_INVERSE times a group of order at most
-    51, on either side; or a block edit of C_p^k. It may be relabelled, and
-    three cases in seven have one entry changed or two entries of a row or
-    column swapped. Two cases in three use full mode, the rest a short
-    seeded sample."""
+    """A table: a group of some family; NONASSOCIATIVE_LOOP or
+    ONE_SIDED_INVERSE times a group of order at most 51, on either side; or a
+    block edit of C_p^k. It may be relabelled, and three cases in seven have
+    one entry changed or two entries of a row or column swapped."""
     kind = draw(st.sampled_from(["group", "loop-product", "block-edit"]))
     if kind == "block-edit":
         p, k = draw(st.sampled_from([(2, 4), (2, 6), (2, 8), (3, 3), (3, 4), (5, 2), (5, 3)]))
@@ -353,37 +335,32 @@ def validation_cases(draw):
         t[x, [y, z]] = t[x, [z, y]]
     elif edit == "column-swap":                             # column x stays a permutation
         t[[y, z], x] = t[[z, y], x]
-    if draw(st.integers(0, 2)):
-        settings_ = {"full_cap": groups.FULL_ASSOC_CAP}
-    else:
-        settings_ = {"full_cap": 0, "sample_triples": draw(st.integers(1, 3000)),
-                     "seed": draw(st.integers(0, 2**32 - 1))}
-    return GroupTable(n, e, table=t), settings_
+    return GroupTable(n, e, table=t)
 
 
 @settings(max_examples=200, deadline=None)
 @given(validation_cases())
-def test_validate_equals_the_exhaustive_and_2d_sampled_reference(case):
-    g, kw = case
-    assert validate(g, **kw) == reference_validate(g, **kw)
+def test_validate_equals_the_exhaustive_reference(g):
+    assert validate(g) == reference_validate(g)
     # the generator bound holds in every Latin square with an identity, so
     # Light's test never needs more than floor(log2 n) generators
     if groups._validate_structure(g.table, g.identity) is None:
         assert len(groups._generators(g.table, g.identity)) <= g.size.bit_length() - 1
 
 
-def test_sampled_witness_from_a_late_sub_block_is_the_first_triple_drawn():
-    # one changed intercalate of C_2^10 fails on few triples: with seed 0 the
-    # first failing triple drawn lies past the first 2^16-triple sub-block
+def test_block_edit_of_order_1024_is_refused_with_its_first_failing_triple():
+    # one changed intercalate of C_2^10 fails on few triples: the first of
+    # 2^20 seeded random triples to fail lies past the first 2^16 of them,
+    # yet the exact check refuses the table and names the first failing triple
     g = GroupTable(1024, 0, table=block_edit(2, 10, 2, 4, 1))
     rng = np.random.default_rng(0)
     a, b, c = (rng.integers(0, 1024, size=1 << 20) for _ in range(3))
     t = g.table
-    first = int(np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])[0])
-    assert first >= 1 << 16
-    report = validate(g, sample_triples=1 << 20, seed=0)
-    assert report.failure.witness == (a[first], b[first], c[first])
-    assert report == reference_validate(g, sample_triples=1 << 20, seed=0)
+    assert int(np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])[0]) >= 1 << 16
+    report = validate(g)
+    assert (report.mode, report.failure.axiom, report.failure.witness) == \
+        ("full", "associativity", (2, 2, 4))
+    assert report == reference_validate(g)
 
 
 @pytest.mark.parametrize("axiom", ["latin-row", "latin-column"])
@@ -395,9 +372,9 @@ def test_latin_failure_from_a_late_block_names_the_first_line(axiom):
     else:
         t[7, [250, 260]] = t[7, [260, 250]]       # rows stay permutations
     g = GroupTable(300, 0, table=t)
-    report = validate(g, sample_triples=10)
+    report = validate(g)
     assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
-    assert report == reference_validate(g, sample_triples=10)
+    assert report == reference_validate(g)
 
 
 def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):

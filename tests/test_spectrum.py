@@ -4,6 +4,8 @@ Every frozen integer below was regenerated with the brute-force graph oracle
 (tests/test_powergraph.py checks the same numbers against explicit graphs).
 """
 
+import functools
+import itertools
 import math
 import random
 
@@ -54,8 +56,8 @@ def test_factor_examples():
         factor(0)
 
 
-# The trial-division routines the factoring engine replaced, kept as its
-# reference: slow, but with no number theory beyond division.
+# Trial division, the reference for the factoring engine: slow, but with no
+# number theory beyond division and the sieve of Eratosthenes.
 
 def reference_is_prime(n: int) -> bool:
     if n < 2:
@@ -72,18 +74,34 @@ def reference_is_prime(n: int) -> bool:
     return True
 
 
+@functools.cache
+def reference_primes() -> list[int]:
+    """The primes below 10^6, by the sieve of Eratosthenes."""
+    m = 10 ** 6
+    sieve = bytearray([1]) * m
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(m - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, m, f)))
+    return list(itertools.compress(range(m), sieve))
+
+
 def reference_factor(n: int) -> list[tuple[int, int]]:
+    """Trial division by the primes below 10^6. Exact for n <= 10^12: a
+    composite cofactor left over would have a prime factor at most its
+    square root, which is at most 10^6."""
+    assert 1 <= n <= 10 ** 12, n
     out: list[tuple[int, int]] = []
     m = n
-    f = 2
-    while f * f <= m:
+    for f in reference_primes():
+        if f * f > m:
+            break
         if m % f == 0:
             e = 0
             while m % f == 0:
                 m //= f
                 e += 1
             out.append((f, e))
-        f += 1 if f == 2 else 2
     if m > 1:
         out.append((m, 1))
     return out
