@@ -231,12 +231,6 @@ def _expected_sylow(p: int, a: int, p_s: int) -> GroupSpec:
     return Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a)
 
 
-def _missing_expected(n: int, factors: list[tuple[int, int]], p_s: int) -> InvariantError:
-    sylows = [_expected_sylow(p, a, p_s) for p, a in factors]
-    return InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
-                          f"missing from the order-{n} enumeration")
-
-
 def _expected_member(n: int, factors: list[tuple[int, int]], p_s: int,
                      members: list[CensusMember]) -> CensusMember:
     """The member C_(n/p_s) x C_(p_s) of an order-n enumeration."""
@@ -244,7 +238,8 @@ def _expected_member(n: int, factors: list[tuple[int, int]], p_s: int,
     for m in members:
         if m.sylow_specs == sylows:
             return m
-    raise _missing_expected(n, factors, p_s)
+    raise InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
+                         f"missing from the order-{n} enumeration")
 
 
 def verify_main_theorem(n: int, census: Census | None = None,
@@ -286,7 +281,7 @@ def verify_main_theorem(n: int, census: Census | None = None,
                      "rows are exploratory only")
     if n % 16 == 0:     # the catalog of order 2^a lists M(a,2) from a = 4 on
         notes.append(_M2_NOTE)
-    headline = (f"max phi-sum among {len(noncyclic)} non-cyclic nilpotent groups "
+    headline = (f"max phi-sum among {len(noncyclic)} catalogued non-cyclic nilpotent groups "
                 f"of order {n} is {best}; {expected_display} "
                 f"({expected.render()}) gives {expected.phi}")
     return VerificationReport(
@@ -310,14 +305,11 @@ def _edges(g: CatalogEntry | CensusMember, size: int) -> int:
     return undirected_from_sums(g.sigma, g.phi, size)
 
 
-def _expected_p_group(p: int, n: int) -> set[str]:
-    """C_(p^(n-1)) x C_p, joined by M(n,p) for n >= 3; Q8 alone at order 8."""
+def _expected_p_group(p: int, n: int) -> list[GroupSpec]:
+    """C_(p^(n-1)) x C_p, then M(n,p) for n >= 3; Q8 alone at order 8."""
     if (p, n) == (2, 3):
-        return {GeneralizedQuaternion(8).render()}
-    expected = {Abelian(p, (n - 1, 1)).render()}
-    if n >= 3:
-        expected.add(Modular(n, p).render())
-    return expected
+        return [GeneralizedQuaternion(8)]
+    return [Abelian(p, (n - 1, 1))] + ([Modular(n, p)] if n >= 3 else [])
 
 
 def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None,
@@ -337,7 +329,7 @@ def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None
         "argmax": v == best,
         "source": e.source,
     } for v, e in scored]
-    expected = _expected_p_group(p, n)
+    expected = {spec.render() for spec in _expected_p_group(p, n)}
     witnesses = [] if set(argmax) == expected else [r for r in rows if r["argmax"]]
     headline = (f"max {what} among non-cyclic groups of order {p}^{n} is {best}, "
                 f"attained by {{{', '.join(argmax)}}}; "
@@ -654,38 +646,37 @@ SCAN_COLUMNS = ("n", "candidates", "expected", "expected_edges", "max_edges", "m
 class _ScanSylow(NamedTuple):
     """A Sylow catalog of order p^a reduced to what the scan reads, each name
     rendered once: its size and completeness; its cyclic entry as
-    (sigma, phi, name); the candidates, one (sigma, phi, name) for every
-    non-cyclic entry whose sigma is one of the two largest among them; and
-    C_(p^(a-1)) x C_p as (sigma, phi, name), None for a = 1."""
+    (sigma, phi, name); and as candidates the non-cyclic entries of largest
+    sigma, C_(p^(a-1)) x C_p and then M(a,p) for a >= 3, as (sigma, phi,
+    name). For odd p every other group of order p^a has sigma <= B, by the
+    classification that scan_rows cites."""
 
     size: int
     completeness: Completeness
     cyclic: tuple[int, int, str]
     candidates: list[tuple[int, int, str]]
-    split: tuple[int, int, str] | None
 
 
 def _scan_sylow(p: int, a: int, entries: list[CatalogEntry],
                 completeness: Completeness) -> _ScanSylow:
-    """The catalog p_group_catalog(p, a) gave, reduced for the scan; raises
-    InvariantError when C_(p^(a-1)) x C_p is missing from it for a >= 2."""
-    cyclic = next(e for e in entries if e.is_cyclic)    # C_(p^a), listed once
-    noncyclic = [e for e in entries if not e.is_cyclic]
-    kept = sorted({e.sigma for e in noncyclic}, reverse=True)[:2]
-    split_spec = _expected_sylow(p, a, p) if a > 1 else None
-    split = next(((e.sigma, e.phi, e.render()) for e in noncyclic if e.spec == split_spec), None)
-    if split_spec is not None and split is None:
-        raise _missing_expected(p ** a, [(p, a)], p)
-    return _ScanSylow(len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
-                      [(e.sigma, e.phi, e.render()) for e in noncyclic if e.sigma in kept],
-                      split)
+    """The catalog p_group_catalog(p, a) gave, reduced for the scan by reading
+    its entries of C_(p^a), C_(p^(a-1)) x C_p and M(a,p) by spec; raises
+    InvariantError when a candidate is missing from it."""
+    by_spec = {e.spec: e for e in entries}
+    tops = _expected_p_group(p, a) if a > 1 else []
+    for spec in tops:
+        if spec not in by_spec:
+            raise InvariantError(f"expected maximizer {spec.render()} missing from the "
+                                 f"catalog of order {p ** a}")
+    cyclic, *candidates = [(e.sigma, e.phi, e.render())
+                           for e in map(by_spec.get, [Cyclic(p ** a)] + tops)]
+    return _ScanSylow(len(entries), completeness, cyclic, candidates)
 
 
 def _prime_sylow(p: int) -> _ScanSylow:
     """The catalog of order p, which is C_p alone, without building it: its
     order sum is 1 + (p-1)p and its totient sum 1 + (p-1)^2."""
-    return _ScanSylow(1, Completeness.COMPLETE, (p * p - p + 1, p * p - 2 * p + 2, f"C{p}"),
-                      [], None)
+    return _ScanSylow(1, Completeness.COMPLETE, (p * p - p + 1, p * p - 2 * p + 2, f"C{p}"), [])
 
 
 def _scan_catalogs(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
@@ -740,12 +731,11 @@ def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
     best = scored[0][0]
     argmax = sorted(name(i, entry_name) for e, i, entry_name in scored if e == best)
     runner_up = scored[1][0] if len(scored) > 1 else best
-    x = sylows[s]
-    expected_edges = edges(s, x.split)
-    expected = name(s, x.split[2])
+    split = sylows[s].candidates[0]     # C_(p^(a-1)) x C_p at the first prime with a >= 2
+    expected_edges = edges(s, split)
     # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
-    return (n, _member_count(n, [x.size for x in sylows]) - 1, expected, expected_edges, best,
-            best - runner_up, expected_edges == best, " | ".join(argmax),
+    return (n, _member_count(n, [x.size for x in sylows]) - 1, name(s, split[2]),
+            expected_edges, best, best - runner_up, expected_edges == best, " | ".join(argmax),
             merge_completeness([x.completeness for x in sylows]).value)
 
 
@@ -758,19 +748,24 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     before this returns; the rows are then made one at a time as they are
     read, so a caller that writes each one out holds none of them.
 
-    Two reductions make a row exact from the entries of two sigmas per prime:
+    Two reductions make a row exact from at most two entries per prime:
     - Only the members with one non-cyclic Sylow factor are scored. In a
       p-group p*phi = (p-1)*sigma + 1, and phi <= sigma in every group, so
       making a non-cyclic factor at p cyclic raises the edge count by
       (sigma_c - sigma_i) * (sigma_rest - (p-1)/(2p) * phi_rest) > 0. Each
       member with two or more non-cyclic factors thus scores below two
       distinct such members, and the argmax and the runner-up are among them.
-    - Among those with their non-cyclic factor at p, the edge count is
-      sigma_i * (sigma_rest - (p-1)/(2p) * phi_rest) minus a constant, by the
-      same identity: it rises strictly with sigma_i, and equal sigma_i means
-      equal edges. So the non-cyclic entries of the two largest sigmas at
-      each prime hold the argmax and the runner-up, which equals the best
-      when the best is tied.
+    - At odd p a non-cyclic group of order p^a with an element of order
+      p^(a-1) has a cyclic maximal subgroup, so it is C_(p^(a-1)) x C_p or
+      M(a,p), which share a spectrum (Burnside 1911, sections 103-107;
+      Huppert, Endliche Gruppen I, Satz I.14.9). Any other has exponent at
+      most p^(a-2), so its sigma is at most B = 1 + (p^a - 1) * p^(a-2),
+      below the 1 + (p-1) * p^(2a-2) that C_(p^(a-1)) x C_p has from its
+      elements of order p^(a-1). By the same identity the edge count of a
+      member with its non-cyclic factor at p is sigma_i * (sigma_rest -
+      (p-1)/(2p) * phi_rest) minus a constant, so it rises strictly with
+      sigma_i. These two entries at each prime hold the argmax and the
+      runner-up, which equals the best when the best is tied.
     """
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")

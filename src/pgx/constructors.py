@@ -637,12 +637,15 @@ def merge_completeness(values: "list[Completeness]") -> Completeness:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog group; sigma and phi, its order and totient sums, are tallied when first read."""
+    """A catalog group; spectrum, sigma and phi (order, totient sums) are computed when read."""
 
     spec: GroupSpec
-    spectrum: OrderSpectrum
     source: str               # "parametric" or the census file name
     validation: str | None = None     # a census table's validation mode
+
+    @cached_property
+    def spectrum(self) -> OrderSpectrum:
+        return self.spec.spectrum()
 
     @cached_property
     def sigma(self) -> int:
@@ -668,18 +671,18 @@ class Census:
     dir: str | Path
 
     def admit(self, path: Path, order: int | None = None) -> CatalogEntry:
-        """The table at path as a catalog entry: read, checked to have the given
-        order, validated exhaustively (`validate`) and tallied. Raises
-        InputError for a table that is not a group of that order."""
-        g = read_cayley(path)
-        if order is not None and g.size != order:
-            raise InputError(f"{path}: order {g.size} does not match census directory {order}")
-        report = validate(g)
+        """The table at path as a catalog entry, read once into its FileTable,
+        checked to have the given order and validated exhaustively (`validate`).
+        Raises InputError for a table that is not a group of that order."""
+        spec = FileTable(str(path))
+        if order is not None and spec.order != order:
+            raise InputError(f"{path}: order {spec.order} does not match census directory {order}")
+        report = validate(spec.table)
         if not report.ok:
             fail = report.failure
             raise InputError(f"{path}: not a group table ({fail.axiom} failed on "
                              f"witness {fail.witness}: {fail.detail})")
-        return CatalogEntry(FileTable(str(path)), order_spectrum(g), path.name, report.mode)
+        return CatalogEntry(spec, path.name, report.mode)
 
 
 def _partitions(k: int) -> list[tuple[int, ...]]:
@@ -714,7 +717,7 @@ def _partition_count(k: int) -> int:
 
 def p_group_catalog(p: int, k: int, census: Census | None = None
                     ) -> tuple[list[CatalogEntry], Completeness]:
-    """Known groups of order p^k as (spec, spectrum) entries.
+    """Known groups of order p^k as entries, each spectrum computed when first read.
 
     Complete for k <= 3 (abelian + the classical non-abelian classes).
     For k >= 4 the parametric families are a strict subset, so completeness
@@ -750,7 +753,7 @@ def p_group_catalog(p: int, k: int, census: Census | None = None
             specs.append(Dihedral(2 ** k))
             specs.append(GeneralizedQuaternion(2 ** k))
             specs.append(Semidihedral(2 ** k))
-    entries = [CatalogEntry(s, s.spectrum(), "parametric") for s in specs]
+    entries = [CatalogEntry(s, "parametric") for s in specs]
     completeness = Completeness.COMPLETE if k <= 3 else Completeness.INCOMPLETE
 
     if census is not None:

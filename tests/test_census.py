@@ -23,7 +23,8 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.constructors import CATALOG_BOUND, Census, Completeness, Cyclic, parse_group_spec
+from pgx.constructors import (CATALOG_BOUND, Abelian, Census, Completeness, Cyclic, Modular,
+                              parse_group_spec)
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import (
@@ -171,7 +172,7 @@ def test_prime_order_sylow_is_the_catalog_of_order_p():
         (entry,), completeness = pgx.constructors.p_group_catalog(p, 1)
         x = pgx.census._prime_sylow(p)
         assert x.cyclic == (entry.sigma, entry.phi, entry.render()), p
-        assert (x.size, x.completeness, x.candidates, x.split) == (1, completeness, [], None)
+        assert (x.size, x.completeness, x.candidates) == (1, completeness, [])
 
 
 def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_path):
@@ -625,19 +626,53 @@ def test_scan_argmax_splits_into_names_that_parse_back_to_themselves():
             assert parse_group_spec(name).render() == name, row
 
 
-def test_scan_agrees_with_the_full_enumeration_when_the_top_entry_is_unique(monkeypatch):
-    """Without M(a,p), C_(p^(a-1)) x C_p is the one entry of the largest sigma
-    at p^a for a >= 3, so a runner-up can be the next sigma at that prime."""
+def test_split_sigma_is_above_the_exponent_bound():
+    """C_(p^(a-1)) x C_p has p^a - p^(a-1) elements of order p^(a-1), so its
+    sigma is at least 1 + (p-1) * p^(2a-2), above the bound
+    B = 1 + (p^a - 1) * p^(a-2) on every group of exponent at most p^(a-2)."""
+    for p in filter(is_prime, range(3, 200, 2)):
+        for a in range(3, 41):
+            sigma = order_sum(Abelian(p, (a - 1, 1)).spectrum())
+            bound = 1 + (p ** a - 1) * p ** (a - 2)
+            assert sigma >= 1 + (p - 1) * p ** (2 * a - 2) > bound, (p, a)
+
+
+def test_parametric_catalogs_top_sigma_is_the_split_and_the_modular_group():
+    """In every parametric catalog of odd order p^a <= 10^6 the non-cyclic
+    entries of largest sigma are C_(p^(a-1)) x C_p and, for a >= 3, M(a,p),
+    and every other non-cyclic entry has sigma <= B = 1 + (p^a - 1) * p^(a-2):
+    the entries the scan reads by spec."""
+    for p in filter(is_prime, range(3, 1001, 2)):
+        a = 2
+        while p ** a <= 10 ** 6:
+            noncyclic = [e for e in pgx.constructors.p_group_catalog(p, a)[0] if not e.is_cyclic]
+            top = max(e.sigma for e in noncyclic)
+            expected = {Abelian(p, (a - 1, 1))} | ({Modular(a, p)} if a >= 3 else set())
+            assert {e.spec for e in noncyclic if e.sigma == top} == expected, (p, a)
+            assert all(e.sigma <= 1 + (p ** a - 1) * p ** (a - 2)
+                       for e in noncyclic if e.spec not in expected), (p, a)
+            a += 1
+
+
+def test_scan_computes_three_spectra_per_sylow_catalog(monkeypatch):
+    """The scan's catalog pass to 10^4 computes the spectra of C_(p^a),
+    C_(p^(a-1)) x C_p and M(a,p) only, however large the catalog."""
+    catalogs = []
     catalog = pgx.census.p_group_catalog
 
-    def without_modular(p, k, census=None):
+    def recorded(p, k, census=None):
         entries, completeness = catalog(p, k, census)
-        return [e for e in entries if not e.render().startswith("M(")], completeness
+        catalogs.append((p, k, entries))
+        return entries, completeness
 
-    monkeypatch.setattr(pgx.census, "p_group_catalog", without_modular)
-    rows = scan_conjecture_2_9(5000).rows
-    assert rows == enumerated_scan_rows(5000)
-    assert rows[2]["n"] == 27 and rows[2]["argmax"] == "Ab(3;2,1)" and rows[2]["margin"] > 0
+    monkeypatch.setattr(pgx.census, "p_group_catalog", recorded)
+    scan_rows(10_000)
+    assert max(len(entries) for _, _, entries in catalogs) == 23     # 3^8: 22 abelian, M(8,3)
+    for p, k, entries in catalogs:
+        # a cached_property keeps its value in the instance dict once computed
+        computed = {e.spec for e in entries if "spectrum" in vars(e)}
+        assert computed == {Cyclic(p ** k), Abelian(p, (k - 1, 1))} \
+            | ({Modular(k, p)} if k >= 3 else set()), (p, k)
 
 
 def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):
@@ -650,11 +685,12 @@ def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):
         == {81, 405, 567, 891}
 
 
-def _hand_sylow(cyclic_name, candidates, split=None):
-    """A Sylow catalog for _scan_row by hand, cyclic entry (100, 51): odd phi
-    sums keep phi + n even at n = 225, and every product stays above n."""
+def _hand_sylow(cyclic_name, candidates):
+    """A Sylow catalog for _scan_row by hand, cyclic entry (100, 51), its first
+    candidate taken as the split: odd phi sums keep phi + n even at n = 225,
+    and every product stays above n."""
     return pgx.census._ScanSylow(len(candidates) + 1, Completeness.COMPLETE,
-                                 (100, 51, cyclic_name), candidates, split)
+                                 (100, 51, cyclic_name), candidates)
 
 
 def _brute_scan_scores(n, sylows):
@@ -678,15 +714,15 @@ def _brute_scan_scores(n, sylows):
 # and (30, 15) 2505.
 @pytest.mark.parametrize("sylows,max_edges,margin,argmax", [
     # the best tied across the two primes, and twice at the second
-    ([_hand_sylow("Y", [(60, 31, "Yz"), (40, 21, "Yc")], (60, 31, "Yz")),
+    ([_hand_sylow("Y", [(60, 31, "Yz"), (40, 21, "Yc")]),
       _hand_sylow("X", [(60, 31, "Xn"), (60, 31, "Xm"), (30, 15, "Xc")])],
      5097, 0, ["YxXm", "YxXn", "YzxX"]),
     # a unique best, the runner-up the second sigma at its own prime
-    ([_hand_sylow("Y", [(60, 31, "Yb"), (50, 25, "Yc")], (50, 25, "Yc")),
+    ([_hand_sylow("Y", [(50, 25, "Yc"), (60, 31, "Yb")]),
       _hand_sylow("X", [(40, 21, "Xb"), (30, 15, "Xc")])],
      5097, 5097 - 4250, ["YbxX"]),
     # a unique best, the runner-up the top entry of another prime
-    ([_hand_sylow("Y", [(60, 31, "Yb"), (30, 15, "Yc")], (30, 15, "Yc")),
+    ([_hand_sylow("Y", [(30, 15, "Yc"), (60, 31, "Yb")]),
       _hand_sylow("X", [(50, 25, "Xb"), (40, 21, "Xc")])],
      5097, 5097 - 4250, ["YbxX"]),
 ])
@@ -697,7 +733,7 @@ def test_scan_row_scores_ties_and_runners_up_as_brute_force(sylows, max_edges, m
     row = dict(zip(pgx.census.SCAN_COLUMNS, pgx.census._scan_row(n, sylows, 0)))
     assert (row["max_edges"], row["margin"], row["argmax"].split(" | ")) \
         == _brute_scan_scores(n, sylows) == (max_edges, margin, argmax)
-    split = sylows[0].split
+    split = sylows[0].candidates[0]
     assert row["expected"] == f"{split[2]}xX"
     assert row["expected_edges"] == undirected_from_sums(split[0] * 100, split[1] * 51, n)
     assert row["supported"] == (row["expected_edges"] == max_edges)

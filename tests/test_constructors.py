@@ -32,7 +32,7 @@ from pgx.constructors import (
 )
 from pgx.errors import InputError, ResourceError
 from pgx.groups import index_dtype, read_cayley, validate, write_cayley
-from pgx.spectrum import OrderSpectrum, factor, order_spectrum
+from pgx.spectrum import OrderSpectrum, factor, order_spectrum, order_sum
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +389,28 @@ def test_catalog_ingests_census_tables(census_dir):
     assert len({e.spectrum for e in entries}) == 9
 
 
+def test_catalog_computes_a_spectrum_only_when_an_entry_is_read(monkeypatch):
+    calls = []
+    real = pgx.constructors.spectrum_cyclic
+    monkeypatch.setattr(pgx.constructors, "spectrum_cyclic",
+                        lambda m: calls.append(m) or real(m))
+    entries, _ = p_group_catalog(3, 8)
+    assert len(entries) == 23 and calls == []
+    assert entries[0].sigma == order_sum(real(3 ** 8)) and calls == [3 ** 8]
+    assert entries[0].is_cyclic and calls == [3 ** 8]      # computed once per entry
+
+
+def test_catalog_reads_each_census_table_once(monkeypatch, census_dir):
+    reads = []
+    real = pgx.constructors.read_cayley
+    monkeypatch.setattr(pgx.constructors, "read_cayley",
+                        lambda path: reads.append(path) or real(path))
+    entries, _ = p_group_catalog(2, 4, Census(census_dir))
+    # d8xc2, the one table whose spectrum is new, is not read again for its sigma
+    assert [e.sigma for e in entries if isinstance(e.spec, FileTable)] == [39]
+    assert sorted(reads) == sorted(str(f) for f in (census_dir / "16").glob("*.cayley"))
+
+
 def test_census_script_models_match_shipped_tables(census_dir):
     path = census_dir.parent / "scripts" / "make_order16_census.py"
     spec = importlib.util.spec_from_file_location("make_order16_census", path)
@@ -474,8 +496,9 @@ def test_merge_completeness_ordering():
 
 
 def test_catalog_entry_render_matches_spec():
-    entry = CatalogEntry(Modular(4, 3), Modular(4, 3).spectrum(), "parametric")
-    assert entry.render() == "M(4,3)"
+    entry = CatalogEntry(Modular(4, 3), "parametric")
+    assert (entry.render(), entry.source, entry.validation) == ("M(4,3)", "parametric", None)
+    assert entry.spectrum == Modular(4, 3).spectrum()
 
 
 def test_catalog_refuses_exponents_past_the_bound(monkeypatch):
