@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, reduce
-from math import isqrt, prod
+from math import prod
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -32,6 +32,7 @@ from .constructors import (
     GroupSpec,
     Modular,
     Product,
+    _partition_count,
     join_names,
     merge_completeness,
     p_group_catalog,
@@ -644,12 +645,12 @@ SCAN_COLUMNS = ("n", "candidates", "expected", "expected_edges", "max_edges", "m
 
 
 class _ScanSylow(NamedTuple):
-    """A Sylow catalog of order p^a reduced to what the scan reads, each name
-    rendered once: its size and completeness; its cyclic entry as
-    (sigma, phi, name); and as candidates the non-cyclic entries of largest
-    sigma, C_(p^(a-1)) x C_p and then M(a,p) for a >= 3, as (sigma, phi,
-    name). For odd p every other group of order p^a has sigma <= B, by the
-    classification that scan_rows cites."""
+    """The Sylow catalog of order p^a reduced to what the scan reads: its size
+    and completeness; its cyclic entry as (sigma, phi, name); and as
+    candidates the non-cyclic entries of largest sigma, C_(p^(a-1)) x C_p and
+    then M(a,p) for a >= 3, as (sigma, phi, name). For odd p every other
+    group of order p^a has sigma <= B, by the classification that scan_rows
+    cites."""
 
     size: int
     completeness: Completeness
@@ -657,84 +658,82 @@ class _ScanSylow(NamedTuple):
     candidates: list[tuple[int, int, str]]
 
 
-def _scan_sylow(p: int, a: int, entries: list[CatalogEntry],
-                completeness: Completeness) -> _ScanSylow:
-    """The catalog p_group_catalog(p, a) gave, reduced for the scan by reading
-    its entries of C_(p^a), C_(p^(a-1)) x C_p and M(a,p) by spec; raises
-    InvariantError when a candidate is missing from it."""
-    by_spec = {e.spec: e for e in entries}
-    tops = _expected_p_group(p, a) if a > 1 else []
-    for spec in tops:
-        if spec not in by_spec:
-            raise InvariantError(f"expected maximizer {spec.render()} missing from the "
-                                 f"catalog of order {p ** a}")
-    cyclic, *candidates = [(e.sigma, e.phi, e.render())
-                           for e in map(by_spec.get, [Cyclic(p ** a)] + tops)]
-    return _ScanSylow(len(entries), completeness, cyclic, candidates)
+def _scan_sylow(p: int, a: int) -> _ScanSylow:
+    """The parametric catalog of odd order p^a reduced for the scan, in closed
+    form: C_(p^a) has sigma (p^(2a+1) + 1)/(p + 1). C_(p^(a-1)) x C_p has p
+    copies of each element of order p^k >= p^2 of C_(p^(a-1)) and p^2 - 1 of
+    order p, so its sigma is 1 + p(p-1) + p*(sigma(C_(p^(a-1))) - 1) and its
+    phi 1 + (p-1)^2 + p*(phi(C_(p^(a-1))) - 1); M(a,p) shares its spectrum.
+    The size is one group per partition of a, with He(p) and M(3,p) at a = 3
+    and M(a,p) above; each row checks the product of its sizes, and so each
+    size, against CATALOG_BOUND."""
+    candidates = []
+    if a > 1:
+        split = (1 + p * (p - 1) + p * ((p ** (2 * a - 1) + 1) // (p + 1) - 1),
+                 1 + (p - 1) ** 2 + p * (phi_cyclic_prime_power(p, a - 1) - 1))
+        candidates = [split + (spec.render(),) for spec in _expected_p_group(p, a)]
+    return _ScanSylow(_partition_count(a) + (2 if a == 3 else 1 if a >= 4 else 0),
+                      Completeness.COMPLETE if a <= 3 else Completeness.INCOMPLETE,
+                      ((p ** (2 * a + 1) + 1) // (p + 1), phi_cyclic_prime_power(p, a),
+                       f"C{p ** a}"), candidates)
 
 
-def _prime_sylow(p: int) -> _ScanSylow:
-    """The catalog of order p, which is C_p alone, without building it: its
-    order sum is 1 + (p-1)p and its totient sum 1 + (p-1)^2."""
-    return _ScanSylow(1, Completeness.COMPLETE, (p * p - p + 1, p * p - 2 * p + 2, f"C{p}"), [])
-
-
-def _scan_catalogs(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
-    """Every Sylow catalog a scan to n_max reads, keyed by (p, a) and built in
-    the order the scan first reads them; raises the error the first order
-    that fails would raise.
-
-    A factor p^a with a >= 2 is first read at n = p^a. A prime-order factor p
-    is first read at 9p (75 for p = 3), and its catalog is built only when the
-    census has a <p>/ directory, whose tables must still be admitted; the
-    scan takes every other prime-order factor from _prime_sylow."""
-    first: dict[int, tuple[int, int]] = {}      # the order that first reads (p, a)
-    for p in filter(is_prime, range(3, isqrt(n_max) + 1, 2)):
-        a = 2
-        while p ** a <= n_max:
-            first[p ** a] = (p, a)
-            a += 1
-    if census is not None and Path(census.dir).is_dir():
-        for d in Path(census.dir).iterdir():
-            p = int(d.name) if d.name.isdecimal() else 0
-            n = 75 if p == 3 else 9 * p
-            if p % 2 and is_prime(p) and n <= n_max:
-                first[n] = (p, 1)
-    catalogs = {}
-    for n in sorted(first):
-        p, a = first[n]
-        catalogs[p, a] = _scan_sylow(p, a, *p_group_catalog(p, a, census))
-    return catalogs
+def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
+                   ) -> dict[tuple[int, int], _ScanSylow]:
+    """The Sylow data, keyed by (p, a), of each order p^a the scan reads whose
+    census directory, found by listing the root once, holds tables; built in
+    the order the scan first reads them, p^a at n = p^a for a >= 2 and p at
+    9p (75 for p = 3), so the first order that fails raises. p_group_catalog
+    admits the tables and gives the size and completeness."""
+    if census is None or not Path(census.dir).is_dir():
+        return {}
+    first = {}      # the order that first reads (p, a)
+    for d in Path(census.dir).iterdir():
+        q = int(d.name) if d.name.isdecimal() else 0
+        if str(q) != d.name or not q % 2 or not 1 < q <= n_max:
+            continue
+        (p, a), *rest = sieve.factor(q)
+        n = q if a > 1 else 75 if p == 3 else 9 * p
+        if not rest and n <= n_max and d.is_dir() and any(d.glob("*.cayley")):
+            first[n] = (p, a)
+    sylows = {}
+    for p, a in map(first.get, sorted(first)):
+        entries, completeness = p_group_catalog(p, a, census)
+        sylows[p, a] = _scan_sylow(p, a)._replace(size=len(entries), completeness=completeness)
+    return sylows
 
 
 def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
-    """The scan row of order n from its Sylow catalogs, s the index of the
-    first with exponent >= 2; the values in SCAN_COLUMNS order. Every
-    candidate is scored; the runner-up is the second score in rank, so it
-    equals the best when the best is tied."""
+    """The scan row of order n from its Sylow data, s the index of the first
+    with exponent >= 2, in SCAN_COLUMNS order. The factors before s have
+    prime order and no candidates, so the expected member is scored first.
+    The runner-up is the second score in rank, so it equals the best when
+    the best is tied."""
     sigma = phi = 1
     for x in sylows:
         sigma *= x.cyclic[0]
         phi *= x.cyclic[1]
+    scored = []
+    for i, x in enumerate(sylows):
+        if x.candidates:
+            rest_sigma, rest_phi = sigma // x.cyclic[0], phi // x.cyclic[1]
+            scored += [(undirected_from_sums(c[0] * rest_sigma, c[1] * rest_phi, n), i, c[2])
+                       for c in x.candidates]
+    expected_edges = scored[0][0]
     cyclic_names = [x.cyclic[2] for x in sylows]
-
-    def edges(i: int, entry: tuple) -> int:
-        """Edges of the member with (sigma, phi) = entry[:2] at prime i, cyclic elsewhere."""
-        c = sylows[i].cyclic
-        return undirected_from_sums(entry[0] * (sigma // c[0]), entry[1] * (phi // c[1]), n)
 
     def name(i: int, entry_name: str) -> str:
         return join_names(cyclic_names[:i] + [entry_name] + cyclic_names[i + 1:])
 
-    scored = sorted([(edges(i, c), i, c[2]) for i, x in enumerate(sylows) for c in x.candidates],
-                    reverse=True)
+    expected = name(s, sylows[s].candidates[0][2])
+    scored.sort(reverse=True)
     best = scored[0][0]
-    argmax = sorted(name(i, entry_name) for e, i, entry_name in scored if e == best)
+    top = [(i, entry_name) for e, i, entry_name in scored if e == best]
+    argmax = [expected] if len(top) == 1 and expected_edges == best \
+        else sorted(name(i, entry_name) for i, entry_name in top)
     runner_up = scored[1][0] if len(scored) > 1 else best
-    split = sylows[s].candidates[0]     # C_(p^(a-1)) x C_p at the first prime with a >= 2
-    expected_edges = edges(s, split)
     # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
-    return (n, _member_count(n, [x.size for x in sylows]) - 1, name(s, split[2]),
+    return (n, _member_count(n, [x.size for x in sylows]) - 1, expected,
             expected_edges, best, best - runner_up, expected_edges == best, " | ".join(argmax),
             merge_completeness([x.completeness for x in sylows]).value)
 
@@ -744,9 +743,10 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     every odd non-square-free n <= n_max, the undirected edge count of
     C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of order n.
 
-    Every catalog is built, and every error but the catalog bound raised,
-    before this returns; the rows are then made one at a time as they are
-    read, so a caller that writes each one out holds none of them.
+    Every census table the scan reads is admitted, and every error but the
+    catalog bound raised, before this returns; the rows are then made one at
+    a time as they are read, so a caller that writes each one out holds none
+    of them, and each other (p, a) comes from _scan_sylow when first read.
 
     Two reductions make a row exact from at most two entries per prime:
     - Only the members with one non-cyclic Sylow factor are scored. In a
@@ -773,13 +773,13 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
         raise ResourceError(f"a scan of the orders up to {n_max} is above the scan bound "
                             f"{SCAN_BOUND}")
     sieve = OddSieve(n_max)
-    catalogs = _scan_catalogs(n_max, census)
+    sylows = _census_sylows(n_max, census, sieve)
 
     def rows() -> Iterator[tuple]:
         for n in sieve.not_square_free():
             factors = sieve.factor(n)
-            sylows = [catalogs.get(f) or _prime_sylow(f[0]) for f in factors]
-            yield _scan_row(n, sylows, next(i for i, (_, a) in enumerate(factors) if a > 1))
+            row = [sylows.get(f) or sylows.setdefault(f, _scan_sylow(*f)) for f in factors]
+            yield _scan_row(n, row, next(i for i, (_, a) in enumerate(factors) if a > 1))
 
     return rows()
 

@@ -6,6 +6,7 @@ import pytest
 
 import pgx.census
 import pgx.constructors
+import pgx.spectrum
 from pgx.census import (
     CensusMember,
     Verdict,
@@ -146,33 +147,80 @@ def test_sylow_scores_equal_the_convolved_spectrum():
             assert (m.sigma, m.phi) == (order_sum(s), phi_sum(s)), (n, m.render())
 
 
-def test_scan_builds_each_sylow_catalog_once_per_call(monkeypatch):
+def reduced_catalog(p, a):
+    """p_group_catalog(p, a) reduced to what the scan reads: its size
+    and completeness, and the (sigma, phi, name) of C_(p^a) and of each
+    candidate, C_(p^(a-1)) x C_p and then M(a,p) for a >= 3, taken by spec
+    from the entries' spectra."""
+    entries, completeness = pgx.constructors.p_group_catalog(p, a)
+    by_spec = {e.spec: e for e in entries}
+    specs = [Cyclic(p ** a)] + ([Abelian(p, (a - 1, 1))] if a > 1 else []) \
+        + ([Modular(a, p)] if a >= 3 else [])
+    cyclic, *candidates = [(e.sigma, e.phi, e.render()) for e in map(by_spec.__getitem__, specs)]
+    return pgx.census._ScanSylow(len(entries), completeness, cyclic, candidates)
+
+
+def test_prime_order_sylow_is_the_catalog_of_order_p():
+    """The scan's C_p, taken in closed form, is the single entry of
+    p_group_catalog(p, 1) for every odd prime up to 10^4."""
+    for p in range(3, 10_001, 2):
+        if is_prime(p):
+            x = pgx.census._scan_sylow(p, 1)
+            assert x == reduced_catalog(p, 1), p
+            assert (x.size, x.candidates) == (1, [])
+
+
+def test_scan_sylow_is_the_reduced_parametric_catalog():
+    """For every odd p^a <= 10^7 with a >= 2, the closed forms give the size,
+    completeness, cyclic entry and candidates that reducing the parametric
+    catalog of order p^a gives."""
+    checked = 0
+    for p in filter(is_prime, range(3, 3163, 2)):
+        a = 2
+        while p ** a <= 10 ** 7:
+            assert pgx.census._scan_sylow(p, a) == reduced_catalog(p, a), (p, a)
+            checked += 1
+            a += 1
+    assert checked == 533
+
+
+def test_scan_without_a_census_builds_no_catalog_or_spectrum(monkeypatch, census_dir):
+    """With no census table at any order it reads, a scan to 10^4 calls no
+    p_group_catalog, spectrum_cyclic or factor, and gives the same rows."""
+    expected = list(scan_rows(10_000))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan built a catalog, a spectrum or a factorization")
+
+    for module, name in ((pgx.census, "p_group_catalog"), (pgx.census, "spectrum_cyclic"),
+                         (pgx.constructors, "spectrum_cyclic"), (pgx.census, "factor"),
+                         (pgx.spectrum, "factor")):
+        monkeypatch.setattr(module, name, refuse)
+    assert list(scan_rows(10_000)) == expected
+    assert list(scan_rows(10_000, Census(census_dir))) == expected    # census/16 is even
+
+
+def test_scan_reads_a_census_catalog_once_per_call(monkeypatch, tmp_path):
+    """With a census at order 81, each scan builds p_group_catalog(3, 4) once,
+    before its first row, and builds no other catalog; nothing is carried
+    over between calls."""
+    (tmp_path / "81").mkdir()
+    write_cayley(Cyclic(81).build(), tmp_path / "81" / "c81.cayley")
     calls = []
     catalog = pgx.census.p_group_catalog
 
     def counted(p, k, census=None):
-        calls.append((p, k))
+        calls.append((p, k, census))
         return catalog(p, k, census)
 
     monkeypatch.setattr(pgx.census, "p_group_catalog", counted)
-    scan_conjecture_2_9(300)
-    first = list(calls)
-    assert len(first) == len(set(first)) > 1
-    assert all(k > 1 for _, k in first)     # with no census, C_p needs no catalog
-    scan_conjecture_2_9(300)
-    assert calls == first + first   # nothing is carried over between calls
-
-
-def test_prime_order_sylow_is_the_catalog_of_order_p():
-    """The scan's C_p, taken without building a catalog, is the single entry
-    of p_group_catalog(p, 1) for every odd prime up to 10^4."""
-    for p in range(3, 10_001, 2):
-        if not is_prime(p):
-            continue
-        (entry,), completeness = pgx.constructors.p_group_catalog(p, 1)
-        x = pgx.census._prime_sylow(p)
-        assert x.cyclic == (entry.sigma, entry.phi, entry.render()), p
-        assert (x.size, x.completeness, x.candidates) == (1, completeness, [])
+    census = Census(tmp_path)
+    rows = scan_rows(1000, census)
+    assert calls == [(3, 4, census)]
+    assert sum(row[0] % 81 == 0 for row in rows) == 6
+    assert calls == [(3, 4, census)]
+    scan_conjecture_2_9(1000, census)
+    assert calls == [(3, 4, census)] * 2
 
 
 def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_path):
@@ -239,8 +287,7 @@ def test_exit_code_table():
         assert report.to_json_dict()["verdict"] == verdict.value
 
 
-@pytest.mark.parametrize("run", [lambda: verify_main_theorem(45),
-                                 lambda: scan_conjecture_2_9(9)], ids=["main-theorem", "scan"])
+@pytest.mark.parametrize("run", [lambda: verify_main_theorem(45)], ids=["main-theorem"])
 def test_missing_expected_member_is_an_internal_error(monkeypatch, run):
     catalog = pgx.census.p_group_catalog
 
@@ -652,27 +699,6 @@ def test_parametric_catalogs_top_sigma_is_the_split_and_the_modular_group():
             assert all(e.sigma <= 1 + (p ** a - 1) * p ** (a - 2)
                        for e in noncyclic if e.spec not in expected), (p, a)
             a += 1
-
-
-def test_scan_computes_three_spectra_per_sylow_catalog(monkeypatch):
-    """The scan's catalog pass to 10^4 computes the spectra of C_(p^a),
-    C_(p^(a-1)) x C_p and M(a,p) only, however large the catalog."""
-    catalogs = []
-    catalog = pgx.census.p_group_catalog
-
-    def recorded(p, k, census=None):
-        entries, completeness = catalog(p, k, census)
-        catalogs.append((p, k, entries))
-        return entries, completeness
-
-    monkeypatch.setattr(pgx.census, "p_group_catalog", recorded)
-    scan_rows(10_000)
-    assert max(len(entries) for _, _, entries in catalogs) == 23     # 3^8: 22 abelian, M(8,3)
-    for p, k, entries in catalogs:
-        # a cached_property keeps its value in the instance dict once computed
-        computed = {e.spec for e in entries if "spectrum" in vars(e)}
-        assert computed == {Cyclic(p ** k), Abelian(p, (k - 1, 1))} \
-            | ({Modular(k, p)} if k >= 3 else set()), (p, k)
 
 
 def test_scan_agrees_with_the_full_enumeration_on_a_census(tmp_path):

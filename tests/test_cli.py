@@ -14,6 +14,7 @@ import pgx.constructors
 from pgx.constructors import (
     Abelian,
     CatalogEntry,
+    Cyclic,
     GeneralizedQuaternion,
     Heisenberg,
     Modular,
@@ -631,6 +632,29 @@ def test_scan_csv_rows(run_cli):
                         "margin,supported,argmax,completeness")
     assert [line.split(",")[0] for line in lines[1:]] == ["9", "25", "27", "45"]
     assert lines[3] == '27,4,"Ab(3;2,1)",111,111,0,true,"Ab(3;2,1) | M(3,3)",complete'
+
+
+@pytest.mark.parametrize("order,first_read,n_max,error", [
+    (81, 81, 1000, "not a group table"),
+    (7, 63, 63, "order 5 does not match census directory 7"),
+], ids=["swapped-entries", "wrong-order"])
+def test_a_refused_census_table_leaves_the_csv_scan_stdout_empty(run_cli, tmp_path, order,
+                                                                  first_read, n_max, error):
+    """A census table the scan reads is admitted before the CSV header is
+    written, so a refused one exits 3 with nothing on stdout: C81 with two
+    entries of one row swapped, or a table of order 5 under 7/, which the
+    scan first reads at 63."""
+    (tmp_path / str(order)).mkdir()
+    if order == 81:
+        t = Cyclic(81).build().table.copy()
+        t[1, [2, 3]] = t[1, [3, 2]]
+        write_cayley(GroupTable(81, 0, table=t), tmp_path / "81" / "bad.cayley")
+    else:
+        write_cayley(Cyclic(5).build(), tmp_path / "7" / "c5.cayley")
+    argv = ("scan", "conjecture-2.9", "--format", "csv", "--census-dir", str(tmp_path))
+    code, out, err = run_cli(*argv, "--n-max", str(n_max))
+    assert (code, out) == (3, "") and error in err
+    assert run_cli(*argv, "--n-max", str(first_read - 1))[0] == 0
 
 
 def test_scan_argument_validation(run_cli):
