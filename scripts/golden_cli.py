@@ -121,6 +121,12 @@ def scan_calls() -> list[list[str]]:
             ["scan", "conjecture-2.9", "--n-max", "3000", "--format", "json", *CENSUS]]
 
 
+def label_calls() -> list[list[str]]:
+    """DOT exports of the two families the sets above draw no DOT for, so DOT
+    output covers the labels of every family."""
+    return [["graph", "D12", "directed", "dot"], ["graph", "Q16", "undirected", "dot"]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -143,7 +149,7 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
-                      scan_calls()):
+                      scan_calls(), label_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

@@ -9,8 +9,10 @@ order, and asserts its defining relations on the freshly built model. M(n,p),
 whose major index digit is a cyclic factor acting by addition, is a translate
 of its first rows (`_translated`); a direct product is one add of its
 factors' tables; the other laws are assembled from small lookup tables, so no
-builder computes a residue over all n^2 entries. `build_group` refuses orders
-above the brute-force cap before anything n-by-n is allocated.
+builder computes a residue over all n^2 entries. Element labels are passed
+as a recipe that `GroupTable.labels` calls on first read, so only DOT export
+and `write_cayley` make label strings. `build_group` refuses orders above the
+brute-force cap before anything n-by-n is allocated.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
 
@@ -104,6 +106,12 @@ def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndar
     return table.reshape(2 * nn, 2 * nn)
 
 
+def _two_coset_labels(nn: int) -> list[str]:
+    """x0..x(nn-1), then x0y..x(nn-1)y: the labels of a group on pairs (a, b)
+    with index a + nn*b (`_two_coset_table`) and generators x = (1, 0), y = (0, 1)."""
+    return [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
+
+
 def _checked(g: GroupTable, relations: dict[str, bool]) -> GroupTable:
     """g, once every defining relation, keyed by its text, holds in the model."""
     for relation, holds in relations.items():
@@ -134,17 +142,22 @@ def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product; index (a, b) <-> a * |h| + b. Row block a1 is g's row
     a1, each entry times |h| and repeated |h| times, plus h tiled |g| times:
-    one add whose inner axis has length n and whose sums stay below n."""
+    one add whose inner axis has length n and whose sums stay below n. Its
+    labels are "(la,lb)", made from the factors' label recipes when first read."""
     m, s = g.size, h.size
     n = m * s
     dt = index_dtype(n)
     gt, ht = g.table.astype(dt, copy=False), h.table.astype(dt, copy=False)
     table = (np.repeat(gt * s, s, axis=1)[:, None, :] + np.tile(ht, (1, m))[None]).reshape(n, n)
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
+    g_labels, h_labels = g.label_recipe, h.label_recipe
+
+    def labels() -> list[str]:
+        right = h_labels()
+        return [f"({la},{lb})" for la in g_labels() for lb in right]
+
     return GroupTable(n, g.identity * h.size + h.identity, table=table,
-                      name=f"{g.name}x{h.name}", labels=labels)
+                      name=f"{g.name}x{h.name}",
+                      labels=None if g_labels is None or h_labels is None else labels)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +198,7 @@ class Cyclic(GroupSpec):
     def build(self) -> GroupTable:
         """Z_m under addition."""
         return GroupTable(self.m, 0, table=_addition_table(self.m), name=self.render(),
-                          labels=[str(i) for i in range(self.m)])
+                          labels=lambda: [str(i) for i in range(self.m)])
 
 
 @dataclass(frozen=True)
@@ -273,7 +286,7 @@ class Modular(GroupSpec):
         block = twist[:, :, None] * p + _addition_table(p).astype(dt)[:, None, :]   # [j1, i2, j2]
         g = GroupTable(P * p, 0, table=_translated(block.reshape(p, P * p), P * p),
                        name=self.render(),
-                       labels=[f"a{i}b{j}" for i in range(P) for j in range(p)])
+                       labels=lambda: [f"a{i}b{j}" for i in range(P) for j in range(p)])
         a, b, b_inv = p, p - 1, 1      # (1,0), (0,p-1), (0,1)
         return _checked(g, {
             "a^(p^(n-1)) = 1": g.power(a, P) == g.identity,
@@ -303,7 +316,7 @@ class Dihedral(GroupSpec):
         k = self.order // 2
         neg = -np.arange(k) % k
         g = GroupTable(self.order, 0, table=_two_coset_table(k, neg, neg), name=self.render(),
-                       labels=[f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)])
+                       labels=lambda: [f"r{i}" for i in range(k)] + [f"s{i}" for i in range(k)])
         r, s = 1 % k, k
         return _checked(g, {
             "r^k = 1": g.power(r, k) == g.identity,
@@ -329,18 +342,18 @@ class GeneralizedQuaternion(GroupSpec):
         return _merge_spectrum(spectrum_cyclic(nn), {4: nn})
 
     def build(self) -> GroupTable:
-        """The group of order 2^n on pairs (a, b): x = (1,0) has order 2^(n-1),
-        y = (0,1) satisfies y^2 = x^(2^(n-2)) and y^-1 x y = x^-1. Q8 carries
-        the classical 1, i, j, k labels."""
+        """The group of order 2^n on pairs (a, b), index a + 2^(n-1)*b:
+        x = (1,0) has order 2^(n-1), y = (0,1) satisfies y^2 = x^(2^(n-2)) and
+        y^-1 x y = x^-1, so x^a1 y^b1 * x^a2 y^b2 =
+        x^(a1 + (-1)^b1 a2 + 2^(n-2) b1 b2) y^(b1 + b2 mod 2). Q8 carries the
+        classical 1, i, j, k labels."""
         nn = self.order // 2
         half = nn // 2
         idx = np.arange(nn)
-        if self.order == 8:
-            labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-        else:
-            labels = [f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)]
         g = GroupTable(self.order, 0, table=_two_coset_table(nn, -idx % nn, (half - idx) % nn),
-                       name=self.render(), labels=labels)
+                       name=self.render(),
+                       labels=lambda: (["1", "i", "-1", "-i", "j", "k", "-j", "-k"] if nn == 4
+                                       else _two_coset_labels(nn)))
         x, y = 1, nn
         y_inv = g.power(y, 3)
         return _checked(g, {
@@ -367,13 +380,14 @@ class Semidihedral(GroupSpec):
         return _merge_spectrum(spectrum_cyclic(nn), {2: nn // 2, 4: nn // 2})
 
     def build(self) -> GroupTable:
-        """The group of order 2^n on pairs (a, b) with y x y = x^(2^(n-2)-1)."""
+        """The group of order 2^n on pairs (a, b), index a + 2^(n-1)*b, with
+        y^2 = 1 and y x y = x^t, t = 2^(n-2) - 1, so
+        x^a1 y^b1 * x^a2 y^b2 = x^(a1 + t^b1 a2) y^(b1 + b2 mod 2)."""
         nn = self.order // 2
         t = nn // 2 - 1
         twist = np.arange(nn) * t % nn
         g = GroupTable(self.order, 0, table=_two_coset_table(nn, twist, twist),
-                       name=self.render(),
-                       labels=[f"x{i}" for i in range(nn)] + [f"x{i}y" for i in range(nn)])
+                       name=self.render(), labels=lambda: _two_coset_labels(nn))
         x, y = 1, nn
         return _checked(g, {
             "x^(2^(n-1)) = 1": g.power(x, nn) == g.identity,
@@ -404,18 +418,26 @@ class Heisenberg(GroupSpec):
         return OrderSpectrum({1: 1, self.p: self.p ** 3 - 1})
 
     def build(self) -> GroupTable:
-        """Triples (a, b, c) with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
+        """Triples (a, b, c), index (a*p + b)*p + c, with
+        (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2). The p^2-by-p^2
+        addition table of the lower digits (b, c), its columns permuted by
+        (b2, c2) -> (b2, c2 + a1*b2), is the lower part of every entry in row
+        block a1; one add of the (a1+a2)*p^2 offsets writes that block row."""
         p = self.p
         n = p ** 3
         p2 = p * p
-        # index (a*p + b)*p + c; every residue comes from p-by-p lookup tables
-        add = _addition_table(p).astype(index_dtype(n))
-        mul = np.outer(np.arange(p), np.arange(p)) % p
-        c_out = add[add[None, :, None, :], mul[:, None, :, None]]    # [a1, c1, b2, c2]
-        table = ((add * p2)[:, None, None, :, None, None] + (add * p)[None, :, None, None, :, None]
-                 + c_out[:, None, :, None, :, :]).reshape(n, n)
-        labels = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
-        g = GroupTable(n, 0, table=table, name=self.render(), labels=labels)
+        dt = index_dtype(n)
+        add = _addition_table(p).astype(dt)
+        low = (add[:, None, :, None] * p + add[None, :, None, :]).reshape(p2, p2)
+        b2, c2 = np.divmod(np.arange(p2), p)
+        offsets = (add * p2)[:, None, :, None]                          # [a1, 1, a2, 1]
+        table = np.empty((p, p2, p, p2), dtype=dt)                      # [a1, b1c1, a2, b2c2]
+        for a1 in range(p):
+            twisted = low[:, b2 * p + (c2 + a1 * b2) % p]
+            np.add(twisted[:, None, :], offsets[a1], out=table[a1])
+        g = GroupTable(n, 0, table=table.reshape(n, n), name=self.render(),
+                       labels=lambda: [f"({x},{y},{z})" for x in range(p) for y in range(p)
+                                       for z in range(p)])
         x, y, z = p2, p, 1      # (1,0,0), (0,1,0), (0,0,1)
         x_inv = g.power(x, p - 1)
         y_inv = g.power(y, p - 1)

@@ -11,9 +11,10 @@ from them are plain Python integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -36,13 +37,17 @@ class GroupTable:
 
     `table` is the dense n-by-n product table, stored in `index_dtype(size)`
     and made read-only; one given in that dtype is kept as given (no copy).
-    `name` and `labels` are presentation metadata only.
+    `name` and `labels` are presentation metadata only. `labels` takes a list,
+    checked at once, or a recipe: a callable of no arguments that makes the
+    list, called and checked when `labels` is first read, so a group whose
+    labels nobody reads never makes them. Either way the labels must be
+    `size` distinct strings (InputError otherwise).
     """
 
     def __init__(self, size: int, identity: int, *,
                  table: np.ndarray | None = None,
                  name: str = "G",
-                 labels: Sequence[str] | None = None):
+                 labels: Sequence[str] | Callable[[], Sequence[str]] | None = None):
         if size < 1:
             raise InputError(f"group size must be positive, got {size}")
         if not 0 <= identity < size:
@@ -56,16 +61,40 @@ class GroupTable:
             raise InputError("table entries must be element indices")
         table = table.astype(index_dtype(size), copy=False)
         table.setflags(write=False)
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != size:
-                raise InputError(f"{len(labels)} labels for {size} elements")
         self.size = size
         self.identity = identity
         self.name = name
         self.labels = labels
         self.table = table
         self._orders: tuple[int, ...] | None = None
+
+    @property
+    def labels(self) -> list[str] | None:
+        """The element labels, made from the recipe and checked on first read."""
+        if callable(self._labels):
+            self._labels = self._checked_labels(self._labels())
+        return self._labels
+
+    @labels.setter
+    def labels(self, labels: Sequence[str] | Callable[[], Sequence[str]] | None) -> None:
+        self._labels = labels if labels is None or callable(labels) else self._checked_labels(labels)
+
+    @property
+    def label_recipe(self) -> Callable[[], list[str]] | None:
+        """A recipe for the labels that holds no reference to the group or its
+        table, so a group built from this one can make its labels from it."""
+        labels = self._labels
+        return labels if labels is None or callable(labels) else labels.copy
+
+    def _checked_labels(self, labels: Sequence[str]) -> list[str]:
+        labels = list(labels)
+        if len(labels) != self.size:
+            raise InputError(f"{len(labels)} labels for {self.size} elements")
+        if len(set(labels)) < self.size:
+            repeat = next(lab for lab, count in Counter(labels).items() if count > 1)
+            raise InputError(f"{self.name}: label {repeat!r} names two elements; "
+                             "labels must be distinct")
+        return labels
 
     @property
     def has_table(self) -> bool:

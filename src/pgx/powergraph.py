@@ -21,30 +21,34 @@ from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap
 
 def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int]]]:
     """(generators, members) of each cyclic subgroup of g, found greedily: for
-    each element x not yet assigned, walk x, x^2, ... to e; the members of
+    each element x not yet assigned, walk x, x^2, ..., x^o(x); the members of
     order o(x) generate <x>. Raises InvariantError unless each walk first
     returns to e at step o(x) and the generators partition the elements."""
     check_brute_cap(g.name, g.size, cap)
-    table, e = g.table, g.identity
+    item, e = g.table.item, g.identity
     orders = g.element_orders()
-    assigned: set[int] = set()
+    assigned = bytearray(g.size)
     subgroups = []
     for x in range(g.size):
-        if x in assigned:
+        if assigned[x]:
             continue
+        o = orders[x]
         members = [x]
-        while members[-1] != e and len(members) <= orders[x]:
-            members.append(table.item(members[-1], x))
-        if len(members) != orders[x] or members[-1] != e:
+        y = x
+        for _ in range(o - 1):
+            y = item(y, x)
+            members.append(y)
+        if y != e or members.index(e) != o - 1:
             raise InvariantError(f"{g.name}: powers of element {x} do not first "
-                                 f"return to the identity at its order {orders[x]}")
-        gens = [y for y in members if orders[y] == orders[x]]
-        if assigned.intersection(gens):
-            raise InvariantError(f"{g.name}: an element of <{x}> generates two "
-                                 "different cyclic subgroups")
-        assigned.update(gens)
+                                 f"return to the identity at its order {o}")
+        gens = [y for y in members if orders[y] == o]
+        for y in gens:
+            if assigned[y]:
+                raise InvariantError(f"{g.name}: an element of <{x}> generates two "
+                                     "different cyclic subgroups")
+            assigned[y] = 1
         subgroups.append((gens, members))
-    if len(assigned) != g.size:
+    if not all(assigned):
         raise InvariantError(f"{g.name}: cyclic subgroup generators miss an element")
     return subgroups
 
@@ -64,37 +68,41 @@ class DirectedPowerGraph:
 
     size: int
     arcs: np.ndarray          # shape (num_arcs, 2), lexicographic
-    labels: tuple[str, ...] | None
+    group: GroupTable         # the labels' source, read only by DOT export
     name: str
 
     @property
     def num_arcs(self) -> int:
         return int(self.arcs.shape[0])
 
+    @property
+    def labels(self) -> list[str] | None:
+        return self.group.labels
+
 
 @dataclass(frozen=True, eq=False)
 class UndirectedPowerGraph:
     size: int
     edges: np.ndarray         # shape (num_edges, 2), a < b, lexicographic
-    labels: tuple[str, ...] | None
+    group: GroupTable         # the labels' source, read only by DOT export
     name: str
 
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
+    @property
+    def labels(self) -> list[str] | None:
+        return self.group.labels
+
 
 def build_directed(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> DirectedPowerGraph:
-    arcs = np.argwhere(_arc_matrix(g, cap))
-    labels = tuple(g.labels) if g.labels is not None else None
-    return DirectedPowerGraph(g.size, arcs, labels, g.name)
+    return DirectedPowerGraph(g.size, np.argwhere(_arc_matrix(g, cap)), g, g.name)
 
 
 def build_undirected(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> UndirectedPowerGraph:
     arc = _arc_matrix(g, cap)
-    edges = np.argwhere(np.triu(arc | arc.T))
-    labels = tuple(g.labels) if g.labels is not None else None
-    return UndirectedPowerGraph(g.size, edges, labels, g.name)
+    return UndirectedPowerGraph(g.size, np.argwhere(np.triu(arc | arc.T)), g, g.name)
 
 
 def oracle_counts(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, int]:
@@ -118,7 +126,8 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
            fmt: str, sink: TextIO) -> None:
     """Write the graph deterministically as DOT or edge CSV.
 
-    DOT names vertices by their labels; CSV rows carry numeric indices with
+    DOT names vertices by their labels, made here if the group has a recipe
+    for them (InputError if they repeat); CSV rows carry numeric indices with
     header src,dst (arcs) or a,b (edges, a < b). An empty graph yields a
     valid document with no edge rows. The pairs are sorted, so each source
     vertex's run is found by bisection and written in one piece.

@@ -19,6 +19,7 @@ from pgx.constructors import (
     Heisenberg,
     Modular,
 )
+from pgx.errors import InputError
 from pgx.groups import GroupTable, write_cayley
 from pgx.spectrum import order_sum, phi_sum
 from test_groups import block_edit
@@ -299,6 +300,66 @@ def test_graph_above_cap_is_a_resource_error(run_cli):
     assert (code, out) == (3, "")
     assert "exceeds the brute-force cap 4" in err
     assert "spectrum formulas" in err
+
+
+def _comma_label_tables(tmp_path):
+    """Two 2-element tables whose labels contain commas, so that the product
+    labels (a,b,c) of (a, b,c) and (a,b, c) coincide."""
+    paths = []
+    for name, labels in (("g", "a a,b"), ("h", "b,c c")):
+        path = tmp_path / f"{name}.cayley"
+        path.write_text(f"order 2\nidentity 0\n0 1\n1 0\nlabels {labels}\n")
+        paths.append(path)
+    return f"file:{paths[0]} x file:{paths[1]}"
+
+
+def test_graph_dot_refuses_repeated_product_labels(run_cli, tmp_path):
+    spec = _comma_label_tables(tmp_path)
+    code, out, err = run_cli("graph", spec, "undirected", "dot")
+    assert (code, out) == (3, "")
+    assert "label '(a,b,c)' names two elements" in err
+    code, out, _ = run_cli("graph", spec, "undirected", "edge-csv")     # reads no label
+    assert (code, out) == (0, "a,b\n0,1\n0,2\n0,3\n")
+
+
+def test_write_cayley_refuses_repeated_product_labels(tmp_path):
+    g = pgx.constructors.build_group(pgx.constructors.parse_group_spec(
+        _comma_label_tables(tmp_path)))
+    target = tmp_path / "gxh.cayley"
+    with pytest.raises(InputError, match="names two elements"):
+        write_cayley(g, target)
+    assert not target.exists()
+
+
+NO_LABEL_SPECS = ("C12", "Ab(3;1,1)", "M(4,2)", "M(3,3)", "D12", "Q8", "Q16", "SD16", "He3",
+                  "C3xD8", "Ab(2;1,1)xQ8xHe3")
+
+
+@pytest.fixture
+def label_recipes_raise(monkeypatch):
+    """Every group built gets a label recipe that fails when called; a builder
+    that passed a ready list fails at once."""
+    init = GroupTable.__init__
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a label string was made")
+
+    def patched(self, *args, labels=None, **kwargs):
+        assert labels is None or callable(labels), "labels were made at build time"
+        init(self, *args, labels=None if labels is None else refuse, **kwargs)
+
+    monkeypatch.setattr(GroupTable, "__init__", patched)
+
+
+@pytest.mark.parametrize("spec", NO_LABEL_SPECS)
+def test_stats_and_edge_csv_make_no_label(label_recipes_raise, run_cli, spec):
+    code, out, _ = run_cli("stats", spec)
+    assert code == 0 and out.endswith("oracle: consistent\n")
+    for kind in ("directed", "undirected"):
+        code, _, _ = run_cli("graph", spec, kind, "edge-csv")
+        assert code == 0
+    with pytest.raises(AssertionError, match="label string was made"):
+        run_cli("graph", spec, "directed", "dot")
 
 
 def test_graph_argument_validation(run_cli):

@@ -1,6 +1,8 @@
 """Spec mini-language, family constructors, and p-group catalogs."""
 
+import gc
 import importlib.util
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +203,68 @@ def test_dihedral_table_is_rotation_and_flip(order):
     b1, a1, b2, a2 = np.ix_(np.arange(2), np.arange(k), np.arange(2), np.arange(k))
     law = ((a1 + (-1) ** b1 * a2) % k + k * ((b1 + b2) % 2)).reshape(order, order)
     assert np.array_equal(Dihedral(order).build().table, law)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_quaternion_table_is_the_law_of_its_docstring(order):
+    """x^a1 y^b1 * x^a2 y^b2 = x^(a1 + (-1)^b1 a2 + 2^(n-2) b1 b2) y^(b1 + b2 mod 2),
+    index a + 2^(n-1) b."""
+    nn = order // 2
+    b1, a1, b2, a2 = np.ix_(np.arange(2), np.arange(nn), np.arange(2), np.arange(nn))
+    law = ((a1 + (-1) ** b1 * a2 + nn // 2 * b1 * b2) % nn + nn * ((b1 + b2) % 2))
+    g = GeneralizedQuaternion(order).build()
+    assert g.table.dtype == index_dtype(order)
+    assert np.array_equal(g.table, law.reshape(order, order))
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_semidihedral_table_is_the_law_of_its_docstring(order):
+    """x^a1 y^b1 * x^a2 y^b2 = x^(a1 + t^b1 a2) y^(b1 + b2 mod 2), t = 2^(n-2) - 1,
+    index a + 2^(n-1) b."""
+    nn = order // 2
+    b1, a1, b2, a2 = np.ix_(np.arange(2), np.arange(nn), np.arange(2), np.arange(nn))
+    law = ((a1 + (nn // 2 - 1) ** b1 * a2) % nn + nn * ((b1 + b2) % 2))
+    g = Semidihedral(order).build()
+    assert g.table.dtype == index_dtype(order)
+    assert np.array_equal(g.table, law.reshape(order, order))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_heisenberg_table_is_the_law_of_its_docstring(p):
+    """(a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2) mod p, index (a*p + b)*p + c."""
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
+    law = ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+    g = Heisenberg(p).build()
+    assert g.table.dtype == index_dtype(p ** 3)
+    assert np.array_equal(g.table, law.reshape(p ** 3, p ** 3))
+
+
+@pytest.mark.parametrize("text,labels", [
+    ("C3", "0 1 2"),
+    ("D6", "r0 r1 r2 s0 s1 s2"),
+    ("Q16", "x0 x1 x2 x3 x4 x5 x6 x7 x0y x1y x2y x3y x4y x5y x6y x7y"),
+    ("SD16", "x0 x1 x2 x3 x4 x5 x6 x7 x0y x1y x2y x3y x4y x5y x6y x7y"),
+    ("M(4,2)", "a0b0 a0b1 a1b0 a1b1 a2b0 a2b1 a3b0 a3b1 a4b0 a4b1 a5b0 a5b1 a6b0 a6b1 a7b0 a7b1"),
+    ("He3", "(0,0,0) (0,0,1) (0,0,2) (0,1,0) (0,1,1) (0,1,2) (0,2,0) (0,2,1) (0,2,2) "
+            "(1,0,0) (1,0,1) (1,0,2) (1,1,0) (1,1,1) (1,1,2) (1,2,0) (1,2,1) (1,2,2) "
+            "(2,0,0) (2,0,1) (2,0,2) (2,1,0) (2,1,1) (2,1,2) (2,2,0) (2,2,1) (2,2,2)"),
+    ("Ab(2;2,1)", "(0,0) (0,1) (1,0) (1,1) (2,0) (2,1) (3,0) (3,1)"),
+    ("C2xD4", "(0,r0) (0,r1) (0,s0) (0,s1) (1,r0) (1,r1) (1,s0) (1,s1)"),
+])
+def test_family_labels_are_made_when_first_read(text, labels):
+    g = parse_group_spec(text).build()
+    assert g.labels == labels.split()
+    assert g.labels is g.labels                # made once, then kept
+
+
+def test_product_label_recipe_keeps_no_factor_alive():
+    left, right = Dihedral(6).build(), Cyclic(2).build()
+    g = direct_product(left, right)
+    refs = [weakref.ref(x) for x in (left, right, left.table, right.table)]
+    del left, right
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+    assert g.labels[:3] == ["(r0,0)", "(r0,1)", "(r1,0)"]
 
 
 def test_quaternion_classical_labels():
