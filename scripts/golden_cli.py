@@ -127,6 +127,15 @@ def label_calls() -> list[list[str]]:
     return [["graph", "D12", "directed", "dot"], ["graph", "Q16", "undirected", "dot"]]
 
 
+def export_calls() -> list[list[str]]:
+    """io-sized exports in the modes the first set draws none of at that size,
+    and a DOT export whose labels come from a product with a census table."""
+    return [["graph", "C1024", "undirected", "dot"],
+            ["graph", "M(10,2)", "directed", "edge-csv"],
+            ["graph", "SD1024", "undirected", "edge-csv"],
+            ["graph", "file:census/16/d8oc4.cayley x C3", "directed", "dot"]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -149,7 +158,7 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
-                      scan_calls(), label_calls()):
+                      scan_calls(), label_calls(), export_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

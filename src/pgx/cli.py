@@ -279,6 +279,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         graph = build_directed(g, args.brute_cap)
     else:
         graph = build_undirected(g, args.brute_cap)
+    if args.graph_format == "dot":
+        graph.labels    # made and checked first, so refused labels leave no --out file
     if args.out:
         try:
             with open(args.out, "w") as fh:

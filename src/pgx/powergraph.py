@@ -5,13 +5,19 @@ of x and y != x; the undirected power graph joins x and y when either is a
 power of the other. Both follow from the cyclic subgroups, found in one pass
 over the dense Cayley table that walks each of them once by successive
 multiplication: x reaches the members of <x>, and x, y are mutual exactly
-when they generate the same cyclic subgroup.
+when they generate the same cyclic subgroup. A graph is stored as one sorted
+row per cyclic subgroup, shared by all of its generators, and no n x n array
+is made: export formats each row once and writes each source as a slice of
+it, so its cost is linear in the bytes written.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TextIO
+from itertools import accumulate, count
+from typing import ClassVar, TextIO
 
 import numpy as np
 
@@ -53,56 +59,77 @@ def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int
     return subgroups
 
 
-def _arc_matrix(g: GroupTable, cap: int) -> np.ndarray:
-    """A[i, j] = (j in <i> and j != i), filled from the cyclic subgroups."""
-    arc = np.zeros((g.size, g.size), dtype=bool)
-    for gens, members in _cyclic_subgroups(g, cap):
-        arc[np.ix_(gens, members)] = True
-    np.fill_diagonal(arc, False)
-    return arc
+def _graph_rows(g: GroupTable, cap: int, directed: bool):
+    """(rows, owner): rows[k] = (generators, sorted row) of the k-th cyclic
+    subgroup C_k, and owner[x] = k for each generator x of C_k. The row lists
+    C_k's members and, undirected, the generators of each cyclic subgroup
+    properly containing C_k: a generator's neighbours are its row less itself."""
+    subgroups = _cyclic_subgroups(g, cap)
+    owner_of = {x: k for k, (gens, _) in enumerate(subgroups) for x in gens}
+    owner = [owner_of[x] for x in range(g.size)]
+    extra: list[list[int]] = [[] for _ in subgroups]
+    for k, (gens, members) in enumerate(() if directed else subgroups):
+        for j in {owner[y] for y in members} - {k}:     # C_j is properly inside C_k
+            extra[j] += gens
+    return [(gens, sorted(members + more))
+            for (gens, members), more in zip(subgroups, extra)], owner
 
 
 @dataclass(frozen=True, eq=False)
-class DirectedPowerGraph:
-    """Arc list (src, dst); a and b are mutual when both (a, b) and (b, a) are arcs."""
+class _PowerGraph:
+    """A power graph as rows of its cyclic subgroups (see `_graph_rows`): x at place
+    i of its row reaches the row less x (directed) or the part after x (undirected)."""
 
     size: int
-    arcs: np.ndarray          # shape (num_arcs, 2), lexicographic
+    rows: list[tuple[list[int], list[int]]]
+    owner: list[int]
     group: GroupTable         # the labels' source, read only by DOT export
     name: str
-
-    @property
-    def num_arcs(self) -> int:
-        return int(self.arcs.shape[0])
+    directed: ClassVar[bool]
 
     @property
     def labels(self) -> list[str] | None:
         return self.group.labels
 
+    def _sources(self) -> Iterator[tuple[int, int, int]]:
+        """(x, k, i) for each vertex x in order: its row's index k and its place i there."""
+        for x, k in enumerate(self.owner):
+            yield x, k, bisect_left(self.rows[k][1], x)
 
-@dataclass(frozen=True, eq=False)
-class UndirectedPowerGraph:
-    size: int
-    edges: np.ndarray         # shape (num_edges, 2), a < b, lexicographic
-    group: GroupTable         # the labels' source, read only by DOT export
-    name: str
+    def _count(self) -> int:
+        return sum(len(self.rows[k][1]) - (1 if self.directed else i + 1) for _, k, i in self._sources())
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+    def _pairs(self) -> np.ndarray:
+        """The pairs in lexicographic order, made from the rows when read."""
+        rows, directed = self.rows, self.directed
+        pairs = [(x, y) for x, k, i in self._sources()
+                 for y in (rows[k][1][:i] if directed else []) + rows[k][1][i + 1:]]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
-    @property
-    def labels(self) -> list[str] | None:
-        return self.group.labels
+
+class DirectedPowerGraph(_PowerGraph):
+    """Arcs x -> y for y in <x>, y != x; a and b are mutual when both arcs
+    exist. `arcs` has shape (num_arcs, 2), in lexicographic order."""
+
+    directed = True
+    num_arcs = property(_PowerGraph._count)
+    arcs = property(_PowerGraph._pairs)
+
+
+class UndirectedPowerGraph(_PowerGraph):
+    """Edges a -- b; `edges` has shape (num_edges, 2), a < b, in lexicographic order."""
+
+    directed = False
+    num_edges = property(_PowerGraph._count)
+    edges = property(_PowerGraph._pairs)
 
 
 def build_directed(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> DirectedPowerGraph:
-    return DirectedPowerGraph(g.size, np.argwhere(_arc_matrix(g, cap)), g, g.name)
+    return DirectedPowerGraph(g.size, *_graph_rows(g, cap, True), g, g.name)
 
 
 def build_undirected(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> UndirectedPowerGraph:
-    arc = _arc_matrix(g, cap)
-    return UndirectedPowerGraph(g.size, np.argwhere(np.triu(arc | arc.T)), g, g.name)
+    return UndirectedPowerGraph(g.size, *_graph_rows(g, cap, False), g, g.name)
 
 
 def oracle_counts(g: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, int]:
@@ -129,13 +156,13 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
     DOT names vertices by their labels, made here if the group has a recipe
     for them (InputError if they repeat); CSV rows carry numeric indices with
     header src,dst (arcs) or a,b (edges, a < b). An empty graph yields a
-    valid document with no edge rows. The pairs are sorted, so each source
-    vertex's run is found by bisection and written in one piece.
+    valid document with no edge rows. Each row is formatted once, as a template
+    of `sep + name + end` pieces whose separator no name contains; a source
+    writes its part of the template with its own head in place of each `sep`.
     """
-    directed = isinstance(graph, DirectedPowerGraph)
-    if not directed and not isinstance(graph, UndirectedPowerGraph):
+    if not isinstance(graph, _PowerGraph):
         raise InputError(f"not a power graph: {graph!r}")
-    pairs = graph.arcs if directed else graph.edges
+    directed = graph.directed
     if fmt == "dot":
         kind, connector = ("digraph", "->") if directed else ("graph", "--")
         names = [_quote(str(lab)) for lab in graph.labels or range(graph.size)]
@@ -149,10 +176,13 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
         end, close = "\n", ""
     else:
         raise InputError(f"unknown graph export format {fmt!r} (use dot or edge-csv)")
-    bounds = np.searchsorted(pairs[:, 0], np.arange(graph.size + 1)).tolist()
-    dst = pairs[:, 1].tolist()
-    for a, head in enumerate(heads):
-        lo, hi = bounds[a], bounds[a + 1]
-        if lo < hi:
-            sink.write(head + (end + head).join(map(names.__getitem__, dst[lo:hi])) + end)
+    used = set("".join(names) + end)
+    sep = next(c for c in map(chr, count()) if c not in used)
+    pieces = [sep + name + end for name in names]
+    templates = [("".join(map(pieces.__getitem__, row)),
+                  [0, *accumulate(len(pieces[y]) for y in row)]) for _, row in graph.rows]
+    for x, k, i in graph._sources():
+        template, offsets = templates[k]
+        part = (template[:offsets[i]] if directed else "") + template[offsets[i + 1]:]
+        sink.write(part.replace(sep, heads[x]))
     sink.write(close)

@@ -322,6 +322,15 @@ def test_graph_dot_refuses_repeated_product_labels(run_cli, tmp_path):
     assert (code, out) == (0, "a,b\n0,1\n0,2\n0,3\n")
 
 
+def test_graph_dot_with_refused_labels_creates_no_out_file(run_cli, tmp_path):
+    target = tmp_path / "x.dot"
+    code, out, err = run_cli("graph", _comma_label_tables(tmp_path), "undirected", "dot",
+                             "--out", str(target))
+    assert (code, out) == (3, "")
+    assert "label '(a,b,c)' names two elements" in err
+    assert not target.exists()
+
+
 def test_write_cayley_refuses_repeated_product_labels(tmp_path):
     g = pgx.constructors.build_group(pgx.constructors.parse_group_spec(
         _comma_label_tables(tmp_path)))

@@ -284,33 +284,46 @@ def reference_quote(s):
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def reference_export(graph, fmt, sink):
-    """The per-pair export loop that `export` replaced, kept as its byte
-    reference: every vertex name is quoted again for every pair."""
-    def name(i):
-        return reference_quote(graph.labels[i] if graph.labels is not None else str(i))
+def reference_pairs(g, directed):
+    """The arcs (x, y), y in <x> and y != x, or the edges (a, b), a < b, in
+    lexicographic order, from reference_cyclic_subgroup alone."""
+    arcs = {(x, y) for x in range(g.size) for y in reference_cyclic_subgroup(g, x) if y != x}
+    return sorted(arcs if directed else {(min(a, b), max(a, b)) for a, b in arcs})
 
-    directed = isinstance(graph, DirectedPowerGraph)
-    pairs = graph.arcs if directed else graph.edges
+
+def reference_export(g, directed, fmt, sink):
+    """A per-pair writer of the reference pairs, the byte reference for
+    `export`: every vertex name is quoted again for every pair."""
+    def name(i):
+        return reference_quote(g.labels[i] if g.labels is not None else str(i))
+
+    pairs = reference_pairs(g, directed)
     if fmt == "dot":
         kind, connector = ("digraph", "->") if directed else ("graph", "--")
-        sink.write(f"{kind} {reference_quote(graph.name)} {{\n")
-        for i in range(graph.size):
+        sink.write(f"{kind} {reference_quote(g.name)} {{\n")
+        for i in range(g.size):
             sink.write(f"  {name(i)};\n")
-        for a, b in pairs.tolist():
+        for a, b in pairs:
             sink.write(f"  {name(a)} {connector} {name(b)};\n")
         sink.write("}\n")
     else:
         sink.write("src,dst\n" if directed else "a,b\n")
-        for a, b in pairs.tolist():
+        for a, b in pairs:
             sink.write(f"{a},{b}\n")
 
 
 # Labels that need quoting, on the cyclic group of order 6.
 ESCAPED = GroupTable(6, 0, table=np.add.outer(np.arange(6), np.arange(6)) % 6,
                      name='C"6\\', labels=["e", 'a"', "b\\", '\\"c', 'd"\\"', "f"])
+# One member of each family in the inventory at orders up to 64 beyond
+# GRAPH_SPECS, an odd and an even product, and census tables alone and in a product.
+CENSUS_16_DIR = Path(__file__).resolve().parent.parent / "census" / "16"
+INVENTORY_SPECS = ["C64", "C63", "D64", "D30", "Q64", "SD64", "M(6,2)", "M(3,3)",
+                   "Ab(2;2,1,1)", "Ab(3;1,1,1)", "Ab(3;1,1)xC7", "C3xD8",
+                   f"file:{CENSUS_16_DIR}/d8oc4.cayley", f"file:{CENSUS_16_DIR}/q16.cayley",
+                   f"file:{CENSUS_16_DIR}/d8oc4.cayley x C3"]
 EXPORT_GROUPS = [build_group(parse_group_spec(t))
-                 for t in GRAPH_SPECS + ["Ab(3;1,1)xC5xC11"]] + [
+                 for t in GRAPH_SPECS + ["Ab(3;1,1)xC5xC11"] + INVENTORY_SPECS] + [
     ESCAPED, GroupTable(1, 0, table=[[0]], name="trivial")]
 
 
@@ -321,5 +334,30 @@ def test_export_matches_the_per_pair_reference(g, build, fmt):
     graph = build(g)
     fast, slow = io.StringIO(), io.StringIO()
     export(graph, fmt, fast)
-    reference_export(graph, fmt, slow)
+    reference_export(g, build is build_directed, fmt, slow)
     assert fast.getvalue() == slow.getvalue()
+
+
+@pytest.mark.parametrize("g", EXPORT_GROUPS, ids=lambda g: g.name)
+def test_pairs_and_counts_match_the_reference(g):
+    directed, undirected = build_directed(g), build_undirected(g)
+    arcs, edges = reference_pairs(g, True), reference_pairs(g, False)
+    assert [tuple(p) for p in directed.arcs.tolist()] == arcs and directed.num_arcs == len(arcs)
+    assert [tuple(p) for p in undirected.edges.tolist()] == edges
+    assert undirected.num_edges == len(edges)
+
+
+def test_dot_export_of_control_character_labels(tmp_path):
+    """Labels hold \\x00 to \\x08, the characters a template separator would
+    be taken from first, so the separator must come from further on."""
+    labels = [chr(c) for c in range(9)] + ["\x0e\"", "a\x00b", "\x7f\\"]
+    path = tmp_path / "c12.cayley"
+    rows = "".join(" ".join(str((i + j) % 12) for j in range(12)) + "\n" for i in range(12))
+    path.write_text(f"order 12\nidentity 0\n{rows}labels {' '.join(labels)}\n")
+    g = build_group(parse_group_spec(f"file:{path}"))
+    assert g.labels == labels
+    for build in (build_directed, build_undirected):
+        fast, slow = io.StringIO(), io.StringIO()
+        export(build(g), "dot", fast)
+        reference_export(g, build is build_directed, "dot", slow)
+        assert fast.getvalue() == slow.getvalue()
