@@ -9,8 +9,8 @@ For each n_max it prints, as JSON, the best-of-reps time in ms of:
   orders through `_census_sylows` and the rest through `_scan_sylow`;
 - rows: factoring each order by the sieve and making its row with
   `_scan_row`, from the finished Sylow table;
-- csv_write: writing the finished rows to an in-memory text buffer, as
-  `scan --format csv` writes them to stdout;
+- csv_write: writing the finished rows to an in-memory text buffer with
+  `_write_scan_csv`, the writer `scan --format csv` uses for stdout;
 - end_to_end: `pgx scan conjecture-2.9 --format csv` run in process through
   `pgx.cli.main`, with stdout sent to an in-memory buffer.
 
@@ -31,9 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pgx.census import (SCAN_COLUMNS, _census_sylows, _scan_row,  # noqa: E402
-                        _scan_sylow)
-from pgx.cli import _write_csv  # noqa: E402
+from pgx.census import _census_sylows, _scan_row, _scan_sylow  # noqa: E402
+from pgx.cli import _write_scan_csv  # noqa: E402
 from pgx.cli import main as cli_main  # noqa: E402
 from pgx.constructors import Census  # noqa: E402
 from pgx.spectrum import OddSieve  # noqa: E402
@@ -71,7 +70,7 @@ def layers(n_max: int, census: Census, reps: int) -> dict:
         return out
 
     rows_ms, made = best_ms(rows, reps)
-    csv_ms, _ = best_ms(lambda: _write_csv(io.StringIO(), SCAN_COLUMNS, made), reps)
+    csv_ms, _ = best_ms(lambda: _write_scan_csv(io.StringIO(), made), reps)
 
     def end_to_end():
         with contextlib.redirect_stdout(io.StringIO()):

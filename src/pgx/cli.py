@@ -172,6 +172,16 @@ def _write_csv(sink, headers, rows) -> None:
         writer.writerow([_cell(v, csv_mode=True) for v in row])
 
 
+def _write_scan_csv(sink, rows) -> None:
+    """Write the scan's header line, then its rows in one `writerows` call.
+    Every value but `supported` is an int or a string that csv writes as
+    `_cell` would; that one bool is mapped to true/false here."""
+    s = SCAN_COLUMNS.index("supported")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(SCAN_COLUMNS)
+    writer.writerows((*row[:s], "true" if row[s] else "false", *row[s + 1:]) for row in rows)
+
+
 def _csv_table(rows: list[dict]) -> str:
     if not rows:
         return ""
@@ -312,7 +322,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     census = _census(args.census_dir)
     if args.format == "csv":
         rows = scan_rows(args.n_max, census)    # raises, if at all, before any output
-        _write_csv(sys.stdout, SCAN_COLUMNS, rows)
+        _write_scan_csv(sys.stdout, rows)
         return 0            # the scan is report-only
     report = _note_missing_census(scan_conjecture_2_9(args.n_max, census), census)
     sys.stdout.write(render_report(report, args.format))

@@ -30,9 +30,7 @@ from enum import Enum
 from functools import cached_property, reduce
 from math import prod
 from pathlib import Path
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from .errors import InputError, InvariantError, ResourceError
 from .groups import (DEFAULT_TABLE_CAP, GroupTable, check_brute_cap, index_dtype, read_cayley,
@@ -46,6 +44,9 @@ from .spectrum import (
     spectrum_cyclic,
     spectrum_product,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 # Most groups one catalog or nilpotent enumeration may list. A p-group
 # catalog of order p^k lists an abelian group per partition of k, and the
@@ -66,14 +67,16 @@ _ORDER_DIGITS = len(str(1 << ORDER_BITS))
 def _addition_table(m: int) -> np.ndarray:
     """(i + j) mod m as a read-only m-by-m view in index_dtype(m): row i is
     the window starting at i of 0..m-1 written twice."""
+    import numpy as np
     idx = np.arange(m, dtype=index_dtype(m))
-    return sliding_window_view(np.concatenate([idx, idx]), m)[:m]
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), m)[:m]
 
 
 def _wrap(out: np.ndarray, n: int) -> np.ndarray:
     """out mod n in place, for unsigned entries below 2n: an entry below n
     wraps past the dtype's top when n is subtracted, so the minimum keeps it.
     Rows go in blocks of about 2^16 entries, so the difference stays in cache."""
+    import numpy as np
     rows = out.reshape(-1, out.shape[-1])
     step = max(1, (1 << 16) // rows.shape[1])
     diff = np.empty((step, rows.shape[1]), dtype=out.dtype)
@@ -87,6 +90,7 @@ def _translated(block: np.ndarray, n: int) -> np.ndarray:
     """The n-by-n table whose row k*s + r is (block[r] + k*s) mod n, s = len(block):
     the table of a group whose major index digit is a cyclic factor acting by
     addition, from its rows with major digit 0. block is in index_dtype(n)."""
+    import numpy as np
     s = len(block)
     shifts = np.arange(0, n, s, dtype=block.dtype)[:, None, None]
     return _wrap(block[None] + shifts, n).reshape(n, n)
@@ -96,6 +100,7 @@ def _two_coset_table(nn: int, twist0: np.ndarray, twist1: np.ndarray) -> np.ndar
     """Table on pairs (a, b), index a + nn*b with b in {0, 1}, of the product
     (a1, 0)(a2, b2) = (a1 + a2, b2) and (a1, 1)(a2, b2) = (a1 + twist_b2[a2], 1 - b2),
     first coordinates mod nn."""
+    import numpy as np
     dt = index_dtype(2 * nn)
     idx = np.arange(nn, dtype=dt)
     second = np.array([[idx, idx], [twist0, twist1]], dtype=dt)    # [b1, b2, a2]
@@ -144,6 +149,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     a1, each entry times |h| and repeated |h| times, plus h tiled |g| times:
     one add whose inner axis has length n and whose sums stay below n. Its
     labels are "(la,lb)", made from the factors' label recipes when first read."""
+    import numpy as np
     m, s = g.size, h.size
     n = m * s
     dt = index_dtype(n)
@@ -277,6 +283,7 @@ class Modular(GroupSpec):
         (i1,j1)*(i2,j2) = (i1 + i2*(1+p^(n-2))^j1 mod p^(n-1), j1+j2 mod p).
         The presentation's conjugation relation holds for a = (1,0), b = (0,p-1).
         """
+        import numpy as np
         p = self.p
         P = p ** (self.n - 1)
         e = 1 + p ** (self.n - 2)
@@ -313,6 +320,7 @@ class Dihedral(GroupSpec):
 
     def build(self) -> GroupTable:
         """The group on pairs (rotation, flip)."""
+        import numpy as np
         k = self.order // 2
         neg = -np.arange(k) % k
         g = GroupTable(self.order, 0, table=_two_coset_table(k, neg, neg), name=self.render(),
@@ -347,6 +355,7 @@ class GeneralizedQuaternion(GroupSpec):
         y^-1 x y = x^-1, so x^a1 y^b1 * x^a2 y^b2 =
         x^(a1 + (-1)^b1 a2 + 2^(n-2) b1 b2) y^(b1 + b2 mod 2). Q8 carries the
         classical 1, i, j, k labels."""
+        import numpy as np
         nn = self.order // 2
         half = nn // 2
         idx = np.arange(nn)
@@ -383,6 +392,7 @@ class Semidihedral(GroupSpec):
         """The group of order 2^n on pairs (a, b), index a + 2^(n-1)*b, with
         y^2 = 1 and y x y = x^t, t = 2^(n-2) - 1, so
         x^a1 y^b1 * x^a2 y^b2 = x^(a1 + t^b1 a2) y^(b1 + b2 mod 2)."""
+        import numpy as np
         nn = self.order // 2
         t = nn // 2 - 1
         twist = np.arange(nn) * t % nn
@@ -423,6 +433,7 @@ class Heisenberg(GroupSpec):
         addition table of the lower digits (b, c), its columns permuted by
         (b2, c2) -> (b2, c2 + a1*b2), is the lower part of every entry in row
         block a1; one add of the (a1+a2)*p^2 offsets writes that block row."""
+        import numpy as np
         p = self.p
         n = p ** 3
         p2 = p * p

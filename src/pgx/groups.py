@@ -6,7 +6,8 @@ larger groups are handled by their spectra alone. A table is stored in
 `index_dtype(n)`, the narrowest unsigned dtype that holds the sum of two
 indices below n (uint16 through n = 2^15), so a builder may add two indices
 and reduce mod n without overflow; element orders and every statistic derived
-from them are plain Python integers.
+from them are plain Python integers. numpy is imported by each function that
+makes or reads a table, so a command that builds no table never loads it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 from .errors import InputError, InvariantError, ResourceError
 from .spectrum import factor
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
 _LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
@@ -29,6 +31,7 @@ _BLOCK = 1 << 16              # entries per block of the validation checks
 def index_dtype(n: int) -> type[np.unsignedinteger]:
     """The dtype of an order-n table: the narrowest unsigned dtype in which
     the sum of two indices below n cannot overflow."""
+    import numpy as np
     return np.uint16 if 2 * n <= 1 << 16 else np.uint32
 
 
@@ -48,6 +51,7 @@ class GroupTable:
                  table: np.ndarray | None = None,
                  name: str = "G",
                  labels: Sequence[str] | Callable[[], Sequence[str]] | None = None):
+        import numpy as np
         if size < 1:
             raise InputError(f"group size must be positive, got {size}")
         if not 0 <= identity < size:
@@ -113,6 +117,7 @@ class GroupTable:
 
     def power(self, a: int, m: int) -> int:
         """a^m for m >= 0, by binary exponentiation."""
+        import numpy as np
         self._check_index(a)
         if m < 0:
             raise InputError(f"exponent must be nonnegative, got {m}")
@@ -125,6 +130,7 @@ class GroupTable:
         the p-part of o(x) is the least p^j with (x^(|G|/p^a))^(p^j) = e.
         """
         if self._orders is None:
+            import numpy as np
             table, e, n = self.table, self.identity, self.size
             orders = np.ones(n, dtype=np.int64)
             for p, a in factor(n):
@@ -153,7 +159,8 @@ def check_brute_cap(name: str, order: int, cap: int) -> None:
 
 def _powers(table: np.ndarray, x: np.ndarray, m: int, identity: int) -> np.ndarray:
     """x^m for every entry of the index array x, by binary powering."""
-    result = np.full_like(x, identity)
+    result = x.copy()
+    result.fill(identity)                       # e, in the shape and dtype of x
     while m:
         if m & 1:
             result = table[result, x]
@@ -199,6 +206,7 @@ def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False
 
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
     """Identity, Latin-square and two-sided-inverse checks on a dense table."""
+    import numpy as np
     n = t.shape[0]
     idx = np.arange(n)
     bad = t[e] != idx
@@ -229,6 +237,7 @@ def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
 def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
     """The lexicographically first failing triple, by a scan of all n^3
     triples in cache-sized row blocks; None if the table is associative."""
+    import numpy as np
     n = t.shape[0]
     blk = max(1, (1 << 20) // (n * n))
     for a0 in range(0, n, blk):
@@ -252,6 +261,7 @@ def _generators(t: np.ndarray, e: int) -> list[int]:
     W <- W u W*W. There are at most floor(log2 n) of them: once W is closed,
     each row h of W maps W onto W, so a new generator g gives |W| products
     h*g outside W and at least doubles W."""
+    import numpy as np
     n = t.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
@@ -274,6 +284,7 @@ def _light(t: np.ndarray, gens: list[int]) -> bool:
     in row blocks of about 2^16 entries. The elements a that satisfy it are
     closed under the product, so it holds for all a once it holds for a
     generating set: the table is associative."""
+    import numpy as np
     n = t.shape[0]
     a_y = t[gens]                                   # a_y[j, y] = gens[j]*y
     step = max(1, _BLOCK // (len(gens) * n))
@@ -321,6 +332,7 @@ def validate(g: GroupTable) -> ValidationReport:
 def _parse_rows(rows: list[str], n: int) -> np.ndarray | None:
     """The table parsed in blocks of rows if each row is exactly n ASCII decimal tokens,
     each below n, with single spaces between (as write_cayley writes); else None."""
+    import numpy as np
     if any(row.count(" ") != n - 1 for row in rows):
         return None
     table = np.empty((n, n), dtype=index_dtype(n))
@@ -338,6 +350,7 @@ def _parse_rows(rows: list[str], n: int) -> np.ndarray | None:
 
 def read_cayley(path: str | Path) -> GroupTable:
     """Parse a Cayley-table file; the group is named after the file stem."""
+    import numpy as np
     path = Path(path)
     try:
         with path.open() as fh:     # one line at a time: only the kept rows stay alive

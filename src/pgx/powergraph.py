@@ -17,12 +17,13 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count
-from typing import ClassVar, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, TextIO
 
 from .errors import InputError, InvariantError
 from .groups import DEFAULT_TABLE_CAP, GroupTable, check_brute_cap
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int]]]:
@@ -101,6 +102,7 @@ class _PowerGraph:
 
     def _pairs(self) -> np.ndarray:
         """The pairs in lexicographic order, made from the rows when read."""
+        import numpy as np
         rows, directed = self.rows, self.directed
         pairs = [(x, y) for x, k, i in self._sources()
                  for y in (rows[k][1][:i] if directed else []) + rows[k][1][i + 1:]]

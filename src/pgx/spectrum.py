@@ -9,19 +9,19 @@ orders, and all three power-graph edge counts:
     undirected edges = order_sum - (phi_sum + size) / 2
 
 Everything in this module is arbitrary-precision Python integer arithmetic,
-except the int32 table of OddSieve; the divisions above must be exact and
-raise InvariantError otherwise.
+and OddSieve keeps its tables in the standard library's `array` and
+`bytearray`; the divisions above must be exact and raise InvariantError
+otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
-
-import numpy as np
 
 from .errors import InputError, InvariantError, ResourceError
 
@@ -169,31 +169,36 @@ class OddSieve:
     """The smallest prime factor of every odd number up to n_max (n_max below
     2^31), for factoring a run of odd numbers without `factor`'s trial
     division, and from the same pass which of them a prime square divides:
-    5 bytes per odd number."""
+    5 bytes per odd number, in an int array and a bytearray."""
 
     def __init__(self, n_max: int):
-        spf = np.zeros((n_max + 1) // 2, dtype=np.int32)   # index i holds n = 2i + 1
-        square = np.zeros(len(spf), dtype=bool)
-        for p in range(3, math.isqrt(n_max) + 1, 2):
-            if spf[p >> 1] == 0:                            # p is prime
-                multiples = spf[p * p >> 1::p]              # p^2, p^2 + 2p, ...
-                multiples[multiples == 0] = p
-                square[p * p >> 1::p * p] = True            # p^2, 3p^2, 5p^2, ...
-        primes = np.flatnonzero(spf == 0)                   # and 1, at index 0
-        spf[primes] = 2 * primes + 1
-        self._spf = memoryview(spf)     # indexing gives a Python int
+        size = (n_max + 1) // 2                         # index i holds n = 2i + 1
+        r = math.isqrt(n_max)
+        small = bytearray(1) + b"\x01" * ((r - 1) // 2)  # small[i]: 2i + 1 <= r is prime
+        for p in range(3, math.isqrt(r) + 1, 2):
+            if small[p >> 1]:
+                small[p * p >> 1::p] = bytes(len(range(p * p >> 1, len(small), p)))
+        spf = array("i", [0]) * size
+        square = bytearray(size)
+        # largest sieving prime first, so each entry ends with its smallest;
+        # the primes, and 1 at index 0, keep 0
+        for p in reversed(list(itertools.compress(range(1, r + 1, 2), small))):
+            start = p * p >> 1                          # p^2, p^2 + 2p, ...
+            spf[start::p] = array("i", [p]) * len(range(start, size, p))
+            square[start::p * p] = b"\x01" * len(range(start, size, p * p))   # p^2, 3p^2, ...
+        self._spf = spf                 # indexing gives a Python int
         self._square = square
 
     def not_square_free(self) -> Iterator[int]:
         """The odd numbers up to n_max that are not square-free, ascending."""
-        return iter(memoryview(2 * np.flatnonzero(self._square) + 1))
+        return itertools.compress(range(1, 2 * len(self._square), 2), self._square)
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """factor(n) for an odd n from 1 to n_max."""
         spf = self._spf
         factors = []
         while n > 1:
-            p = spf[n >> 1]
+            p = spf[n >> 1] or n
             a = 0
             while n % p == 0:
                 n //= p

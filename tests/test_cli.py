@@ -750,7 +750,7 @@ def test_csv_scan_memory_stays_flat_in_the_row_count(monkeypatch):
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     scan = ["scan", "conjecture-2.9", "--format", "csv", "--census-dir", ""]
-    pgx.cli.main(scan + ["--n-max", "9"])   # the parser and numpy's first use, untraced
+    pgx.cli.main(scan + ["--n-max", "9"])   # the parser and the first scan call, untraced
     tracemalloc.start()
     try:
         code = pgx.cli.main(scan + ["--n-max", "200000"])
@@ -1071,6 +1071,35 @@ def test_module_invocation_round_trip():
         capture_output=True, text=True, cwd=REPO_ROOT)
     assert proc.returncode == 0
     assert proc.stdout == C6_STATS_TEXT
+
+
+_NUMPY_PROBE = (
+    "import contextlib, io, sys\n"
+    "import pgx.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = pgx.cli.main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (("verify", "main-theorem", "--n", "405"), False),
+    (("verify", "prop-2.2", "--p", "3", "--n", "4"), False),
+    (("spectrum", "C12"), False),
+    (("stats", "C1000000000039xC105"), False),
+    (("scan", "conjecture-2.9", "--n-max", "20000", "--format", "csv", "--census-dir", ""), False),
+    # controls: a table under the cap, and census tables read for a verdict
+    (("stats", "C12"), True),
+    (("verify", "prop-2.8", "--p", "2", "--n", "4", "--census-dir", "census"), True),
+])
+def test_formula_commands_start_without_numpy(argv, loads_numpy):
+    """A command that builds, reads or walks no table never imports numpy,
+    in a fresh interpreter; the controls show that the probe sees it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code in ("0", "2") and loaded == str(loads_numpy)
 
 
 def test_a_spec_of_thousands_of_atoms_exits_zero(run_cli):

@@ -138,12 +138,23 @@ def test_odd_sieve_factors_as_factor_does_up_to_20000():
     assert list(sieve.not_square_free()) == _odd_not_square_free(20_000)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 9, 10, 24, 25, 26, 49])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 9, 10, 24, 25, 26, 27, 49, 3481, 3483, 3484])
 def test_odd_sieve_reaches_n_max(n_max):
+    """Squares of primes (9, 25, 3481 = 59^2) and a prime cube at n_max, the
+    odd numbers just past them, and even n_max."""
     sieve = OddSieve(n_max)
     for n in range(1, n_max + 1, 2):
         assert sieve.factor(n) == factor(n), n
     assert list(sieve.not_square_free()) == _odd_not_square_free(n_max)
+
+
+def test_odd_sieve_yields_plain_ints():
+    """The scan writes these with str(), so they must be Python ints."""
+    sieve = OddSieve(3483)
+    orders = list(sieve.not_square_free())
+    assert orders and all(type(n) is int for n in orders)
+    for n in (1, 3, 59, 3481, 3483):
+        assert all(type(p) is int and type(a) is int for p, a in sieve.factor(n)), n
 
 
 def test_factor_matches_the_reference_on_a_seeded_sample_below_1e12():
