@@ -1,23 +1,30 @@
-"""Time `groups.validate` on the tables the io workload ingests.
+"""Time `groups.read_cayley` and `groups.validate` on the tables the io workload ingests.
 
     PYTHONPATH=src python3 scripts/time_validate.py [--seeds 1 2 3] [--reps 5]
 
 For each seed it builds the generated census that pgxbench/workloads.py
-lists for the io workload, validates every table, and prints the best-of-reps
-time of each as JSON with its order, validation mode (always `full`) and
-verdict; the shipped census/16 tables, which every io round ingests too, come
-first. `validate` takes no settings, so each table is checked as
-`census ingest` checks it. Only the standard library and pgx are used; the
-spec list is read from pgxbench/workloads.py.
+lists for the io workload, writes each table once with `write_cayley` to a
+temporary directory, and prints, as JSON, the best-of-reps time of reading
+it back and of validating it, side by side, with its order, validation mode
+(always `full`) and verdict; the shipped census/16 tables, which every io
+round ingests too, come first. Neither call takes a setting, so each table
+is read and checked as `census ingest` reads and checks it. Tables of more
+than one block are parsed and Latin-checked on up to the CPUs the process
+may use; `taskset -c 0 python3 scripts/time_validate.py` times them on one.
+Only the standard library and pgx are used; the spec list is read from
+pgxbench/workloads.py.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "pgxbench"))
@@ -25,16 +32,16 @@ sys.path.insert(0, str(ROOT / "pgxbench"))
 import workloads  # noqa: E402
 
 from pgx.constructors import build_group, parse_group_spec  # noqa: E402
-from pgx.groups import GroupTable, read_cayley, validate  # noqa: E402
+from pgx.groups import read_cayley, validate, write_cayley  # noqa: E402
 
 
-def best_ms(g: GroupTable, reps: int) -> tuple[float, str, bool]:
+def best_ms(call: Callable[[], object], reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        report = validate(g)
+        call()
         best = min(best, time.perf_counter() - t0)
-    return best * 1e3, report.mode, report.ok
+    return best * 1e3
 
 
 def main() -> int:
@@ -50,15 +57,25 @@ def main() -> int:
         tables += [(f"seed {seed}", s.text, build_group(parse_group_spec(s.text)))
                    for s in specs]
     rows = []
-    for source, name, g in tables:
-        ms, mode, ok = best_ms(g, args.reps)
-        rows.append({"source": source, "table": name, "order": g.size,
-                     "mode": mode, "ok": ok, "ms": round(ms, 3)})
-    totals: dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (source, name, g) in enumerate(tables):
+            path = Path(tmp) / f"{k}.cayley"
+            write_cayley(g, path)
+            read_ms = best_ms(lambda: read_cayley(path), args.reps)
+            path.unlink()
+            validate_ms = best_ms(lambda: validate(g), args.reps)
+            report = validate(g)
+            rows.append({"source": source, "table": name, "order": g.size,
+                         "mode": report.mode, "ok": report.ok,
+                         "read_ms": round(read_ms, 3), "validate_ms": round(validate_ms, 3)})
+    totals: dict[str, dict[str, float]] = {}
     for row in rows:
-        totals[row["source"]] = totals.get(row["source"], 0.0) + row["ms"]
-    print(json.dumps({"reps": args.reps, "tables": rows,
-                      "total_ms": {k: round(v, 3) for k, v in totals.items()}}, indent=1))
+        total = totals.setdefault(row["source"], {"read_ms": 0.0, "validate_ms": 0.0})
+        for key in total:
+            total[key] += row[key]
+    print(json.dumps({"reps": args.reps, "cpus": len(os.sched_getaffinity(0)), "tables": rows,
+                      "total_ms": {source: {k: round(v, 3) for k, v in total.items()}
+                                   for source, total in totals.items()}}, indent=1))
     return 0
 
 

@@ -293,7 +293,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         graph.labels    # made and checked first, so refused labels leave no --out file
     if args.out:
         try:
-            with open(args.out, "w") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 export(graph, args.graph_format, fh)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, configuration."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -1100,6 +1101,26 @@ def test_formula_commands_start_without_numpy(argv, loads_numpy):
     assert proc.returncode == 0, proc.stderr
     code, loaded = proc.stdout.split()
     assert code in ("0", "2") and loaded == str(loads_numpy)
+
+
+def test_cayley_files_are_utf8_under_the_c_locale(tmp_path):
+    """Labels are read, and tables and DOT files written, as UTF-8 whatever
+    the locale's encoding."""
+    body = "order 2\nidentity 0\n0 1\n1 0\nlabels e \u00e9\n".encode()
+    (tmp_path / "z2.cayley").write_bytes(body)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    copy = ("from pgx.groups import read_cayley, write_cayley\n"
+            "write_cayley(read_cayley('z2.cayley'), 'copy.cayley')\n")
+    for argv in (["-m", "pgx.cli", "stats", "file:z2.cayley", "--census-dir", ""],
+                 ["-m", "pgx.cli", "graph", "file:z2.cayley", "directed", "dot",
+                  "--out", "z2.dot", "--census-dir", ""],
+                 ["-c", copy]):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert (tmp_path / "z2.dot").read_bytes() == \
+        'digraph "z2" {\n  "e";\n  "\u00e9";\n  "\u00e9" -> "e";\n}\n'.encode()
+    assert (tmp_path / "copy.cayley").read_bytes() == b"# z2\n" + body
 
 
 def test_a_spec_of_thousands_of_atoms_exits_zero(run_cli):

@@ -3,6 +3,7 @@
 import functools
 import io
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -364,17 +365,24 @@ def test_block_edit_of_order_1024_is_refused_with_its_first_failing_triple():
 
 
 @pytest.mark.parametrize("axiom", ["latin-row", "latin-column"])
-def test_latin_failure_from_a_late_block_names_the_first_line(axiom):
-    # order 300 sorts 218 lines per block, so line 250 lies in the second block
-    t = Cyclic(300).build().table.copy()
-    if axiom == "latin-row":
-        t[[250, 260], 7] = t[[260, 250], 7]       # columns stay permutations
-    else:
-        t[7, [250, 260]] = t[7, [260, 250]]       # rows stay permutations
-    g = GroupTable(300, 0, table=t)
-    report = validate(g)
-    assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
-    assert report == reference_validate(g)
+def test_latin_failure_from_a_late_block_names_the_first_line(axiom, monkeypatch):
+    # order 300 sorts 150 lines per block, so line 250 lies in the second
+    # block; order 600 sorts 100 lines per block, so lines 250 and 450 fail
+    # in the third and the fifth, and the threaded map must name line 250
+    for n, step, lines in ((300, 150, (250,)), (600, 100, (450, 250))):
+        assert groups._block_step(n, groups._BLOCK) == step
+        t = Cyclic(n).build().table.copy()
+        for a in lines:
+            if axiom == "latin-row":
+                t[[a, a + 10], 7] = t[[a + 10, a], 7]       # columns stay permutations
+            else:
+                t[7, [a, a + 10]] = t[7, [a + 10, a]]       # rows stay permutations
+        g = GroupTable(n, 0, table=t)
+        for cpus in (1, 2):
+            monkeypatch.setattr(groups, "_cpus", lambda: cpus)
+            report = validate(g)
+            assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
+            assert report == reference_validate(g)
 
 
 def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):
@@ -461,6 +469,31 @@ def test_cayley_parse_errors(tmp_path, body, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("body", [
+    "order 2\ridentity 0\r0 1\r1 0\r",                          # CR line ends
+    "order 2\r\nidentity 0\n\r0 1\r\n1 0\rlabels a b",             # mixed, no final newline
+    "# a comment\rorder 2\nidentity 0\n0 1\n1 0\n",                # a CR ends the comment
+    "\x1c order 2 \x1f\nidentity 0\n\x1d\n0 1\x1e\n1 0\n",          # ASCII that str.strip() strips
+    "\u00a0# comment\norder 2\n\u3000\nidentity 0\n0 1\n1 0\nlabels e \u00e9\u2003\n",
+])
+def test_read_cayley_keeps_the_lines_of_a_text_mode_read(tmp_path, body):
+    path = tmp_path / "g.cayley"
+    path.write_bytes(body.encode())
+    with open(path, encoding="utf-8") as fh:
+        text_mode = [(i, row) for i, line in enumerate(fh, 1)
+                     if (row := line.strip()) and not row.startswith("#")]
+    with open(path, "rb") as fh:
+        assert [(i, row.decode()) for i, row in groups._content_lines(fh)] == text_mode
+    assert np.array_equal(read_cayley(path).table, [[0, 1], [1, 0]])
+
+
+def test_read_cayley_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "g.cayley"
+    path.write_bytes(b"# \xff\norder 2\nidentity 0\n0 1\n1 0\n")
+    with pytest.raises(InputError, match="cannot read .*'utf-8' codec can't decode byte 0xff"):
+        read_cayley(path)
+
+
 def test_read_cayley_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_cayley(tmp_path / "missing.cayley")
@@ -525,11 +558,72 @@ def test_read_cayley_accepts_every_int_token_form(g, sep, token, tmp_path):
     assert np.array_equal(back.table, g.table)
 
 
-@pytest.mark.parametrize("text", ["D24", "D600"])      # D600 spans two row blocks
+@pytest.mark.parametrize("text", ["D24", "D600"])      # D600 spans six row blocks
 def test_read_cayley_parses_written_rows_in_bulk(text):
     g = build_group(parse_group_spec(text))
     rows = io.StringIO()
     write_cayley(g, rows)
-    table_rows = rows.getvalue().splitlines()[3:3 + g.size]
+    table_rows = [r.encode() for r in rows.getvalue().splitlines()[3:3 + g.size]]
     assert np.array_equal(groups._parse_rows(table_rows, g.size), g.table)
-    assert groups._parse_rows([r.replace(" ", "\t") for r in table_rows], g.size) is None
+    assert groups._parse_rows([r.replace(b" ", b"\t") for r in table_rows], g.size) is None
+
+
+def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
+    # more threads than cores and a short switch interval, so the threads
+    # interleave often; an error names the earliest block that raised one
+    monkeypatch.setattr(groups, "_cpus", lambda: 8)
+    starts = range(0, 1000, 7)
+    calls = []
+
+    def block(s):
+        calls.append(s)
+        if s % 49 == 21:
+            raise ValueError(s)
+        return s * s
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert groups._map_blocks(lambda s: calls.append(s) or s * s, starts) == \
+            [s * s for s in starts]
+        assert sorted(calls) == list(starts)
+        with pytest.raises(ValueError, match="^21$"):
+            groups._map_blocks(block, starts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _read_with_cpus(monkeypatch, path, cpus):
+    """read_cayley and validate with `cpus` CPUs available, or the InputError text."""
+    monkeypatch.setattr(groups, "_cpus", lambda: cpus)
+    try:
+        g = read_cayley(path)
+    except InputError as exc:
+        return str(exc)
+    return g.table, g.labels, validate(g)
+
+
+def test_read_and_validate_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # order 1024 spans 16 blocks of the parse and of each Latin check
+    g = build_group(parse_group_spec("D1024"))
+    assert groups._block_step(1024, groups._BLOCK) == 64
+    path = tmp_path / "d1024.cayley"
+    write_cayley(g, path)
+    lines = path.read_bytes().splitlines(keepends=True)     # '# D1024', order, identity, rows
+    variants = {
+        "written": b"".join(lines),
+        "crlf": b"".join(line.replace(b"\n", b"\r\n") for line in lines),
+        "comment": b"".join(lines[:600] + [b"# between rows 596 and 597\n"] + lines[600:]),
+        "malformed": b"".join(lines[:903] + [lines[903].replace(b" 7 ", b" 7x ", 1)] + lines[904:]),
+    }
+    for name, body in variants.items():
+        variant = tmp_path / f"{name}.cayley"
+        variant.write_bytes(body)
+        serial, threaded = (_read_with_cpus(monkeypatch, variant, cpus) for cpus in (1, 2))
+        if name == "malformed":
+            assert serial == threaded == \
+                f"{variant}:904: row 900 contains a non-integer entry"
+        else:
+            table, labels, report = threaded
+            assert np.array_equal(table, g.table) and np.array_equal(serial[0], table)
+            assert serial[1:] == (labels, report) and report.ok
