@@ -9,8 +9,9 @@ it back and of validating it, side by side, with its order, validation mode
 (always `full`) and verdict; the shipped census/16 tables, which every io
 round ingests too, come first. Neither call takes a setting, so each table
 is read and checked as `census ingest` reads and checks it. Tables of more
-than one block are parsed and Latin-checked on up to the CPUs the process
-may use; `taskset -c 0 python3 scripts/time_validate.py` times them on one.
+than one block are parsed and Latin-checked on up to two of the CPUs the
+process may use; `taskset -c 0 python3 scripts/time_validate.py` times them
+on one.
 Only the standard library and pgx are used; the spec list is read from
 pgxbench/workloads.py.
 """

@@ -11,9 +11,10 @@ makes or reads a table, so a command that builds no table never loads it.
 
 Tables larger than one block are parsed (`read_cayley`) and Latin-checked
 (`validate`) one block of rows or columns at a time, on as many threads as
-the process may use CPUs, up to one per block; numpy releases the GIL while
-it parses and sorts, so the blocks run side by side. There is no setting:
-with one CPU or one block the blocks run inline, in order.
+the process may use CPUs, up to two and up to one per block; numpy releases
+the GIL while it parses and sorts, so the blocks run side by side. There is
+no setting: with one CPU or one block the blocks run inline, in order, and a
+refused block stops the search, so later blocks are not parsed or sorted.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
 _LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
 _BLOCK = 1 << 16              # entries per block of the parse and the Latin checks
+_MAX_THREADS = 2              # each holds about 1 MB of parse temporaries; only two were measured
 
 _T = TypeVar("_T")
 
@@ -52,26 +54,35 @@ def _block_step(n: int, entries: int) -> int:
     return -(-n // blocks)
 
 
-def _map_blocks(fn: Callable[[int], _T], starts: range) -> list[_T]:
-    """[fn(s) for s in starts], run on min(CPUs, blocks) threads, the caller's
-    among them; inline when that is one. Results keep the order of starts,
-    and an exception from fn is raised for the earliest start that raised one."""
-    workers = min(_cpus(), len(starts))
-    if workers < 2:
-        return [fn(s) for s in starts]
-    import threading
-    results: list = [None] * len(starts)
+def _first_hit(fn: Callable[[int], _T | None], starts: range) -> _T | None:
+    """fn(s) for the earliest s in starts at which fn returns something other
+    than None or raises (raised again here); None if there is no such s.
+    The blocks run on min(CPUs, _MAX_THREADS, blocks) threads, the caller's
+    among them, and no thread takes a new block once one has a hit or an
+    error. Blocks are taken in order and every block taken runs to its end,
+    so each block before a hit has run, whatever the number of threads."""
+    hits: dict[int, _T] = {}
     errors: dict[int, Exception] = {}
     todo = iter(range(len(starts)))     # each next() runs under the GIL: no block runs twice
 
     def work() -> None:
-        for k in todo:
+        while not (hits or errors):
+            k = next(todo, None)
+            if k is None:
+                return
             try:
-                results[k] = fn(starts[k])
+                hit = fn(starts[k])
             except Exception as exc:
                 errors[k] = exc
+            else:
+                if hit is not None:
+                    hits[k] = hit
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    helpers = []
+    workers = min(_cpus(), _MAX_THREADS, len(starts))
+    if workers > 1:
+        import threading
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
     try:
@@ -79,9 +90,10 @@ def _map_blocks(fn: Callable[[int], _T], starts: range) -> list[_T]:
     finally:
         for helper in helpers:
             helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    first = min([*hits, *errors], default=None)
+    if first in errors:
+        raise errors[first]
+    return hits.get(first)
 
 
 def index_dtype(n: int) -> type[np.unsignedinteger]:
@@ -247,7 +259,7 @@ class ValidationReport:
 def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False) -> int | None:
     """The first row (or column) of the square table t that is not a
     permutation of idx = 0..n-1, or None. Lines are sorted in C-contiguous
-    blocks of about 2^16 entries, mapped by `_map_blocks`; a block of columns
+    blocks of about 2^16 entries, searched by `_first_hit`; a block of columns
     is copied row by row and transposed in cache, since a strided copy or sort
     of whole columns is several times slower."""
     step = _block_step(len(idx), _BLOCK)
@@ -258,8 +270,7 @@ def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False
         bad = (block != idx).any(axis=1)
         return i0 + int(bad.argmax()) if bad.any() else None
 
-    firsts = _map_blocks(first_bad, range(0, len(idx), step))
-    return next((i for i in firsts if i is not None), None)
+    return _first_hit(first_bad, range(0, len(idx), step))
 
 
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
@@ -390,27 +401,28 @@ def validate(g: GroupTable) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def _parse_rows(rows: list[bytes], n: int) -> np.ndarray | None:
-    """The table parsed in blocks of about 2^16 entries, mapped by `_map_blocks`,
+    """The table parsed in blocks of about 2^16 entries, run by `_first_hit`,
     if each row is exactly n ASCII decimal tokens, each below n, with single
     spaces between (as write_cayley writes); else None."""
     import numpy as np
     table = np.empty((n, n), dtype=index_dtype(n))
     step = _block_step(n, _BLOCK)    # the block bounds the temporaries
 
-    def parse(r: int) -> bool:
+    def refused(r: int) -> bool | None:
+        """Parse rows r.. into the table; True if they are not canonical."""
         block = rows[r:r + step]
         if any(row.count(b" ") != n - 1 for row in block):
-            return False
+            return True
         text = b" ".join(block)
         if text.translate(None, b"0123456789 "):
-            return False
+            return True
         vals = np.fromstring(text, dtype=np.int64, sep=" ")
         if vals.size != len(block) * n or vals.max() >= n:
-            return False
+            return True
         table[r:r + step] = vals.reshape(-1, n)
-        return True
+        return None
 
-    return table if all(_map_blocks(parse, range(0, n, step))) else None
+    return None if _first_hit(refused, range(0, n, step)) else table
 
 
 def _content_lines(fh: IO[bytes]) -> list[tuple[int, bytes]]:

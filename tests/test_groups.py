@@ -4,6 +4,8 @@ import functools
 import io
 import itertools
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -568,10 +570,12 @@ def test_read_cayley_parses_written_rows_in_bulk(text):
     assert groups._parse_rows([r.replace(b" ", b"\t") for r in table_rows], g.size) is None
 
 
-def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
+def test_first_hit_names_the_earliest_block_whatever_the_thread_count(monkeypatch):
     # more threads than cores and a short switch interval, so the threads
-    # interleave often; an error names the earliest block that raised one
+    # interleave often; the earliest hit or error wins, every block runs at
+    # most once, and with no hit every block runs
     monkeypatch.setattr(groups, "_cpus", lambda: 8)
+    monkeypatch.setattr(groups, "_MAX_THREADS", 8)
     starts = range(0, 1000, 7)
     calls = []
 
@@ -579,18 +583,55 @@ def test_map_blocks_runs_each_block_once_in_order(monkeypatch):
         calls.append(s)
         if s % 49 == 21:
             raise ValueError(s)
-        return s * s
+        return s if s % 49 == 42 else None
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert groups._map_blocks(lambda s: calls.append(s) or s * s, starts) == \
-            [s * s for s in starts]
+        assert groups._first_hit(lambda s: calls.append(s), starts) is None
         assert sorted(calls) == list(starts)
+        calls.clear()
         with pytest.raises(ValueError, match="^21$"):
-            groups._map_blocks(block, starts)
+            groups._first_hit(block, starts)
+        assert len(set(calls)) == len(calls) and 21 in calls
+        assert groups._first_hit(lambda s: block(s + 28), starts) == 42     # s = 14 hits, s = 42 raises
     finally:
         sys.setswitchinterval(interval)
+    # an error in a later block, raised first, loses to an earlier block's hit
+    later_done = threading.Event()
+
+    def earlier_waits(s):
+        if s == 0:
+            assert later_done.wait(5)
+            return "earlier"
+        later_done.set()
+        raise ValueError(s)
+
+    monkeypatch.setattr(groups, "_MAX_THREADS", 2)
+    assert groups._first_hit(earlier_waits, range(2)) == "earlier"
+
+
+def test_first_hit_stops_at_the_first_hit_on_one_thread(monkeypatch):
+    monkeypatch.setattr(groups, "_cpus", lambda: 1)
+    calls = []
+    assert groups._first_hit(lambda s: calls.append(s) or (s if s >= 3 else None),
+                             range(10)) == 3
+    assert calls == [0, 1, 2, 3]
+    # a refused first block of the parse stops it before the second block
+    rows = [b" ".join(b"%d" % ((r + c) % 600) for c in range(600)) for r in range(600)]
+    parsed = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: parsed.append(1) or fromstring(*a, **k))
+    assert groups._parse_rows([rows[0].replace(b"1", b"+1", 1)] + rows[1:], 600) is None
+    assert parsed == []
+
+
+def test_first_hit_runs_on_at_most_max_threads(monkeypatch):
+    monkeypatch.setattr(groups, "_cpus", lambda: 64)
+    threads = set()
+    assert groups._first_hit(lambda s: threads.add(threading.get_ident()) or time.sleep(1e-3),
+                             range(40)) is None
+    assert threading.get_ident() in threads and len(threads) <= groups._MAX_THREADS == 2
 
 
 def _read_with_cpus(monkeypatch, path, cpus):
