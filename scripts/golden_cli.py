@@ -136,6 +136,14 @@ def export_calls() -> list[list[str]]:
             ["graph", "file:census/16/d8oc4.cayley x C3", "directed", "dot"]]
 
 
+def large_order_calls() -> list[list[str]]:
+    """The main theorem at 3^20 * 5^20 and at (3 * 5 * 7 * 11 * 13 * 17)^4,
+    whose nilpotent groups number 394,384 and 46,656: far more than the
+    members with one non-cyclic Sylow factor that can attain the maximum."""
+    return [["verify", "main-theorem", "--n", str(n), *CENSUS]
+            for n in (3 ** 20 * 5 ** 20, (3 * 5 * 7 * 11 * 13 * 17) ** 4)]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -158,7 +166,7 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
-                      scan_calls(), label_calls(), export_calls()):
+                      scan_calls(), label_calls(), export_calls(), large_order_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())
