@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, reduce
+from functools import reduce
 from math import prod
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -27,7 +27,6 @@ from .constructors import (
     CatalogEntry,
     Census,
     Completeness,
-    Cyclic,
     GeneralizedQuaternion,
     GroupSpec,
     Modular,
@@ -105,13 +104,6 @@ class CensusMember:
         return self.spec.render()
 
 
-def sylow_catalogs(census: Census | None):
-    """p_group_catalog(p, a, census) as a function of (p, a) that builds each
-    catalog once, for enumerate_nilpotent: one per verification or audit,
-    shared by every order it enumerates."""
-    return cache(lambda p, a: p_group_catalog(p, a, census))
-
-
 def _member_count(n: int, sizes: list[int]) -> int:
     """The number of nilpotent groups of order n, one per choice of Sylow
     catalog entries, from the catalog sizes. Raises ResourceError when it is
@@ -123,22 +115,75 @@ def _member_count(n: int, sizes: list[int]) -> int:
     return count
 
 
-def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], catalog
+def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], census: Census | None = None
                         ) -> tuple[list[CensusMember], Completeness]:
-    """All known nilpotent groups of order n, one per choice of Sylow entries.
+    """All known nilpotent groups of order n, one per choice of Sylow entries:
+    the full enumeration that the claims' rankings are tested against.
 
-    factors is the factorization of n as `factor` returns it, and catalog(p, a)
-    the catalog of order p^a and its completeness, as sylow_catalogs gives them.
-    Raises ResourceError, before listing any group, when the groups would
-    number more than CATALOG_BOUND.
+    factors is the factorization of n as `factor` returns it, and each Sylow
+    catalog is p_group_catalog(p, a, census). Raises ResourceError, before
+    listing any group, when the groups would number more than CATALOG_BOUND.
     """
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
-    sylows = [catalog(p, a) for p, a in factors]
+    sylows = [p_group_catalog(p, a, census) for p, a in factors]
     _member_count(n, [len(entries) for entries, _ in sylows])
     members = [CensusMember(combo, prod(e.sigma for e in combo), prod(e.phi for e in combo))
                for combo in itertools.product(*(entries for entries, _ in sylows))]
     return members, merge_completeness([comp for _, comp in sylows])
+
+
+# ---------------------------------------------------------------------------
+# Ranking the members with one non-cyclic Sylow factor
+# ---------------------------------------------------------------------------
+
+class _ScanSylow(NamedTuple):
+    """The Sylow catalog of order p^a reduced to what _rank reads: its size
+    and completeness; its cyclic entry as (sigma, phi, name); and the
+    non-cyclic entries ranked, its candidates, as (sigma, phi, name)."""
+
+    size: int
+    completeness: Completeness
+    cyclic: tuple[int, int, str]
+    candidates: list[tuple[int, int, str]]
+
+
+def _rank(n: int, sylows: list[_ScanSylow], score) -> list[tuple[int, int, int]]:
+    """(score, i, j) of each member of order n whose only non-cyclic Sylow
+    factor is candidate j of sylows[i], in (i, j) order; score maps the
+    member's (sigma, phi, order) to an int. sigma and phi multiply over the
+    Sylow factors (Lemma 2.1), so a member's are the cyclic products with
+    one factor swapped."""
+    sigma = phi = 1
+    for x in sylows:
+        sigma *= x.cyclic[0]
+        phi *= x.cyclic[1]
+    ranked = []
+    for i, x in enumerate(sylows):
+        if x.candidates:
+            rest_sigma, rest_phi = sigma // x.cyclic[0], phi // x.cyclic[1]
+            ranked += [(score(c[0] * rest_sigma, c[1] * rest_phi, n), i, j)
+                       for j, c in enumerate(x.candidates)]
+    return ranked
+
+
+def _member_name(sylows: list[_ScanSylow], i: int, j: int) -> str:
+    """The name of the member whose factor at sylows[i] is candidate j, every
+    other factor cyclic."""
+    names = [x.cyclic[2] for x in sylows]
+    names[i] = sylows[i].candidates[j][2]
+    return join_names(names)
+
+
+def _catalog_sylow(p: int, a: int, census: Census | None
+                   ) -> tuple[_ScanSylow, list[CatalogEntry]]:
+    """p_group_catalog(p, a, census) as Sylow data for _rank, every
+    non-cyclic entry a candidate, and those entries in candidate order."""
+    entries, completeness = p_group_catalog(p, a, census)
+    cyclic = next(e for e in entries if e.is_cyclic)
+    noncyclic = [e for e in entries if not e.is_cyclic]
+    return _ScanSylow(len(entries), completeness, (cyclic.sigma, cyclic.phi, cyclic.render()),
+                      [(e.sigma, e.phi, e.render()) for e in noncyclic]), noncyclic
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +250,6 @@ class VerificationReport:
         }
 
 
-def _argmax(candidates: list, score) -> tuple[list, int, list[str]]:
-    """Score each candidate and sort by (-score, render()).
-
-    Returns the (score, candidate) list, the best score, and the rendered
-    candidates attaining it, in that order.
-    """
-    scored = sorted(((score(c), c) for c in candidates),
-                    key=lambda t: (-t[0], t[1].render()))
-    best = scored[0][0]
-    return scored, best, [c.render() for v, c in scored if v == best]
-
-
 _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
             "source claim; it shares its order spectrum with C_(2^(n-1))xC2, "
             "so both sit in the expected maximizer set")
@@ -226,27 +259,16 @@ _M2_NOTE = ("the modular 2-group family M(n,2) is an extension beyond the "
 # Claim: maximum phi-sum among non-cyclic nilpotent groups of odd order
 # ---------------------------------------------------------------------------
 
-def _expected_sylow(p: int, a: int, p_s: int) -> GroupSpec:
-    """The Sylow p-factor of C_(n/p_s) x C_(p_s): one p_s split off the Sylow
-    p_s-factor, every other factor cyclic."""
-    return Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a)
-
-
-def _expected_member(n: int, factors: list[tuple[int, int]], p_s: int,
-                     members: list[CensusMember]) -> CensusMember:
-    """The member C_(n/p_s) x C_(p_s) of an order-n enumeration."""
-    sylows = tuple(_expected_sylow(p, a, p_s) for p, a in factors)
-    for m in members:
-        if m.sylow_specs == sylows:
-            return m
-    raise InvariantError(f"expected maximizer {reduce(Product, sylows).render()} "
-                         f"missing from the order-{n} enumeration")
-
-
 def verify_main_theorem(n: int, census: Census | None = None,
                         allow_even: bool = False) -> VerificationReport:
     """Check that C_(n/p_s) x C_(p_s) attains the maximum phi-sum among
     non-cyclic nilpotent groups of order n (n odd, not square-free).
+
+    Only the members with one non-cyclic Sylow factor are ranked and listed.
+    phi multiplies over the Sylow factors (Lemma 2.1), and each non-cyclic
+    p-group has a smaller phi than the cyclic one (Curtin & Pourgholi 2014),
+    so making one of two non-cyclic factors cyclic raises phi: every other
+    member scores strictly below a ranked one. A note counts them.
 
     With allow_even the same computation runs on even n but the result is
     report-only: the claim's hypotheses exclude even orders.
@@ -254,57 +276,61 @@ def verify_main_theorem(n: int, census: Census | None = None,
     if n < 2:
         raise InputError(f"order must be >= 2, got {n}")
     factors = factor(n)
-    p_s = next((p for p, a in factors if a > 1), None)     # None when n is square-free
-    if p_s is None:
+    s = next((i for i, (_, a) in enumerate(factors) if a > 1), None)    # None when square-free
+    if s is None:
         raise InputError(
             f"hypothesis violated: n = {n} is square-free, so every nilpotent "
             f"group of order {n} is cyclic and there is nothing to maximize")
     if n % 2 == 0 and not allow_even:
         raise InputError(
             f"hypothesis violated: n = {n} is even (pass allow_even to explore anyway)")
-    members, completeness = enumerate_nilpotent(n, factors, sylow_catalogs(census))
-    expected = _expected_member(n, factors, p_s, members)
+    p_s, a_s = factors[s]
+    sylows = [_catalog_sylow(p, a, census)[0] for p, a in factors]
+    names = [x.cyclic[2] for x in sylows]
+    names[s] = Abelian(p_s, (a_s - 1, 1)).render()
+    expected = join_names(names)
     expected_display = f"C{n // p_s}xC{p_s}"
-    noncyclic = [m for m in members if not m.is_cyclic]
-    scored, best, argmax = _argmax(noncyclic, lambda m: m.phi)
-    ok = expected.phi == best
-    rows = [{
-        "member": m.render(),
-        "phi_sum": v,
-        "argmax": v == best,
-        "expected": m is expected,
-    } for v, m in scored]
-    witnesses = [] if ok else [r for r in rows if r["argmax"]]
-    cyclic_phi = next(m.phi for m in members if m.is_cyclic)
-    notes = [f"cyclic group C{n} excluded from the comparison (phi-sum {cyclic_phi})"]
+    scored = sorted(((v, _member_name(sylows, i, j))
+                     for v, i, j in _rank(n, sylows, lambda sigma, phi, order: phi)),
+                    key=lambda t: (-t[0], t[1]))
+    expected_phi = next((v for v, name in scored if name == expected), None)
+    if expected_phi is None:
+        raise InvariantError(f"expected maximizer {expected} missing from the order-{n} catalogs")
+    best = scored[0][0]
+    rows = [{"member": name, "phi_sum": v, "argmax": v == best, "expected": name == expected}
+            for v, name in scored]
+    witnesses = [] if expected_phi == best else [r for r in rows if r["argmax"]]
+    candidates = prod(x.size for x in sylows) - 1
+    notes = [f"cyclic group C{n} excluded from the comparison "
+             f"(phi-sum {prod(x.cyclic[1] for x in sylows)})"]
+    if candidates > len(rows):
+        notes.append(f"not listed: {candidates - len(rows)} with two or more non-cyclic Sylow "
+                     "factors; phi-sum multiplies over Sylow factors and is largest at each "
+                     "prime's cyclic factor, so each scores below a listed member")
     if n % 2 == 0:
         notes.append("even order is outside the claim's hypotheses; "
                      "rows are exploratory only")
     if n % 16 == 0:     # the catalog of order 2^a lists M(a,2) from a = 4 on
         notes.append(_M2_NOTE)
-    headline = (f"max phi-sum among {len(noncyclic)} catalogued non-cyclic nilpotent groups "
+    headline = (f"max phi-sum among {candidates} catalogued non-cyclic nilpotent groups "
                 f"of order {n} is {best}; {expected_display} "
-                f"({expected.render()}) gives {expected.phi}")
+                f"({expected}) gives {expected_phi}")
     return VerificationReport(
         claim="main-theorem",
         params={"n": n,
                 "factorization": " * ".join(f"{p}^{a}" if a > 1 else str(p)
                                             for p, a in factors),
-                "s_prime": p_s, "expected": expected.render(),
+                "s_prime": p_s, "expected": expected,
                 "expected_display": expected_display,
-                "candidates": len(noncyclic)},
-        headline=headline, rows=rows, witnesses=witnesses, completeness=completeness,
-        argmax=argmax, notes=notes, report_only=n % 2 == 0)
+                "candidates": candidates},
+        headline=headline, rows=rows, witnesses=witnesses,
+        completeness=merge_completeness([x.completeness for x in sylows]),
+        argmax=[r["member"] for r in rows if r["argmax"]], notes=notes, report_only=n % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
 # Claims: the maximizers among non-cyclic p-groups
 # ---------------------------------------------------------------------------
-
-def _edges(g: CatalogEntry | CensusMember, size: int) -> int:
-    """Undirected edge count of a catalog entry or member of order size."""
-    return undirected_from_sums(g.sigma, g.phi, size)
-
 
 def _expected_p_group(p: int, n: int) -> list[GroupSpec]:
     """C_(p^(n-1)) x C_p, then M(n,p) for n >= 3; Q8 alone at order 8."""
@@ -315,18 +341,21 @@ def _expected_p_group(p: int, n: int) -> list[GroupSpec]:
 
 def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None,
                     score) -> VerificationReport:
-    """Rank the non-cyclic catalog entries of order p^n by score; the argmax
-    rows are the witnesses unless the argmax is the expected set."""
-    entries, completeness = p_group_catalog(p, n, census)
-    noncyclic = [e for e in entries if not e.is_cyclic]
+    """Rank the non-cyclic catalog entries of order p^n by score, a p-group
+    being the one-Sylow case of _rank; the argmax rows are the witnesses
+    unless the argmax is the expected set."""
+    sylow, noncyclic = _catalog_sylow(p, n, census)
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
-    scored, best, argmax = _argmax(noncyclic, score)
+    scored = sorted(((v, noncyclic[j]) for v, _, j in _rank(p ** n, [sylow], score)),
+                    key=lambda t: (-t[0], t[1].render()))
+    best = scored[0][0]
+    argmax = [e.render() for v, e in scored if v == best]
     rows = [{
         "group": e.render(),
         "sigma": e.sigma,
         "phi_sum": e.phi,
-        "edges": _edges(e, p ** n),
+        "edges": undirected_from_sums(e.sigma, e.phi, p ** n),
         "argmax": v == best,
         "source": e.source,
     } for v, e in scored]
@@ -339,7 +368,7 @@ def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None
         claim=claim,
         params={"p": p, "n": n, "order": p ** n, "expected": sorted(expected),
                 "candidates": len(rows)},
-        headline=headline, rows=rows, witnesses=witnesses, completeness=completeness,
+        headline=headline, rows=rows, witnesses=witnesses, completeness=sylow.completeness,
         argmax=argmax)
 
 
@@ -354,7 +383,8 @@ def verify_prop_2_2(p: int, n: int, census: Census | None = None) -> Verificatio
         raise InputError(f"hypothesis violated: p = {p} must be an odd prime")
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
-    report = _p_group_report("prop-2.2", "phi-sum", p, n, census, lambda e: e.phi)
+    report = _p_group_report("prop-2.2", "phi-sum", p, n, census,
+                             lambda sigma, phi, order: phi)
     identity_bad = [r["group"] for r in report.rows
                     if p * r["phi_sum"] != (p - 1) * r["sigma"] + 1]
     if identity_bad:
@@ -379,7 +409,7 @@ def verify_prop_2_8(p: int, n: int, census: Census | None = None) -> Verificatio
     if n < 2:
         raise InputError(f"exponent must be >= 2, got {n}")
     report = _p_group_report("prop-2.8", "undirected edge count", p, n, census,
-                             lambda e: _edges(e, p ** n))
+                             undirected_from_sums)
     if p == 2 and n >= 4:
         report.notes.append(_M2_NOTE)
     return report
@@ -644,23 +674,12 @@ SCAN_COLUMNS = ("n", "candidates", "expected", "expected_edges", "max_edges", "m
                 "supported", "argmax", "completeness")
 
 
-class _ScanSylow(NamedTuple):
-    """The Sylow catalog of order p^a reduced to what the scan reads: its size
-    and completeness; its cyclic entry as (sigma, phi, name); and as
-    candidates the non-cyclic entries of largest sigma, C_(p^(a-1)) x C_p and
-    then M(a,p) for a >= 3, as (sigma, phi, name). For odd p every other
-    group of order p^a has sigma <= B, by the classification that scan_rows
-    cites."""
-
-    size: int
-    completeness: Completeness
-    cyclic: tuple[int, int, str]
-    candidates: list[tuple[int, int, str]]
-
-
 def _scan_sylow(p: int, a: int) -> _ScanSylow:
     """The parametric catalog of odd order p^a reduced for the scan, in closed
-    form: C_(p^a) has sigma (p^(2a+1) + 1)/(p + 1). C_(p^(a-1)) x C_p has p
+    form, its candidates the non-cyclic entries of largest sigma:
+    C_(p^(a-1)) x C_p and then M(a,p) for a >= 3. For odd p every other group
+    of order p^a has sigma <= B, by the classification that scan_rows cites.
+    C_(p^a) has sigma (p^(2a+1) + 1)/(p + 1). C_(p^(a-1)) x C_p has p
     copies of each element of order p^k >= p^2 of C_(p^(a-1)) and p^2 - 1 of
     order p, so its sigma is 1 + p(p-1) + p*(sigma(C_(p^(a-1))) - 1) and its
     phi 1 + (p-1)^2 + p*(phi(C_(p^(a-1))) - 1); M(a,p) shares its spectrum.
@@ -706,32 +725,18 @@ def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
 def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
     """The scan row of order n from its Sylow data, s the index of the first
     with exponent >= 2, in SCAN_COLUMNS order. The factors before s have
-    prime order and no candidates, so the expected member is scored first.
+    prime order and no candidates, so the expected member is ranked first.
     The runner-up is the second score in rank, so it equals the best when
     the best is tied."""
-    sigma = phi = 1
-    for x in sylows:
-        sigma *= x.cyclic[0]
-        phi *= x.cyclic[1]
-    scored = []
-    for i, x in enumerate(sylows):
-        if x.candidates:
-            rest_sigma, rest_phi = sigma // x.cyclic[0], phi // x.cyclic[1]
-            scored += [(undirected_from_sums(c[0] * rest_sigma, c[1] * rest_phi, n), i, c[2])
-                       for c in x.candidates]
-    expected_edges = scored[0][0]
-    cyclic_names = [x.cyclic[2] for x in sylows]
-
-    def name(i: int, entry_name: str) -> str:
-        return join_names(cyclic_names[:i] + [entry_name] + cyclic_names[i + 1:])
-
-    expected = name(s, sylows[s].candidates[0][2])
-    scored.sort(reverse=True)
-    best = scored[0][0]
-    top = [(i, entry_name) for e, i, entry_name in scored if e == best]
+    ranked = _rank(n, sylows, undirected_from_sums)
+    expected_edges = ranked[0][0]
+    expected = _member_name(sylows, s, 0)
+    ranked.sort(reverse=True)
+    best = ranked[0][0]
+    top = [(i, j) for e, i, j in ranked if e == best]
     argmax = [expected] if len(top) == 1 and expected_edges == best \
-        else sorted(name(i, entry_name) for i, entry_name in top)
-    runner_up = scored[1][0] if len(scored) > 1 else best
+        else sorted(_member_name(sylows, i, j) for i, j in top)
+    runner_up = ranked[1][0] if len(ranked) > 1 else best
     # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
     return (n, _member_count(n, [x.size for x in sylows]) - 1, expected,
             expected_edges, best, best - runner_up, expected_edges == best, " | ".join(argmax),

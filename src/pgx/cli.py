@@ -164,14 +164,6 @@ def _text_table(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _write_csv(sink, headers, rows) -> None:
-    """Write the header line, then each row of values as it comes."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v, csv_mode=True) for v in row])
-
-
 def _write_scan_csv(sink, rows) -> None:
     """Write the scan's header line, then its rows in one `writerows` call.
     Every value but `supported` is an int or a string that csv writes as
@@ -187,7 +179,9 @@ def _csv_table(rows: list[dict]) -> str:
         return ""
     headers = list(rows[0].keys())
     buf = io.StringIO()
-    _write_csv(buf, headers, ([r.get(h, "") for h in headers] for r in rows))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([_cell(r.get(h, ""), csv_mode=True) for h in headers] for r in rows)
     return buf.getvalue()
 
 
@@ -470,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     try:
+        sys.stdout.reconfigure(encoding="utf-8")    # as --out writes, whatever the locale
         code = main()
         sys.stdout.flush()
     except OSError as exc:      # file reads and --out fail as InputError, so this is stdout

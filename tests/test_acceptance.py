@@ -29,7 +29,7 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.census import Verdict, enumerate_nilpotent, sylow_catalogs
+from pgx.census import Verdict, enumerate_nilpotent
 from pgx.constructors import (
     Census,
     Completeness,
@@ -86,7 +86,7 @@ def inventory():
     orders = census_orders()
     assert len(orders) == 175
     for n in orders:
-        members, completeness = enumerate_nilpotent(n, factor(n), sylow_catalogs(None))
+        members, completeness = enumerate_nilpotent(n, factor(n), None)
         assert completeness is Completeness.COMPLETE
         for member in members:
             specs[member.render()] = member.spec

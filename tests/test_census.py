@@ -14,7 +14,6 @@ from pgx.census import (
     enumerate_nilpotent,
     scan_conjecture_2_9,
     scan_rows,
-    sylow_catalogs,
     verify_cor_2_3,
     verify_cor_2_6,
     verify_lemma_2_1,
@@ -84,7 +83,7 @@ def test_factorize_rejects_non_positive_ints(bad):
 # ---------------------------------------------------------------------------
 
 def enumerate_order(n, census=None):
-    return enumerate_nilpotent(n, factor(n), sylow_catalogs(census))
+    return enumerate_nilpotent(n, factor(n), census)
 
 
 def test_enumerate_nilpotent_order_45():
@@ -350,7 +349,43 @@ def test_main_theorem_order_225_beats_the_other_split():
     by_member = {r["member"]: r["phi_sum"] for r in report.rows}
     assert by_member["Ab(3;1,1)xC25"] == 7089
     assert by_member["C9xAb(5;1,1)"] == 3977
-    assert by_member["Ab(3;1,1)xAb(5;1,1)"] == 1649
+    assert "Ab(3;1,1)xAb(5;1,1)" not in by_member
+    assert report.notes[1].startswith("not listed: 1 with two or more non-cyclic Sylow "
+                                      "factors; ")
+
+
+def test_main_theorem_agrees_with_the_full_enumeration(census_dir):
+    """Ranking the members with one non-cyclic Sylow factor gives the best
+    phi, argmax, expected member, candidate count and completeness that
+    ranking every enumerated member gives: at every odd non-square-free
+    n <= 6000, and with allow_even at every even one <= 2000, with and
+    without census/16. Each listed row's phi is its member's, and every
+    non-cyclic catalog entry met has a phi below its prime's cyclic entry."""
+    cases = [(n, None) for n in range(9, 6001, 2)]
+    cases += [(n, census) for n in range(4, 2001, 2) for census in (None, Census(census_dir))]
+    checked = 0
+    for n, census in cases:
+        factors = factor(n)
+        p_s = next((p for p, a in factors if a > 1), None)
+        if p_s is None:
+            continue
+        members, completeness = enumerate_nilpotent(n, factors, census)
+        cyclic = next(m for m in members if m.is_cyclic)
+        assert all(e.phi < c.phi for m in members for e, c in zip(m.sylows, cyclic.sylows)
+                   if not e.is_cyclic), n
+        scored = ranked_members(members, lambda m: m.phi)
+        expected = expected_member(members, factors, p_s)
+        report = verify_main_theorem(n, census, allow_even=True)
+        assert report.rows[0]["phi_sum"] == scored[0][0], n
+        assert report.argmax == [name for phi, name in scored if phi == scored[0][0]], n
+        assert report.params["expected"] == expected.render(), n
+        assert [r["phi_sum"] for r in report.rows if r["expected"]] == [expected.phi], n
+        assert report.params["candidates"] == len(scored), n
+        assert report.completeness is completeness, n
+        phi = {m.render(): m.phi for m in members}
+        assert all(phi[r["member"]] == r["phi_sum"] for r in report.rows), n
+        checked += 1
+    assert checked == 568 + 2 * 596
 
 
 def test_main_theorem_hypothesis_gates():
@@ -627,31 +662,42 @@ def test_scan_rejects_too_small_bound():
         scan_conjecture_2_9(8)
 
 
+def expected_member(members, factors, p_s):
+    """The member C_(n/p_s) x C_(p_s) of an order-n enumeration: one p_s split
+    off the Sylow p_s-factor, every other factor cyclic."""
+    sylows = tuple(Abelian(p, (a - 1, 1)) if p == p_s else Cyclic(p ** a) for p, a in factors)
+    return next(m for m in members if m.sylow_specs == sylows)
+
+
+def ranked_members(members, score):
+    """(score, name) of every non-cyclic member, sorted by (-score, name)."""
+    return sorted(((score(m), m.render()) for m in members if not m.is_cyclic),
+                  key=lambda t: (-t[0], t[1]))
+
+
 def enumerated_scan_rows(n_max, census=None):
     """The scan's rows as the full enumeration gives them: every non-cyclic
-    nilpotent group of each order is scored and ranked by _argmax."""
-    catalog = sylow_catalogs(census)
+    nilpotent group of each order is scored and ranked."""
     rows = []
     for n in range(9, n_max + 1, 2):
         factors = factor(n)
         p_s = next((p for p, a in factors if a > 1), None)
         if p_s is None:
             continue
-        members, completeness = enumerate_nilpotent(n, factors, catalog)
-        expected = pgx.census._expected_member(n, factors, p_s, members)
-        noncyclic = [m for m in members if not m.is_cyclic]
-        scored, best, argmax = pgx.census._argmax(
-            noncyclic, lambda m: undirected_from_sums(m.sigma, m.phi, n))
+        members, completeness = enumerate_nilpotent(n, factors, census)
+        expected = expected_member(members, factors, p_s)
+        scored = ranked_members(members, lambda m: undirected_from_sums(m.sigma, m.phi, n))
+        best = scored[0][0]
         expected_edges = undirected_from_sums(expected.sigma, expected.phi, n)
         rows.append({
             "n": n,
-            "candidates": len(noncyclic),
+            "candidates": len(scored),
             "expected": expected.render(),
             "expected_edges": expected_edges,
             "max_edges": best,
             "margin": best - (scored[1][0] if len(scored) > 1 else best),
             "supported": expected_edges == best,
-            "argmax": " | ".join(argmax),
+            "argmax": " | ".join(name for e, name in scored if e == best),
             "completeness": completeness.value,
         })
     return rows

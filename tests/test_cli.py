@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pgx.census
 import pgx.cli
 import pgx.constructors
 from pgx.constructors import (
@@ -401,6 +402,27 @@ def test_verify_main_theorem_hypothesis_violations(run_cli):
                    "is nothing to maximize\n")
     code, _, err = run_cli("verify", "main-theorem", "--n", "18")
     assert code == 3 and "allow_even" in err
+
+
+def test_verify_main_theorem_does_not_enumerate_every_member(run_cli, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the main theorem enumerated every nilpotent group")
+
+    monkeypatch.setattr(pgx.census, "enumerate_nilpotent", refuse)
+    code, out, err = run_cli("verify", "main-theorem", "--n", "3375")
+    assert (code, err) == (0, "")
+    assert "verdict: verified\n" in out
+
+
+@pytest.mark.parametrize("n,candidates", [(3 ** 20 * 5 ** 20, 394383),
+                                          ((3 * 5 * 7 * 11 * 13 * 17) ** 4, 46655)])
+def test_verify_main_theorem_past_the_catalog_bound(run_cli, n, candidates):
+    """Orders with more nilpotent groups than the catalog bound are ranked,
+    not refused; their 3^20 and 3^4 catalogs are incomplete."""
+    code, out, err = run_cli("verify", "main-theorem", "--n", str(n), "--format", "json")
+    report = json.loads(out)
+    assert (code, err, report["verdict"]) == (2, "", "verified-on-incomplete-catalog")
+    assert report["params"]["candidates"] == candidates
 
 
 def test_verify_main_theorem_allow_even_is_report_only(run_cli):
@@ -1121,6 +1143,20 @@ def test_cayley_files_are_utf8_under_the_c_locale(tmp_path):
     assert (tmp_path / "z2.dot").read_bytes() == \
         'digraph "z2" {\n  "e";\n  "\u00e9";\n  "\u00e9" -> "e";\n}\n'.encode()
     assert (tmp_path / "copy.cayley").read_bytes() == b"# z2\n" + body
+
+
+def test_stdout_is_utf8_under_the_c_locale(tmp_path):
+    """A DOT export to stdout writes the same UTF-8 bytes as --out, whatever
+    the locale's encoding."""
+    body = "order 2\nidentity 0\n0 1\n1 0\nlabels e \u00e9\n"
+    (tmp_path / "z2.cayley").write_bytes(body.encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    argv = [sys.executable, "-m", "pgx.cli", "graph", "file:z2.cayley", "directed", "dot",
+            "--census-dir", ""]
+    proc = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert subprocess.run([*argv, "--out", "z2.dot"], cwd=tmp_path, env=env).returncode == 0
+    assert proc.stdout == (tmp_path / "z2.dot").read_bytes()
 
 
 def test_a_spec_of_thousands_of_atoms_exits_zero(run_cli):

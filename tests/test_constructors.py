@@ -9,7 +9,7 @@ import pytest
 
 import pgx.constructors
 import pgx.groups
-from pgx.census import enumerate_nilpotent, sylow_catalogs
+from pgx.census import enumerate_nilpotent
 from pgx.constructors import (
     CATALOG_BOUND,
     ORDER_BITS,
@@ -349,7 +349,7 @@ def _specs_up_to_128() -> list[GroupSpec]:
         specs += [e.spec for k in range(1, 8) if p ** k <= 128 for e in p_group_catalog(p, k)[0]]
     for n in range(9, 129, 2):
         if max(a for _, a in factor(n)) > 1:
-            specs += [m.spec for m in enumerate_nilpotent(n, factor(n), sylow_catalogs(None))[0]]
+            specs += [m.spec for m in enumerate_nilpotent(n, factor(n), None)[0]]
     specs += [parse_group_spec(t) for t in ("Q8xC3", "SD16xC7", "C5xD12", "He3xC4",
                                            "C2xHe3", "Ab(2;1,1)xQ8", "C3xC5xD8")]
     return specs
