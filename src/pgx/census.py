@@ -2,8 +2,8 @@
 
 A nilpotent group is the direct product of its Sylow subgroups, so every
 candidate of order n is a choice of one catalog entry per prime power in n.
-Only spectra are composed here; concrete tables are never required, which
-keeps formula-side verification cheap at large orders.
+The maximization claims rank only the candidates with one non-cyclic Sylow
+factor, from each entry's sums; concrete tables are never required.
 
 Verdict contract: verified (exit 0), verified-on-incomplete-catalog (exit 2),
 counterexample (exit 1), report-only (exit 0, exploratory output with no
