@@ -235,7 +235,12 @@ class Abelian(GroupSpec):
         return f"Ab({self.p};{','.join(str(a) for a in self.partition)})"
 
     def spectrum(self) -> OrderSpectrum:
-        return reduce(spectrum_product, [spectrum_cyclic(self.p ** a) for a in self.partition or (0,)])
+        """In closed form: p^(sum of min(a_i, k)) elements have order dividing
+        p^k, so order p^k has the difference of consecutive terms."""
+        below = [self.p ** sum(min(a, k) for a in self.partition)
+                 for k in range(max(self.partition, default=0) + 1)]
+        return OrderSpectrum({self.p ** k: below[k] - below[k - 1] if k else 1
+                              for k in range(len(below))})
 
     def build(self) -> GroupTable:
         """The direct product of the cyclic factors; one factor keeps its C name."""

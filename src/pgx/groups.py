@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
 _LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
-_BLOCK = 1 << 16              # entries per block of the parse and the Latin checks
+_BLOCK = 1 << 16              # entries per block of the parse, the Latin checks and the writer
 _MAX_THREADS = 2              # each holds about 1 MB of parse temporaries; only two were measured
 
 _T = TypeVar("_T")
@@ -226,14 +226,20 @@ def check_brute_cap(name: str, order: int, cap: int) -> None:
 
 
 def _powers(table: np.ndarray, x: np.ndarray, m: int, identity: int) -> np.ndarray:
-    """x^m for every entry of the index array x, by binary powering."""
-    result = x.copy()
-    result.fill(identity)                       # e, in the shape and dtype of x
-    while m:
-        if m & 1:
-            result = table[result, x]
+    """x^m for every entry of the index array x, by binary powering from the
+    lowest set bit of m, with no squaring past the highest; x itself when m = 1."""
+    if not m:
+        result = x.copy()
+        result.fill(identity)                   # e, in the shape and dtype of x
+        return result
+    while not m & 1:
         x = table[x, x]
         m >>= 1
+    result = x
+    while m := m >> 1:
+        x = table[x, x]
+        if m & 1:
+            result = table[result, x]
     return result
 
 
@@ -511,19 +517,31 @@ def read_cayley(path: str | Path) -> GroupTable:
 
 
 def write_cayley(g: GroupTable, sink: str | Path | IO[str]) -> None:
-    """Write g in the Cayley-table file format."""
+    """Write g in the Cayley-table file format, a path as UTF-8.
+
+    The rows are formatted a block of about 2^16 entries at a time: the text
+    of each index with its trailing space, right-aligned in a NUL-padded slot
+    of len(str(n-1)) + 1 bytes, is gathered for the whole block, the last
+    space of each row becomes a newline and the NULs are dropped, so the
+    entries are separated by single spaces, as `_parse_rows` reads them."""
+    import numpy as np
     for lab in g.labels or ():
         if not lab or any(ch.isspace() for ch in lab):
             raise InputError(f"label {lab!r} is not a whitespace-free token")
+    n = g.size
+    width = len(str(n - 1)) + 1
+    slots = np.array([(b"%d " % v).rjust(width, b"\0") for v in range(n)], dtype=f"V{width}")
+    step = _block_step(n, _BLOCK)    # the block bounds the temporaries
     own = isinstance(sink, (str, Path))
     fh = open(sink, "w", encoding="utf-8") if own else sink
     try:
         fh.write(f"# {g.name}\n")
-        fh.write(f"order {g.size}\n")
+        fh.write(f"order {n}\n")
         fh.write(f"identity {g.identity}\n")
-        names = [str(i) for i in range(g.size)]
-        for row in g.table:
-            fh.write(" ".join(map(names.__getitem__, row.tolist())) + "\n")
+        for r in range(0, n, step):
+            rows = slots.take(g.table[r:r + step]).view(np.uint8).reshape(-1, n * width)
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
         if g.labels is not None:
             fh.write("labels " + " ".join(g.labels) + "\n")
     finally:

@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pgx.constructors import (
     Modular,
     Product,
     Semidihedral,
+    _partitions,
     build_group,
     direct_product,
     merge_completeness,
@@ -34,7 +36,8 @@ from pgx.constructors import (
 )
 from pgx.errors import InputError, ResourceError
 from pgx.groups import index_dtype, read_cayley, validate, write_cayley
-from pgx.spectrum import OrderSpectrum, factor, order_spectrum, order_sum
+from pgx.spectrum import (OrderSpectrum, factor, order_spectrum, order_sum, spectrum_cyclic,
+                          spectrum_product)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +339,14 @@ def test_spectrum_of_spec_matches_brute_tally(text):
     g = build_group(spec)
     assert spec.spectrum() == order_spectrum(g)
     assert g.size == spec.order
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_abelian_spectrum_equals_the_lcm_convolution_of_its_factors(p):
+    for k in range(11):
+        for part in _partitions(k):
+            convolved = reduce(spectrum_product, [spectrum_cyclic(p ** a) for a in part or (0,)])
+            assert Abelian(p, part).spectrum() == convolved, part
 
 
 def _specs_up_to_128() -> list[GroupSpec]:

@@ -6,6 +6,7 @@ import itertools
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,8 +513,8 @@ def test_write_cayley_rejects_whitespace_labels(tmp_path):
 
 
 def reference_write_cayley(g, sink):
-    """The per-entry writer that `write_cayley` replaced, kept as its byte
-    reference (a text sink only)."""
+    """A row-join writer, one entry at a time: the byte reference for
+    `write_cayley`, which formats blocks of rows (a text sink only)."""
     sink.write(f"# {g.name}\n")
     sink.write(f"order {g.size}\n")
     sink.write(f"identity {g.identity}\n")
@@ -527,15 +528,39 @@ CAYLEY_GROUPS = [build_group(parse_group_spec(t)) for t in
                  ("C1", "C12", "Q8", "D24", "He3", "Ab(3;1,1)xC5xC11")] + [
     GroupTable(5, 0, table=NONASSOCIATIVE_LOOP, name="loop")]
 
+# orders on both sides of each change in the width of the largest index
+# (1, 2, 9, 10, 11, 99, ..., 1001), the larger ones over several row blocks,
+# and a Latin square with an identity that is not a group
+WRITER_GROUPS = [build_group(parse_group_spec(t)) for t in
+                 ("C2", "Ab(3;1,1)", "D10", "C11", "C9xC11", "D100", "C101",
+                  "He3xC37", "Q8xC125", "C1001")] + [
+    GroupTable(81, 0, table=block_edit(3, 4, 3, 9, 1), name="broken")]
 
-@pytest.mark.parametrize("g", CAYLEY_GROUPS, ids=lambda g: g.name)
+
+@pytest.mark.parametrize("g", CAYLEY_GROUPS + WRITER_GROUPS, ids=lambda g: g.name)
 def test_write_cayley_matches_the_per_entry_reference(g, tmp_path):
     fast, slow = io.StringIO(), io.StringIO()
     write_cayley(g, fast)
     reference_write_cayley(g, slow)
     assert fast.getvalue() == slow.getvalue()
-    write_cayley(g, tmp_path / "g.cayley")
-    assert (tmp_path / "g.cayley").read_text() == slow.getvalue()
+    path = tmp_path / "g.cayley"
+    write_cayley(g, path)
+    assert path.read_bytes() == slow.getvalue().encode()
+    back = read_cayley(path)
+    assert (back.size, back.identity, back.labels) == (g.size, g.identity, g.labels)
+    assert np.array_equal(back.table, g.table)
+
+
+def test_write_cayley_temporaries_are_bounded_by_the_block(tmp_path):
+    g = build_group(parse_group_spec("C2048"))      # 64 blocks, 18.7 MB of text
+    assert g.labels
+    tracemalloc.start()
+    try:
+        write_cayley(g, tmp_path / "c2048.cayley")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _cayley_text(g, sep=" ", token=str):
