@@ -239,8 +239,8 @@ class Abelian(GroupSpec):
         p^k, so order p^k has the difference of consecutive terms."""
         below = [self.p ** sum(min(a, k) for a in self.partition)
                  for k in range(max(self.partition, default=0) + 1)]
-        return OrderSpectrum({self.p ** k: below[k] - below[k - 1] if k else 1
-                              for k in range(len(below))})
+        return OrderSpectrum({1: 1} | {self.p ** k: below[k] - below[k - 1]
+                                       for k in range(1, len(below))})
 
     def build(self) -> GroupTable:
         """The direct product of the cyclic factors; one factor keeps its C name."""

@@ -536,7 +536,7 @@ def write_cayley(g: GroupTable, sink: str | Path | IO[str]) -> None:
     fh = open(sink, "w", encoding="utf-8") if own else sink
     try:
         fh.write(f"# {g.name}\n")
-        fh.write(f"order {n}\n")
+        fh.write(f"order {g.size}\n")
         fh.write(f"identity {g.identity}\n")
         for r in range(0, n, step):
             rows = slots.take(g.table[r:r + step]).view(np.uint8).reshape(-1, n * width)
