@@ -5,8 +5,10 @@
 
 For each n_max it prints, as JSON, the best-of-reps time in ms of:
 - sieve: `OddSieve(n_max)`;
-- sylow_table: the Sylow data of every (p, a) the scan reads, the census
-  orders through `_census_sylows` and the rest through `_scan_sylow`;
+- sylow_table: the Sylow data of every (p, a) the scan reads, as
+  `scan_rows` builds it: the census orders through `_census_sylows`, each
+  its catalog reduced as the claims reduce theirs, and the rest in closed
+  form through `_scan_sylow`;
 - rows: factoring each order by the sieve and making its row with
   `_scan_row`, from the finished Sylow table;
 - csv_write: writing the finished rows to an in-memory text buffer with

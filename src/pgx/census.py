@@ -104,17 +104,6 @@ class CensusMember:
         return self.spec.render()
 
 
-def _member_count(n: int, sizes: list[int]) -> int:
-    """The number of nilpotent groups of order n, one per choice of Sylow
-    catalog entries, from the catalog sizes. Raises ResourceError when it is
-    above CATALOG_BOUND."""
-    count = prod(sizes)
-    if count > CATALOG_BOUND:
-        raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
-                            f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
-    return count
-
-
 def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], census: Census | None = None
                         ) -> tuple[list[CensusMember], Completeness]:
     """All known nilpotent groups of order n, one per choice of Sylow entries:
@@ -127,7 +116,10 @@ def enumerate_nilpotent(n: int, factors: list[tuple[int, int]], census: Census |
     if n < 2:
         raise InputError(f"enumerate_nilpotent needs n >= 2, got {n}")
     sylows = [p_group_catalog(p, a, census) for p, a in factors]
-    _member_count(n, [len(entries) for entries, _ in sylows])
+    count = prod(len(entries) for entries, _ in sylows)
+    if count > CATALOG_BOUND:
+        raise ResourceError(f"order {n} has {count} nilpotent groups, one per choice of "
+                            f"Sylow catalog entries, above the catalog bound {CATALOG_BOUND}")
     members = [CensusMember(combo, prod(e.sigma for e in combo), prod(e.phi for e in combo))
                for combo in itertools.product(*(entries for entries, _ in sylows))]
     return members, merge_completeness([comp for _, comp in sylows])
@@ -681,20 +673,20 @@ def _scan_sylow(p: int, a: int) -> _ScanSylow:
     of order p^a has sigma <= B, by the classification that scan_rows cites.
     C_(p^a) has sigma (p^(2a+1) + 1)/(p + 1). C_(p^(a-1)) x C_p has p
     copies of each element of order p^k >= p^2 of C_(p^(a-1)) and p^2 - 1 of
-    order p, so its sigma is 1 + p(p-1) + p*(sigma(C_(p^(a-1))) - 1) and its
-    phi 1 + (p-1)^2 + p*(phi(C_(p^(a-1))) - 1); M(a,p) shares its spectrum.
+    order p, so its sigma is 1 + p(p-1) + p*(sigma(C_(p^(a-1))) - 1); M(a,p)
+    shares its spectrum. Each phi is ((p-1)*sigma + 1)/p, as in every p-group.
     The size is one group per partition of a, with He(p) and M(3,p) at a = 3
-    and M(a,p) above; each row checks the product of its sizes, and so each
-    size, against CATALOG_BOUND."""
+    and M(a,p) above."""
+    def sums(sigma: int, name: str) -> tuple[int, int, str]:
+        return sigma, ((p - 1) * sigma + 1) // p, name
+
     candidates = []
     if a > 1:
-        split = (1 + p * (p - 1) + p * ((p ** (2 * a - 1) + 1) // (p + 1) - 1),
-                 1 + (p - 1) ** 2 + p * (phi_cyclic_prime_power(p, a - 1) - 1))
-        candidates = [split + (spec.render(),) for spec in _expected_p_group(p, a)]
+        split = 1 + p * (p - 1) + p * ((p ** (2 * a - 1) + 1) // (p + 1) - 1)
+        candidates = [sums(split, spec.render()) for spec in _expected_p_group(p, a)]
     return _ScanSylow(_partition_count(a) + (2 if a == 3 else 1 if a >= 4 else 0),
                       Completeness.COMPLETE if a <= 3 else Completeness.INCOMPLETE,
-                      ((p ** (2 * a + 1) + 1) // (p + 1), phi_cyclic_prime_power(p, a),
-                       f"C{p ** a}"), candidates)
+                      sums((p ** (2 * a + 1) + 1) // (p + 1), f"C{p ** a}"), candidates)
 
 
 def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
@@ -702,8 +694,9 @@ def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
     """The Sylow data, keyed by (p, a), of each order p^a the scan reads whose
     census directory, found by listing the root once, holds tables; built in
     the order the scan first reads them, p^a at n = p^a for a >= 2 and p at
-    9p (75 for p = 3), so the first order that fails raises. p_group_catalog
-    admits the tables and gives the size and completeness."""
+    9p (75 for p = 3), so the first order that fails raises. Each is its
+    catalog, tables admitted, reduced by _catalog_sylow as the claims reduce
+    theirs."""
     if census is None or not Path(census.dir).is_dir():
         return {}
     first = {}      # the order that first reads (p, a)
@@ -715,11 +708,7 @@ def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
         n = q if a > 1 else 75 if p == 3 else 9 * p
         if not rest and n <= n_max and d.is_dir() and any(d.glob("*.cayley")):
             first[n] = (p, a)
-    sylows = {}
-    for p, a in map(first.get, sorted(first)):
-        entries, completeness = p_group_catalog(p, a, census)
-        sylows[p, a] = _scan_sylow(p, a)._replace(size=len(entries), completeness=completeness)
-    return sylows
+    return {(p, a): _catalog_sylow(p, a, census)[0] for p, a in map(first.get, sorted(first))}
 
 
 def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
@@ -738,7 +727,7 @@ def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
         else sorted(_member_name(sylows, i, j) for i, j in top)
     runner_up = ranked[1][0] if len(ranked) > 1 else best
     # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
-    return (n, _member_count(n, [x.size for x in sylows]) - 1, expected,
+    return (n, prod(x.size for x in sylows) - 1, expected,
             expected_edges, best, best - runner_up, expected_edges == best, " | ".join(argmax),
             merge_completeness([x.completeness for x in sylows]).value)
 
@@ -748,10 +737,10 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     every odd non-square-free n <= n_max, the undirected edge count of
     C_(n/p_s) x C_(p_s) against all non-cyclic nilpotent groups of order n.
 
-    Every census table the scan reads is admitted, and every error but the
-    catalog bound raised, before this returns; the rows are then made one at
-    a time as they are read, so a caller that writes each one out holds none
-    of them, and each other (p, a) comes from _scan_sylow when first read.
+    Every census table the scan reads is admitted, and every error raised,
+    before this returns; the rows are then made one at a time as they are
+    read, so a caller that writes each one out holds none of them, and each
+    other (p, a) comes from _scan_sylow when first read.
 
     Two reductions make a row exact from at most two entries per prime:
     - Only the members with one non-cyclic Sylow factor are scored. In a
@@ -770,7 +759,8 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
       member with its non-cyclic factor at p is sigma_i * (sigma_rest -
       (p-1)/(2p) * phi_rest) minus a constant, so it rises strictly with
       sigma_i. These two entries at each prime hold the argmax and the
-      runner-up, which equals the best when the best is tied.
+      runner-up, which equals the best when the best is tied. A census
+      order ranks its whole catalog, whose tables have sigma <= B too.
     """
     if n_max < 9:
         raise InputError(f"n_max must be >= 9 (smallest odd non-square-free), got {n_max}")

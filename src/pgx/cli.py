@@ -215,14 +215,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.to_json_dict(), indent=2) + "\n"
     if fmt == "csv":
-        if report.rows:
-            return _csv_table(report.rows)
-        return _csv_table([{
-            "claim": report.claim,
-            "verdict": report.verdict.value,
-            "completeness": report.completeness.value,
-            "headline": report.headline,
-        }])
+        return _csv_table(report.rows)
     lines = [
         f"claim: {report.claim}",
         f"verdict: {report.verdict.value}",

@@ -1,5 +1,6 @@
 """Factorization of n, nilpotent enumeration, claim verifiers, and the scan."""
 
+from functools import cache
 from math import prod
 
 import pytest
@@ -707,6 +708,41 @@ def test_scan_agrees_with_the_full_enumeration():
     """Scoring only the members with one non-cyclic Sylow factor gives every
     column of every row that ranking all members gives."""
     assert scan_conjecture_2_9(20_000).rows == enumerated_scan_rows(20_000)
+
+
+def test_scan_candidates_past_the_enumeration_range_and_below_the_catalog_bound():
+    """candidates is the product of the Sylow catalog sizes less one, also at
+    3^10 * 5^3 = 7,381,125, far past the orders the enumeration test reaches.
+    No odd order up to SCAN_BOUND has CATALOG_BOUND members, so the scan
+    needs no member-count guard: 3^10 * 5^3 has the most, 43 * 5."""
+    @cache
+    def size(p, a):
+        return len(pgx.constructors.p_group_catalog(p, a)[0])
+
+    n = 3 ** 10 * 5 ** 3
+    row = pgx.census._scan_row(n, [pgx.census._scan_sylow(3, 10), pgx.census._scan_sylow(5, 3)],
+                               0)
+    assert dict(zip(pgx.census.SCAN_COLUMNS, row))["candidates"] \
+        == size(3, 10) * size(5, 3) - 1 == 214
+
+    primes = list(filter(is_prime, range(3, 3163, 2)))
+
+    def most(m, k):
+        """The largest product of catalog sizes over the odd m * r <= SCAN_BOUND
+        whose r has only primes from primes[k:]; a prime factor of exponent 1
+        has a catalog of one group."""
+        best = 1
+        for i in range(k, len(primes)):
+            p = primes[i]
+            if m * p * p > pgx.census.SCAN_BOUND:
+                break
+            q, a = p * p, 2
+            while m * q <= pgx.census.SCAN_BOUND:
+                best = max(best, size(p, a) * most(m * q, i + 1))
+                q, a = q * p, a + 1
+        return best
+
+    assert most(1, 0) == 215 < CATALOG_BOUND
 
 
 def test_scan_argmax_splits_into_names_that_parse_back_to_themselves():

@@ -564,6 +564,37 @@ def test_verify_sweeps_exit_zero_on_small_grids(run_cli):
         assert "verdict: verified\n" in out
 
 
+# The smallest settings each claim accepts: one below any of them is refused.
+SMALLEST_SETTINGS = {
+    "main-theorem": ("--n", "9"),
+    "prop-2.2": ("--p", "3", "--n", "2"),
+    "cor-2.3": ("--p", "3", "--n", "3"),
+    "lemma-2.4": ("--p-max", "2", "--m-max", "2"),
+    "lemma-2.5": ("--p-max", "2", "--m-max", "2"),
+    "cor-2.6": ("--p-max", "3", "--m-max", "2"),
+    "prop-2.8": ("--p", "2", "--n", "2"),
+    "lemma-2.1": ("--pairs", "1", "--max-order", "4", "--seed", "0"),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(SMALLEST_SETTINGS))
+def test_every_claim_at_its_smallest_settings_has_rows_and_a_csv_header(run_cli, claim):
+    """Each claim returns rows even at its smallest settings, so its CSV
+    report is their keys as a header and one line per row."""
+    assert set(SMALLEST_SETTINGS) == set(pgx.census.CLAIMS)
+    settings = SMALLEST_SETTINGS[claim]
+    for k in range(1, len(settings), 2):
+        below = [*settings[:k], str(int(settings[k]) - 1), *settings[k + 1:]]
+        assert run_cli("verify", claim, *below, "--census-dir", "")[0] == 3, below
+    args = ("verify", claim, *settings, "--census-dir", "")
+    _, out, err = run_cli(*args, "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert rows and err == ""
+    _, out, _ = run_cli(*args, "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0] == ",".join(rows[0]) and len(lines) == len(rows) + 1
+
+
 def test_verify_lemma_2_1_is_deterministic(run_cli):
     args = ("verify", "lemma-2.1", "--pairs", "10", "--max-order", "50",
             "--format", "json")
