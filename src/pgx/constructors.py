@@ -12,7 +12,8 @@ factors' tables; the other laws are assembled from small lookup tables, so no
 builder computes a residue over all n^2 entries. Element labels are passed
 as a recipe that `GroupTable.labels` calls on first read, so only DOT export
 and `write_cayley` make label strings. `build_group` refuses orders above the
-brute-force cap before anything n-by-n is allocated.
+brute-force cap before any family builds its n-by-n table; a `file:` atom's
+order is known only from its table, so that file is read in full first.
 
 Spec grammar (whitespace-insensitive, `x` is a left-associative product):
 
@@ -545,6 +546,11 @@ class Product(GroupSpec):
         return reduce(direct_product, [f.build() for f in self.factors()])
 
 
+# the atoms written as a prefix and one integer
+_INT_ATOMS = (("SD", Semidihedral), ("He", Heisenberg), ("C", Cyclic), ("D", Dihedral),
+              ("Q", GeneralizedQuaternion))
+
+
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse the mini-language into a validated GroupSpec."""
     s = text
@@ -592,12 +598,6 @@ def parse_group_spec(text: str) -> GroupSpec:
             if start == pos:
                 raise error("empty file path", start)
             return FileTable(s[start:pos])
-        if s.startswith("SD", pos):
-            pos += 2
-            return Semidihedral(read_int())
-        if s.startswith("He", pos):
-            pos += 2
-            return Heisenberg(read_int())
         if s.startswith("Ab", pos):
             pos += 2
             expect("(")
@@ -621,17 +621,11 @@ def parse_group_spec(text: str) -> GroupSpec:
             p = read_int()
             expect(")")
             return Modular(nn, p)
-        c = s[pos]
-        if c == "C":
-            pos += 1
-            return Cyclic(read_int())
-        if c == "D":
-            pos += 1
-            return Dihedral(read_int())
-        if c == "Q":
-            pos += 1
-            return GeneralizedQuaternion(read_int())
-        raise error(f"unrecognized group atom starting with {c!r}", pos)
+        for prefix, family in _INT_ATOMS:
+            if s.startswith(prefix, pos):
+                pos += len(prefix)
+                return family(read_int())
+        raise error(f"unrecognized group atom starting with {s[pos]!r}", pos)
 
     spec = parse_atom()
     while True:
@@ -650,7 +644,8 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """Build a spec's dense table. Orders above cap raise ResourceError before
-    anything n-by-n is allocated; each file: atom is read once."""
+    any family builds its table, but after each file: atom is read, once, to
+    learn its order."""
     check_brute_cap(spec.render(), spec.order, cap)
     return spec.build()
 

@@ -24,8 +24,8 @@ from pgx.census import (
     verify_prop_2_2,
     verify_prop_2_8,
 )
-from pgx.constructors import (CATALOG_BOUND, Abelian, Census, Completeness, Cyclic, Modular,
-                              parse_group_spec)
+from pgx.constructors import (CATALOG_BOUND, Abelian, Census, Completeness, Cyclic, Dihedral,
+                              GeneralizedQuaternion, Modular, Semidihedral, parse_group_spec)
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import (
@@ -758,12 +758,19 @@ def test_scan_argmax_splits_into_names_that_parse_back_to_themselves():
 def test_split_sigma_is_above_the_exponent_bound():
     """C_(p^(a-1)) x C_p has p^a - p^(a-1) elements of order p^(a-1), so its
     sigma is at least 1 + (p-1) * p^(2a-2), above the bound
-    B = 1 + (p^a - 1) * p^(a-2) on every group of exponent at most p^(a-2)."""
-    for p in filter(is_prime, range(3, 200, 2)):
-        for a in range(3, 41):
+    B = 1 + (p^a - 1) * p^(a-2) on every group of exponent at most p^(a-2);
+    at p = 2, B = 1 + 2^(2a-2) - 2^(a-2). A group of larger exponent has a
+    cyclic maximal subgroup, and for 2^a, a >= 4, the catalog lists all six."""
+    for p in filter(is_prime, range(2, 200)):
+        for a in range(4 if p == 2 else 3, 41):
             sigma = order_sum(Abelian(p, (a - 1, 1)).spectrum())
             bound = 1 + (p ** a - 1) * p ** (a - 2)
             assert sigma >= 1 + (p - 1) * p ** (2 * a - 2) > bound, (p, a)
+    for a in range(4, 33):     # past 2^32 the catalog bound refuses the order
+        n = 2 ** a
+        six = {Cyclic(n), Abelian(2, (a - 1, 1)), Modular(a, 2), Dihedral(n),
+               GeneralizedQuaternion(n), Semidihedral(n)}
+        assert six <= {e.spec for e in pgx.constructors.p_group_catalog(2, a)[0]}, a
 
 
 def test_parametric_catalogs_top_sigma_is_the_split_and_the_modular_group():

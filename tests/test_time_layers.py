@@ -1,0 +1,53 @@
+"""The layer-timing harness: its in-process sections run at their smallest
+settings and give the keys their readers expect, so the harness cannot drift
+from the private pgx names it imports. The start section stays out: one run
+of it starts 13 interpreters."""
+
+import importlib.util
+import json
+import sys
+from argparse import Namespace
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = REPO_ROOT / "scripts" / "time_layers.py"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))    # the script prepends src and pgxbench
+    spec = importlib.util.spec_from_file_location("time_layers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_section_times_each_spec(harness, capsys):
+    assert harness.main(["build", "--specs", "C8", "--reps", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["reps"] == 1 and list(out["builds"]) == ["C8"]
+    row = out["builds"]["C8"]
+    assert list(row) == ["order", "build_ms", "fill_ms", "build_over_fill"]
+    assert row["order"] == 8
+
+
+def test_validate_section_reads_checks_and_writes_each_table(harness):
+    out = harness.time_validate(Namespace(seeds=[], reps=1))
+    assert list(out) == ["reps", "cpus", "tables", "total_ms"]
+    timed = ["read_ms", "validate_ms", "write_ms"]
+    assert len(out["tables"]) == len(list((REPO_ROOT / "census" / "16").glob("*.cayley"))) > 0
+    for row in out["tables"]:
+        assert list(row) == ["source", "table", "order", "mode", "ok", *timed]
+        assert (row["source"], row["order"], row["mode"], row["ok"]) == ("census/16", 16, "full", True)
+    assert list(out["total_ms"]) == ["census/16"] and list(out["total_ms"]["census/16"]) == timed
+
+
+def test_scan_section_times_each_layer(harness):
+    out = harness.time_scan(Namespace(n_max=[9], reps=1, census_dir=str(REPO_ROOT / "census")))
+    assert list(out) == ["reps", "census_dir", "scans"] and list(out["scans"]) == [9]
+    row = out["scans"][9]
+    assert list(row) == ["rows", "sylows", "sieve_ms", "sylow_table_ms", "rows_ms",
+                         "csv_write_ms", "end_to_end_ms"]
+    assert (row["rows"], row["sylows"]) == (1, 1)      # 9 = 3^2, the one odd non-square-free order
