@@ -3,6 +3,7 @@
     python3 scripts/time_layers.py build [--specs C4096 He13 ...] [--reps 7]
     python3 scripts/time_layers.py validate [--seeds 1 2 3] [--reps 5]
     python3 scripts/time_layers.py scan [--n-max 3000 10000 1000000] [--reps 5] [--census-dir D]
+    python3 scripts/time_layers.py claims [--p-max 97] [--m-max 12] [--reps 5]
     python3 scripts/time_layers.py start [--runs 7] [--top 8] [--census-dir D]
 
 In-process times are the best of --reps calls, in ms. --census-dir defaults
@@ -30,13 +31,21 @@ pgxbench/gencensus.py writes it, for its `write_ms` column.
 
 scan: for each n_max, the layers of `scan conjecture-2.9`:
 - sieve: `OddSieve(n_max)`;
-- sylow_table: the Sylow data of every (p, a) the scan reads, as `scan_rows`
+- sylow_table: the Sylow data of every (p, a) the scan keeps, as `scan_rows`
   builds it: census orders through `_census_sylows`, each catalog reduced as
-  the claims reduce theirs, and the rest in closed form by `_scan_sylow`;
-- rows: factoring each order by the sieve and making its row with `_scan_row`;
+  the claims reduce theirs, and every other (p, a) with a >= 2 in closed form
+  by `_scan_sylow` (a prime-order factor is made inline in its row);
+- rows: `_scan_row` on each order, which factors it by the sieve and makes
+  its row from that table;
 - csv_write: `_write_scan_csv`, the `scan --format csv` writer, to a buffer;
 - end_to_end: `pgx scan conjecture-2.9 --format csv` through `pgx.cli.main`,
   stdout sent to a buffer.
+
+claims: the sweep claims that `verify` runs with no order, each called as
+`pgx.census.verify` calls it: `_phi_grid`, the exact phi grid that
+lemma-2.4, lemma-2.5 and cor-2.6 each build first, then those three at
+--p-max and --m-max, then lemma-2.1 at its own defaults. Each rep starts
+cold, as in build; each claim's verdict is given with its time.
 
 start: the cold start of the formula commands. start_ms is the median wall
 time in ms of --runs fresh interpreters each of `python -c pass`,
@@ -72,7 +81,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "pgxbench")]
 
 import workloads  # noqa: E402
 
-from pgx.census import _census_sylows, _scan_row, _scan_sylow  # noqa: E402
+from pgx.census import (CLAIMS, DEFAULT_M_MAX, DEFAULT_P_MAX, _census_sylows,  # noqa: E402
+                        _phi_grid, _scan_row, _scan_sylow)
 from pgx.cli import _write_scan_csv  # noqa: E402
 from pgx.cli import main as cli_main  # noqa: E402
 from pgx.constructors import Census, build_group, parse_group_spec  # noqa: E402
@@ -149,7 +159,7 @@ def time_validate(args) -> dict:
 def scan_layers(n_max: int, census: Census, reps: int) -> dict:
     sieve_ms, sieve = best_ms(lambda: OddSieve(n_max), reps)
     orders = list(sieve.not_square_free())
-    read = {f for n in orders for f in sieve.factor(n)}
+    read = {(p, a) for n in orders for p, a in sieve.factor(n) if a > 1}
 
     def sylow_table():
         table = _census_sylows(n_max, census, sieve)
@@ -158,16 +168,7 @@ def scan_layers(n_max: int, census: Census, reps: int) -> dict:
         return table
 
     table_ms, table = best_ms(sylow_table, reps)
-
-    def rows():
-        out = []
-        for n in orders:
-            factors = sieve.factor(n)
-            out.append(_scan_row(n, [table[f] for f in factors],
-                                 next(i for i, (_, a) in enumerate(factors) if a > 1)))
-        return out
-
-    rows_ms, made = best_ms(rows, reps)
+    rows_ms, made = best_ms(lambda: [_scan_row(n, sieve, table) for n in orders], reps)
     csv_ms, _ = best_ms(lambda: _write_scan_csv(io.StringIO(), made), reps)
 
     def end_to_end():
@@ -187,6 +188,17 @@ def time_scan(args) -> dict:
     census = Census(args.census_dir)
     return {"reps": args.reps, "census_dir": args.census_dir,
             "scans": {n: scan_layers(n, census, args.reps) for n in args.n_max}}
+
+
+def time_claims(args) -> dict:
+    grid_ms, grid = best_ms(lambda: _phi_grid(args.p_max, args.m_max), args.reps, cold=True)
+    claims = {"phi_grid": {"ms": grid_ms, "points": len(grid)}}
+    for claim in ("lemma-2.4", "lemma-2.5", "cor-2.6", "lemma-2.1"):
+        fn = CLAIMS[claim][0]
+        sweep = fn if claim == "lemma-2.1" else (lambda: fn(args.p_max, args.m_max))
+        ms, report = best_ms(sweep, args.reps, cold=True)
+        claims[claim] = {"ms": ms, "rows": len(report.rows), "verdict": report.verdict.value}
+    return {"reps": args.reps, "p_max": args.p_max, "m_max": args.m_max, "claims": claims}
 
 
 def run(argv: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
@@ -256,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
     scan.add_argument("--reps", type=int, default=5)
     scan.add_argument("--census-dir", default=str(ROOT / "census"))
     scan.set_defaults(run=time_scan)
+    claims = sections.add_parser("claims", help="the phi grid and each sweep claim")
+    claims.add_argument("--p-max", type=int, default=DEFAULT_P_MAX)
+    claims.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    claims.add_argument("--reps", type=int, default=5)
+    claims.set_defaults(run=time_claims)
     start = sections.add_parser("start", help="the cold start of the formula commands")
     start.add_argument("--runs", type=int, default=7)
     start.add_argument("--top", type=int, default=8)

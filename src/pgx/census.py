@@ -19,7 +19,7 @@ from enum import Enum
 from functools import reduce
 from math import prod
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .constructors import (
     CATALOG_BOUND,
@@ -140,30 +140,26 @@ class _ScanSylow(NamedTuple):
     candidates: list[tuple[int, int, str]]
 
 
-def _rank(n: int, sylows: list[_ScanSylow], score) -> list[tuple[int, int, int]]:
+def _rank(n: int, cyclic: tuple[int, int], sylows: Iterable[tuple[int, _ScanSylow]],
+          score) -> list[tuple[int, int, int]]:
     """(score, i, j) of each member of order n whose only non-cyclic Sylow
-    factor is candidate j of sylows[i], in (i, j) order; score maps the
-    member's (sigma, phi, order) to an int. sigma and phi multiply over the
-    Sylow factors (Lemma 2.1), so a member's are the cyclic products with
-    one factor swapped."""
-    sigma = phi = 1
-    for x in sylows:
-        sigma *= x.cyclic[0]
-        phi *= x.cyclic[1]
+    factor is candidate j of x, for each (i, x) of sylows in turn, x the
+    _ScanSylow of factor i; score maps the member's (sigma, phi, order) to
+    an int. cyclic is the (sigma, phi) of C_n. sigma and phi multiply over
+    the Sylow factors (Lemma 2.1), so a member's are C_n's with one factor
+    swapped."""
     ranked = []
-    for i, x in enumerate(sylows):
-        if x.candidates:
-            rest_sigma, rest_phi = sigma // x.cyclic[0], phi // x.cyclic[1]
-            ranked += [(score(c[0] * rest_sigma, c[1] * rest_phi, n), i, j)
-                       for j, c in enumerate(x.candidates)]
+    for i, x in sylows:
+        rest_sigma, rest_phi = cyclic[0] // x.cyclic[0], cyclic[1] // x.cyclic[1]
+        ranked += [(score(c[0] * rest_sigma, c[1] * rest_phi, n), i, j)
+                   for j, c in enumerate(x.candidates)]
     return ranked
 
 
-def _member_name(sylows: list[_ScanSylow], i: int, j: int) -> str:
-    """The name of the member whose factor at sylows[i] is candidate j, every
-    other factor cyclic."""
-    names = [x.cyclic[2] for x in sylows]
-    names[i] = sylows[i].candidates[j][2]
+def _member_name(names: list[str], i: int, name: str) -> str:
+    """The name of a product of the named factors, the one at i renamed."""
+    names = names.copy()
+    names[i] = name
     return join_names(names)
 
 
@@ -279,11 +275,12 @@ def verify_main_theorem(n: int, census: Census | None = None,
     p_s, a_s = factors[s]
     sylows = [_catalog_sylow(p, a, census)[0] for p, a in factors]
     names = [x.cyclic[2] for x in sylows]
-    names[s] = Abelian(p_s, (a_s - 1, 1)).render()
-    expected = join_names(names)
+    expected = _member_name(names, s, Abelian(p_s, (a_s - 1, 1)).render())
     expected_display = f"C{n // p_s}xC{p_s}"
-    scored = sorted(((v, _member_name(sylows, i, j))
-                     for v, i, j in _rank(n, sylows, lambda sigma, phi, order: phi)),
+    cyclic = prod(x.cyclic[0] for x in sylows), prod(x.cyclic[1] for x in sylows)
+    scored = sorted(((v, _member_name(names, i, sylows[i].candidates[j][2]))
+                     for v, i, j in _rank(n, cyclic, enumerate(sylows),
+                                          lambda sigma, phi, order: phi)),
                     key=lambda t: (-t[0], t[1]))
     expected_phi = next((v for v, name in scored if name == expected), None)
     if expected_phi is None:
@@ -293,8 +290,7 @@ def verify_main_theorem(n: int, census: Census | None = None,
             for v, name in scored]
     witnesses = [] if expected_phi == best else [r for r in rows if r["argmax"]]
     candidates = prod(x.size for x in sylows) - 1
-    notes = [f"cyclic group C{n} excluded from the comparison "
-             f"(phi-sum {prod(x.cyclic[1] for x in sylows)})"]
+    notes = [f"cyclic group C{n} excluded from the comparison (phi-sum {cyclic[1]})"]
     if candidates > len(rows):
         notes.append(f"not listed: {candidates - len(rows)} with two or more non-cyclic Sylow "
                      "factors; phi-sum multiplies over Sylow factors and is largest at each "
@@ -339,7 +335,8 @@ def _p_group_report(claim: str, what: str, p: int, n: int, census: Census | None
     sylow, noncyclic = _catalog_sylow(p, n, census)
     if not noncyclic:
         raise InvariantError("catalog has no non-cyclic entry")
-    scored = sorted(((v, noncyclic[j]) for v, _, j in _rank(p ** n, [sylow], score)),
+    scored = sorted(((v, noncyclic[j])
+                     for v, _, j in _rank(p ** n, sylow.cyclic[:2], [(0, sylow)], score)),
                     key=lambda t: (-t[0], t[1].render()))
     best = scored[0][0]
     argmax = [e.render() for v, e in scored if v == best]
@@ -453,6 +450,12 @@ def _check_rows(count: int, what: str) -> None:
                             f"bound {SWEEP_ROW_BOUND}")
 
 
+# The note of a sweep whose every row is informational: it checked nothing
+# against the claim, so its verdict is report-only.
+_NO_CONTRACTUAL_NOTE = ("no contractual point in range: every {} has p = 2, so "
+                        "nothing was checked against the claim")
+
+
 def _phi_grid(p_max: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
     """(p, m) -> (phi of C_(p^m), phi of C_(p^(m-1)) x C_p, phi of C_(p^(m-1)))
     for m >= 2, exact integers."""
@@ -531,12 +534,16 @@ def verify_lemma_2_5(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
             "p = 2 rows are informational (left side degenerates to 0 < phi); "
             + ("both strict inequalities still held at every p = 2 point"
                if both else "some p = 2 points failed a strict inequality"))
-    headline = (f"sandwich inequality checked at {len(rows)} grid points: "
-                f"{'all contractual points hold' if not bad else f'{len(bad)} failures'}")
+    unchecked = len(p2) == len(rows)
+    if unchecked:
+        notes.append(_NO_CONTRACTUAL_NOTE.format("grid point"))
+    status = ("no contractual point in range" if unchecked
+              else "all contractual points hold" if not bad else f"{len(bad)} failures")
+    headline = f"sandwich inequality checked at {len(rows)} grid points: {status}"
     return VerificationReport(
         claim="lemma-2.5",
         params={"p_max": p_max, "m_max": m_max, "grid_points": len(rows)},
-        headline=headline, rows=rows, witnesses=bad, notes=notes)
+        headline=headline, rows=rows, witnesses=bad, notes=notes, report_only=unchecked)
 
 
 def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> VerificationReport:
@@ -547,6 +554,12 @@ def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> Ve
     for odd primes p < q over all exponent pairs (m, t) in 2..t_max. Pairs
     with p = 2 sit outside the claim (its argument needs p <= q-2 for odd
     primes); they are evaluated and reported without a pass/fail contract.
+
+    Each prime's largest and smallest ratio over its exponents are found
+    first, by cross-multiplying (every phi is positive). A pair holds at
+    every (m, t) exactly when p's largest ratio is below q's smallest, since
+    the order on ratios is transitive; only a pair where that one comparison
+    fails is walked point by point, for its count and its first violation.
     """
     if q_max < 3 or t_max < 2:
         raise InputError("need q_max >= 3 and t_max >= 2")
@@ -554,18 +567,31 @@ def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> Ve
     _check_rows(len(primes) * (len(primes) - 1) // 2, "prime pairs")
     grid = _phi_grid(q_max, t_max)
     exponents = range(2, t_max + 1)
+    # (L, A) of each prime's largest and smallest ratio L/A
+    top, bottom = {}, {}
+    for p in primes:
+        hi = lo = grid[(p, 2)][:2]
+        for m in exponents:
+            l, a, _ = grid[(p, m)]
+            if l * hi[1] > hi[0] * a:
+                hi = l, a
+            if l * lo[1] < lo[0] * a:
+                lo = l, a
+        top[p], bottom[p] = hi, lo
     rows = []
     bad = []
     for p, q in itertools.combinations(primes, 2):
         contractual = p != 2
         violations = []
-        for m in exponents:
-            l_p, a_p, _ = grid[(p, m)]
-            for t in exponents:
-                l_q, a_q, _ = grid[(q, t)]
-                # strict ratio comparison without division: L_p/A_p < L_q/A_q
-                if not l_p * a_q < l_q * a_p:
-                    violations.append((m, t))
+        (l_p, a_p), (l_q, a_q) = top[p], bottom[q]
+        if not l_p * a_q < l_q * a_p:
+            for m in exponents:
+                l_p, a_p, _ = grid[(p, m)]
+                for t in exponents:
+                    l_q, a_q, _ = grid[(q, t)]
+                    # strict ratio comparison without division: L_p/A_p < L_q/A_q
+                    if not l_p * a_q < l_q * a_p:
+                        violations.append((m, t))
         row = {"p": p, "q": q, "points": len(exponents) ** 2,
                "violations": len(violations), "holds": not violations,
                "contractual": contractual}
@@ -578,13 +604,17 @@ def verify_cor_2_6(q_max: int = DEFAULT_P_MAX, t_max: int = DEFAULT_M_MAX) -> Ve
         clean = sum(1 for r in p2 if r["holds"])
         notes.append(f"pairs with p = 2 are informational: "
                      f"{clean}/{len(p2)} held anyway")
+    unchecked = len(p2) == len(rows)
+    if unchecked:
+        notes.append(_NO_CONTRACTUAL_NOTE.format("prime pair"))
+    status = ("no contractual pair in range" if unchecked
+              else "all contractual pairs hold" if not bad else f"{len(bad)} failing pairs")
     headline = (f"ratio comparison checked for {len(rows)} prime pairs "
-                f"(exponents 2..{t_max}): "
-                f"{'all contractual pairs hold' if not bad else f'{len(bad)} failing pairs'}")
+                f"(exponents 2..{t_max}): {status}")
     return VerificationReport(
         claim="cor-2.6",
         params={"q_max": q_max, "t_max": t_max, "pairs": len(rows)},
-        headline=headline, rows=rows, witnesses=bad, notes=notes)
+        headline=headline, rows=rows, witnesses=bad, notes=notes, report_only=unchecked)
 
 
 # ---------------------------------------------------------------------------
@@ -711,25 +741,62 @@ def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
     return {(p, a): _catalog_sylow(p, a, census)[0] for p, a in map(first.get, sorted(first))}
 
 
-def _scan_row(n: int, sylows: list[_ScanSylow], s: int) -> tuple:
-    """The scan row of order n from its Sylow data, s the index of the first
-    with exponent >= 2, in SCAN_COLUMNS order. The factors before s have
-    prime order and no candidates, so the expected member is ranked first.
-    The runner-up is the second score in rank, so it equals the best when
-    the best is tied."""
-    ranked = _rank(n, sylows, undirected_from_sums)
-    expected_edges = ranked[0][0]
-    expected = _member_name(sylows, s, 0)
-    ranked.sort(reverse=True)
-    best = ranked[0][0]
+def _scan_row(n: int, sieve: OddSieve, sylows: dict[tuple[int, int], _ScanSylow]) -> tuple:
+    """The scan row of order n, in SCAN_COLUMNS order, from one pass over the
+    prime factors p^a of n that the sieve's smallest-prime-factor table
+    gives. Each factor's Sylow data is sylows[(p, a)], put there from
+    _scan_sylow when missing and a >= 2. A prime factor with no census entry
+    is C_p, taken inline: one group, complete, with sigma 1 + p(p-1), phi
+    1 + (p-1)^2 and no candidates. The same pass finds s, the first factor
+    with exponent >= 2; the factors before it have prime order and no
+    candidates, so the expected member is ranked first. The runner-up is
+    the second score in rank, so it equals the best when the best is tied."""
+    spf = sieve.spf
+    sigma = phi = size = 1
+    names: list[str] = []
+    scored: list[tuple[int, _ScanSylow]] = []       # (i, x) of each factor with candidates
+    completeness = []
+    x_s = None
+    m = n
+    while m > 1:
+        p = spf[m >> 1] or m
+        m //= p
+        a = 1
+        while m % p == 0:
+            m //= p
+            a += 1
+        x = sylows.get((p, a))
+        if x is None:
+            if a == 1:
+                sigma *= p * p - p + 1
+                phi *= p * p - 2 * p + 2
+                names.append(f"C{p}")
+                continue
+            x = sylows[p, a] = _scan_sylow(p, a)
+        if x_s is None and a > 1:
+            s, x_s = len(names), x
+        if x.candidates:
+            scored.append((len(names), x))
+        sigma *= x.cyclic[0]
+        phi *= x.cyclic[1]
+        size *= x.size
+        completeness.append(x.completeness)
+        names.append(x.cyclic[2])
+    ranked = _rank(n, (sigma, phi), scored, undirected_from_sums)
+    expected_edges = best = runner_up = ranked[0][0]
+    expected = _member_name(names, s, x_s.candidates[0][2])
+    if len(ranked) > 1:
+        ranked.sort(reverse=True)
+        best, runner_up = ranked[0][0], ranked[1][0]
     top = [(i, j) for e, i, j in ranked if e == best]
-    argmax = [expected] if len(top) == 1 and expected_edges == best \
-        else sorted(_member_name(sylows, i, j) for i, j in top)
-    runner_up = ranked[1][0] if len(ranked) > 1 else best
+    if len(top) == 1 and expected_edges == best:
+        argmax = [expected]
+    else:
+        at = dict(scored)
+        argmax = sorted(_member_name(names, i, at[i].candidates[j][2]) for i, j in top)
     # a rendered name has whitespace only around join_names' " x ", so " | " splits the column
-    return (n, prod(x.size for x in sylows) - 1, expected,
-            expected_edges, best, best - runner_up, expected_edges == best, " | ".join(argmax),
-            merge_completeness([x.completeness for x in sylows]).value)
+    return (n, size - 1, expected, expected_edges, best, best - runner_up,
+            expected_edges == best, " | ".join(argmax), merge_completeness(completeness).value)
 
 
 def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
@@ -739,8 +806,9 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
 
     Every census table the scan reads is admitted, and every error raised,
     before this returns; the rows are then made one at a time as they are
-    read, so a caller that writes each one out holds none of them, and each
-    other (p, a) comes from _scan_sylow when first read.
+    read, so a caller that writes each one out holds none of them. Each
+    other (p, a) with a >= 2 comes from _scan_sylow when first read, and is
+    kept; C_p is made inline in each row that reads it, and not kept.
 
     Two reductions make a row exact from at most two entries per prime:
     - Only the members with one non-cyclic Sylow factor are scored. In a
@@ -770,13 +838,7 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
     sieve = OddSieve(n_max)
     sylows = _census_sylows(n_max, census, sieve)
 
-    def rows() -> Iterator[tuple]:
-        for n in sieve.not_square_free():
-            factors = sieve.factor(n)
-            row = [sylows.get(f) or sylows.setdefault(f, _scan_sylow(*f)) for f in factors]
-            yield _scan_row(n, row, next(i for i, (_, a) in enumerate(factors) if a > 1))
-
-    return rows()
+    return (_scan_row(n, sieve, sylows) for n in sieve.not_square_free())
 
 
 def scan_conjecture_2_9(n_max: int, census: Census | None = None) -> VerificationReport:

@@ -139,10 +139,12 @@ def _check_order(family: str, p: int, a: int = 1) -> None:
 
 
 def _merge_spectrum(s: OrderSpectrum, extra: dict[int, int]) -> OrderSpectrum:
+    """s with extra elements of the orders 2 and 4 that extra counts: the
+    spectrum of a 2-coset group, s that of its cyclic half."""
     counts = dict(s.items())
     for d, c in extra.items():
         counts[d] = counts.get(d, 0) + c
-    return OrderSpectrum(counts)
+    return OrderSpectrum(counts, sorted({*s.primes, 2}))
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -241,7 +243,8 @@ class Abelian(GroupSpec):
         below = [self.p ** sum(min(a, k) for a in self.partition)
                  for k in range(max(self.partition, default=0) + 1)]
         return OrderSpectrum({1: 1} | {self.p ** k: below[k] - below[k - 1]
-                                       for k in range(1, len(below))})
+                                       for k in range(1, len(below))},
+                             (self.p,) if self.partition else ())
 
     def build(self) -> GroupTable:
         """The direct product of the cyclic factors; one factor keeps its C name."""
@@ -431,7 +434,7 @@ class Heisenberg(GroupSpec):
         return f"He{self.p}"
 
     def spectrum(self) -> OrderSpectrum:
-        return OrderSpectrum({1: 1, self.p: self.p ** 3 - 1})
+        return OrderSpectrum({1: 1, self.p: self.p ** 3 - 1}, (self.p,))
 
     def build(self) -> GroupTable:
         """Triples (a, b, c), index (a*p + b)*p + c, with

@@ -21,7 +21,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantError, ResourceError
 
@@ -186,7 +186,9 @@ class OddSieve:
             start = p * p >> 1                          # p^2, p^2 + 2p, ...
             spf[start::p] = array("i", [p]) * len(range(start, size, p))
             square[start::p * p] = b"\x01" * len(range(start, size, p * p))   # p^2, 3p^2, ...
-        self._spf = spf                 # indexing gives a Python int
+        # spf[n >> 1] is the smallest prime factor of the odd n, or 0 when n
+        # is 1 or prime; indexing gives a Python int
+        self.spf = spf
         self._square = square
 
     def not_square_free(self) -> Iterator[int]:
@@ -195,7 +197,7 @@ class OddSieve:
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """factor(n) for an odd n from 1 to n_max."""
-        spf = self._spf
+        spf = self.spf
         factors = []
         while n > 1:
             p = spf[n >> 1] or n
@@ -222,12 +224,15 @@ class OrderSpectrum:
 
     The total count is the group order. Construction enforces the
     structural invariants: exactly one identity, every order divides the
-    total.
+    total. primes, when given, must include every prime factor of the
+    exponent (the lcm of the orders), which is checked: the code that builds
+    a spectrum knows them, and phi_sum reads them instead of factoring the
+    exponent again. They take no part in == or the hash.
     """
 
-    __slots__ = ("_counts", "_total")
+    __slots__ = ("_counts", "_total", "_primes")
 
-    def __init__(self, counts: Mapping[int, int]):
+    def __init__(self, counts: Mapping[int, int], primes: Iterable[int] | None = None):
         cleaned: dict[int, int] = {}
         for d in sorted(counts):
             c = counts[d]
@@ -244,6 +249,25 @@ class OrderSpectrum:
                 raise InvariantError(f"order {d} does not divide group size {total}")
         self._counts = cleaned
         self._total = total
+        self._primes = None
+        if primes is not None:
+            primes = tuple(primes)
+            rest = math.lcm(*cleaned)
+            for p in primes:
+                while rest % p == 0:
+                    rest //= p
+            if rest != 1:
+                raise InvariantError(f"the exponent {math.lcm(*cleaned)} has a prime factor "
+                                     f"outside the given primes {list(primes)}")
+            self._primes = primes
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes of the exponent: as given on construction, else from one
+        `factor` of the exponent on first read."""
+        if self._primes is None:
+            self._primes = tuple(p for p, _ in factor(math.lcm(*self._counts)))
+        return self._primes
 
     @property
     def total(self) -> int:
@@ -281,7 +305,9 @@ class OrderSpectrum:
         return f"OrderSpectrum({{{inner}}})"
 
 def order_spectrum(g: "GroupTable") -> OrderSpectrum:
-    """Tally the order of every element of g by successive multiplication."""
+    """Tally the order of every element of g, as `GroupTable.element_orders`
+    finds them by binary powering within each Sylow part (Lagrange); the
+    exponent's primes are factored when phi_sum first reads them."""
     s = OrderSpectrum(Counter(g.element_orders()))
     if s.total != g.size:
         raise InvariantError("order tally lost elements")  # unreachable for valid tables
@@ -294,24 +320,25 @@ def spectrum_cyclic(m: int) -> OrderSpectrum:
     if m < 1:
         raise InputError(f"cyclic group order must be positive, got {m}")
     counts = {1: 1}
-    for p, e in factor(m):
+    factors = factor(m)
+    for p, e in factors:
         powers = [(1, 1)] + [(p ** k, p ** k - p ** (k - 1)) for k in range(1, e + 1)]
         counts = {d * q: t * tq for d, t in counts.items() for q, tq in powers}
-    return OrderSpectrum(counts)
+    return OrderSpectrum(counts, [p for p, _ in factors])
 
 
 def spectrum_product(s: OrderSpectrum, t: OrderSpectrum) -> OrderSpectrum:
     """Spectrum of a direct product, by lcm convolution of the factor spectra.
 
     Valid for arbitrary factors, coprime or not: the order of (x, y) is
-    lcm(o(x), o(y)).
+    lcm(o(x), o(y)). The exponent's primes are those of the two factors.
     """
     out: dict[int, int] = {}
     for a, ca in s.items():
         for b, cb in t.items():
             d = math.lcm(a, b)
             out[d] = out.get(d, 0) + ca * cb
-    return OrderSpectrum(out)
+    return OrderSpectrum(out, sorted({*s.primes, *t.primes}))
 
 
 def order_sum(s: OrderSpectrum) -> int:
@@ -320,13 +347,20 @@ def order_sum(s: OrderSpectrum) -> int:
 
 
 def phi_sum(s: OrderSpectrum) -> int:
-    """Sum of totient(o(g)) over all g, every totient from one factorization of the
-    exponent (lcm of the orders); |G| can be far harder (P^3 for Ab(P;1,1,1))."""
-    primes = [p for p, _ in factor(math.lcm(*(d for d, _ in s.items())))]
+    """Sum of totient(o(g)) over all g, every totient from s.primes, the primes
+    of the exponent (lcm of the orders). The code that built s gave them:
+    spectrum_cyclic from its factorization of m, spectrum_product from its
+    factors, each family spec from its parameters. Only a spectrum built
+    without them, as by order_spectrum, factors its exponent, once; |G| can
+    be far harder (P^3 for Ab(P;1,1,1))."""
+    primes = s.primes
     total = 0
-    for d, c in s.items():
-        ps = [p for p in primes if d % p == 0]
-        total += c * d // math.prod(ps) * math.prod(p - 1 for p in ps)
+    for d, c in s._counts.items():
+        t = d
+        for p in primes:
+            if d % p == 0:
+                t = t // p * (p - 1)
+        total += c * t
     return total
 
 

@@ -1,5 +1,6 @@
 """Factorization of n, nilpotent enumeration, claim verifiers, and the scan."""
 
+import itertools
 from functools import cache
 from math import prod
 
@@ -29,6 +30,7 @@ from pgx.constructors import (CATALOG_BOUND, Abelian, Census, Completeness, Cycl
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import write_cayley
 from pgx.spectrum import (
+    OddSieve,
     factor,
     is_prime,
     order_sum,
@@ -520,6 +522,56 @@ def test_cor_2_6_ratio_comparison_small_grid():
     assert any("informational" in note for note in report.notes)
 
 
+def _pointwise_cor_2_6_rows(grid, primes, exponents):
+    """cor-2.6's rows by comparing every (m, t) of every pair, cross-multiplied."""
+    rows = []
+    for p, q in itertools.combinations(primes, 2):
+        violations = [(m, t) for m in exponents for t in exponents
+                      if not grid[(p, m)][0] * grid[(q, t)][1] < grid[(q, t)][0] * grid[(p, m)][1]]
+        rows.append(({"p": p, "q": q, "points": len(exponents) ** 2,
+                      "violations": len(violations), "holds": not violations,
+                      "contractual": p != 2}, violations[:1]))
+    return rows
+
+
+@pytest.mark.parametrize("forged,verdict", [
+    ({}, Verdict.VERIFIED),
+    # (7, 5) takes the ratio of (3, 4): a tie, which the strict claim counts as failing
+    ({(7, 5): (3, 4, 1)}, Verdict.COUNTEREXAMPLE),
+    # 7's smallest ratio, at t = 2, ties 5's largest, at m = 12: one failing point
+    ({(7, 2): (5, 12, 1)}, Verdict.COUNTEREXAMPLE),
+    # (13, 9) far above its neighbours fails against larger primes at some t only;
+    # (5, 12) just below (3, 2) fails against 3 at one point; p = 2 fails too
+    ({(13, 9): (13, 9, 40), (5, 12): (3, 2, -1), (2, 3): (2, 3, 90)}, Verdict.COUNTEREXAMPLE),
+    # only pairs with p = 2 fail
+    ({(2, 12): (2, 12, 10 ** 6)}, Verdict.VERIFIED),
+], ids=["real", "tie", "extreme-tie", "scattered", "informational-only"])
+def test_cor_2_6_pair_decision_equals_the_pointwise_check(monkeypatch, forged, verdict):
+    """On grids forged so that some pairs fail at a few (m, t), every row,
+    witness and the verdict equal those of comparing all 121 points of each
+    pair: the extreme-ratio decision holds a pair exactly when no point fails.
+    A forged entry (q, t, k) takes the phi pair of (q, t), its L scaled by k
+    when k > 1, or nudged below by k = -1."""
+    real = pgx.census._phi_grid(97, 12)
+    grid = dict(real)
+    for key, (q, t, k) in forged.items():
+        l_q, a_q, prev = real[(q, t)]
+        if k == -1:         # a ratio just below that of (q, t)
+            l_q, a_q = l_q * 10 ** 6 - 1, a_q * 10 ** 6
+        grid[key] = (l_q * max(k, 1), a_q, prev)
+    monkeypatch.setattr(pgx.census, "_phi_grid", lambda p_max, m_max: grid)
+    report = verify_cor_2_6(97, 12)
+    primes = sorted({p for p, _ in grid})
+    expected = _pointwise_cor_2_6_rows(grid, primes, range(2, 13))
+    assert report.rows == [row for row, _ in expected]
+    assert report.witnesses == [{**row, "first_violation": first[0]}
+                                for row, first in expected if row["contractual"] and first]
+    failing = [row for row in report.rows if not row["holds"]]
+    assert bool(failing) == bool(forged)
+    assert all(0 < row["violations"] < 121 for row in failing)
+    assert report.verdict is verdict
+
+
 def test_cor_2_6_rejects_degenerate_grid():
     with pytest.raises(InputError):
         verify_cor_2_6(q_max=2)
@@ -720,8 +772,7 @@ def test_scan_candidates_past_the_enumeration_range_and_below_the_catalog_bound(
         return len(pgx.constructors.p_group_catalog(p, a)[0])
 
     n = 3 ** 10 * 5 ** 3
-    row = pgx.census._scan_row(n, [pgx.census._scan_sylow(3, 10), pgx.census._scan_sylow(5, 3)],
-                               0)
+    row = pgx.census._scan_row(n, OddSieve(n), {})
     assert dict(zip(pgx.census.SCAN_COLUMNS, row))["candidates"] \
         == size(3, 10) * size(5, 3) - 1 == 214
 
@@ -844,8 +895,9 @@ def _brute_scan_scores(n, sylows):
 def test_scan_row_scores_ties_and_runners_up_as_brute_force(sylows, max_edges, margin, argmax):
     """The scorer cases no order up to 2*10^5 reaches: a best tied across
     primes, and each place a unique best's runner-up can come from."""
-    n = 225
-    row = dict(zip(pgx.census.SCAN_COLUMNS, pgx.census._scan_row(n, sylows, 0)))
+    n = 225         # 3^2 * 5^2
+    row = dict(zip(pgx.census.SCAN_COLUMNS,
+                   pgx.census._scan_row(n, OddSieve(n), {(3, 2): sylows[0], (5, 2): sylows[1]})))
     assert (row["max_edges"], row["margin"], row["argmax"].split(" | ")) \
         == _brute_scan_scores(n, sylows) == (max_edges, margin, argmax)
     split = sylows[0].candidates[0]

@@ -564,6 +564,24 @@ def test_verify_sweeps_exit_zero_on_small_grids(run_cli):
         assert "verdict: verified\n" in out
 
 
+@pytest.mark.parametrize("claim,p_max,what", [
+    ("lemma-2.5", "2", "grid point"), ("cor-2.6", "3", "prime pair"), ("cor-2.6", "4", "prime pair"),
+])
+def test_verify_sweeps_with_no_contractual_point_are_report_only(run_cli, claim, p_max, what):
+    """A grid whose every row has p = 2 checks nothing against the claim, so
+    its verdict is report-only, still exit 0, and a note says why."""
+    code, out, _ = run_cli("verify", claim, "--p-max", p_max, "--m-max", "4", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "report-only" and report["exit_code"] == 0
+    assert report["rows"] and not any(r["contractual"] for r in report["rows"])
+    assert f"no contractual point in range: every {what} has p = 2, so nothing was " \
+        "checked against the claim" in report["notes"]
+    assert report["headline"].endswith("in range")
+    code, out, _ = run_cli("verify", claim, "--p-max", "5", "--m-max", "4", "--format", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "verified")
+    assert not any("no contractual point" in note for note in json.loads(out)["notes"])
+
+
 # The smallest settings each claim accepts: one below any of them is refused.
 SMALLEST_SETTINGS = {
     "main-theorem": ("--n", "9"),

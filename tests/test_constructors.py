@@ -4,12 +4,14 @@ import gc
 import importlib.util
 import weakref
 from functools import reduce
+from math import lcm
 
 import numpy as np
 import pytest
 
 import pgx.constructors
 import pgx.groups
+import pgx.spectrum
 from pgx.census import enumerate_nilpotent
 from pgx.constructors import (
     CATALOG_BOUND,
@@ -36,8 +38,8 @@ from pgx.constructors import (
 )
 from pgx.errors import InputError, ResourceError
 from pgx.groups import index_dtype, read_cayley, validate, write_cayley
-from pgx.spectrum import (OrderSpectrum, factor, order_spectrum, order_sum, spectrum_cyclic,
-                          spectrum_product)
+from pgx.spectrum import (OrderSpectrum, factor, order_spectrum, order_sum, phi_sum,
+                          spectrum_cyclic, spectrum_product, totient)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,30 @@ def _specs_up_to_128() -> list[GroupSpec]:
     specs += [parse_group_spec(t) for t in ("Q8xC3", "SD16xC7", "C5xD12", "He3xC4",
                                            "C2xHe3", "Ab(2;1,1)xQ8", "C3xC5xD8")]
     return specs
+
+
+def test_spectra_carry_their_exponents_primes(monkeypatch):
+    """Every family spectrum of the inventory above and of SPEC_TEXTS, every
+    catalog entry of order p^k <= 3^6, and products of those carry exactly
+    the primes of their exponent, so phi_sum factors nothing and equals the
+    totient sum over the orders."""
+    specs = [parse_group_spec(t) for t in SPEC_TEXTS] + _specs_up_to_128()
+    catalog = [e.spec for p in range(2, 3 ** 6 + 1) if factor(p) == [(p, 1)]
+               for k in range(1, 11) if p ** k <= 3 ** 6 for e in p_group_catalog(p, k)[0]]
+    partners = [parse_group_spec(t) for t in ("C6", "Q8", "He3", "D10", "Ab(5;1,1)")]
+    specs += catalog + [Product(x, y) for x in catalog for y in partners + [x]]
+    assert len(catalog) > 250
+    spectra = [spec.spectrum() for spec in specs]
+    calls = []
+    real = pgx.spectrum.factor
+    monkeypatch.setattr(pgx.spectrum, "factor", lambda n: calls.append(n) or real(n))
+    phis = [phi_sum(s) for s in spectra]
+    assert calls == []
+    monkeypatch.undo()
+    for spec, s, phi in zip(specs, spectra, phis):
+        exponent = lcm(*s)
+        assert s.primes == tuple(p for p, _ in factor(exponent)), spec.render()
+        assert phi == sum(totient(d) * c for d, c in s.items()), spec.render()
 
 
 def test_builders_wrap_at_the_top_of_the_index_dtype(monkeypatch):

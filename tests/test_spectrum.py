@@ -408,18 +408,42 @@ def test_order_spectrum_identity_anchor():
 
 
 def test_stats_from_spectrum_factors_the_exponent_once(monkeypatch):
+    """A spec's spectrum carries its exponent's primes, so its statistics
+    factor nothing; a bare OrderSpectrum of the same counts factors its
+    exponent once, when phi_sum first reads its primes."""
     from pgx.constructors import parse_group_spec
     s = parse_group_spec("C442637112103xSD32").spectrum()
+    bare = OrderSpectrum(dict(s.items()))
     phi = sum(totient(d) * c for d, c in s.items())
     sigma = sum(d * c for d, c in s.items())
     calls = []
     real = pgx.spectrum.factor
     monkeypatch.setattr(pgx.spectrum, "factor", lambda n: calls.append(n) or real(n))
     stats = stats_from_spectrum("G", s)
-    assert calls == [442637112103 * 16]          # the exponent of C_P x SD32
+    assert calls == []
     assert (stats.sigma, stats.phi_sum) == (sigma, phi)
     assert stats.mutual_edges == (phi - s.total) // 2
     assert stats.undirected_edges == sigma - (phi + s.total) // 2
+    assert stats_from_spectrum("G", bare) == stats
+    assert stats_from_spectrum("G", bare) == stats
+    assert calls == [442637112103 * 16]          # the exponent of C_P x SD32
+    assert bare.primes == s.primes == (2, 442637112103)
+
+
+def test_spectrum_primes_must_cover_the_exponent():
+    """Given primes that miss a prime of the exponent are refused; primes take
+    no part in equality or the hash."""
+    counts = {1: 1, 2: 3, 3: 2, 6: 6}                   # C2 x C2 x C3
+    for primes in ((2,), (3,), (), (5, 7)):
+        with pytest.raises(InvariantError, match="outside the given primes"):
+            OrderSpectrum(counts, primes)
+    with pytest.raises(InvariantError):
+        spectrum_product(spectrum_cyclic(4), OrderSpectrum({1: 1, 2: 1}, (3,)))
+    carried = OrderSpectrum(counts, (2, 3))
+    bare = OrderSpectrum(counts)
+    assert carried == bare and hash(carried) == hash(bare)
+    assert carried.primes == bare.primes == (2, 3)
+    assert OrderSpectrum({1: 1}, ()).primes == OrderSpectrum({1: 1}).primes == ()
 
 
 def test_phi_sum_of_a_cube_of_a_large_prime_factors_only_the_prime():

@@ -51,3 +51,17 @@ def test_scan_section_times_each_layer(harness):
     assert list(row) == ["rows", "sylows", "sieve_ms", "sylow_table_ms", "rows_ms",
                          "csv_write_ms", "end_to_end_ms"]
     assert (row["rows"], row["sylows"]) == (1, 1)      # 9 = 3^2, the one odd non-square-free order
+
+
+def test_claims_section_times_the_grid_and_each_sweep(harness, capsys):
+    assert harness.main(["claims", "--p-max", "5", "--m-max", "3", "--reps", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["reps", "p_max", "m_max", "claims"]
+    assert (out["reps"], out["p_max"], out["m_max"]) == (1, 5, 3)
+    claims = out["claims"]
+    assert list(claims) == ["phi_grid", "lemma-2.4", "lemma-2.5", "cor-2.6", "lemma-2.1"]
+    assert list(claims["phi_grid"]) == ["ms", "points"] and claims["phi_grid"]["points"] == 3 * 2
+    for claim in ("lemma-2.4", "lemma-2.5", "cor-2.6", "lemma-2.1"):
+        assert list(claims[claim]) == ["ms", "rows", "verdict"]
+        assert claims[claim]["verdict"] == "verified", claim
+    assert [claims[c]["rows"] for c in ("lemma-2.4", "lemma-2.5", "cor-2.6")] == [6, 6, 3]
