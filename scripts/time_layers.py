@@ -34,7 +34,8 @@ scan: for each n_max, the layers of `scan conjecture-2.9`:
 - sylow_table: the Sylow data of every (p, a) the scan keeps, as `scan_rows`
   builds it: census orders through `_census_sylows`, each catalog reduced as
   the claims reduce theirs, and every other (p, a) with a >= 2 in closed form
-  by `_scan_sylow` (a prime-order factor is made inline in its row);
+  by `_scan_sylow` (a prime-order factor is made inline in its row), the
+  set of those found by one untimed pass of the rows;
 - rows: `_scan_row` on each order, which factors it by the sieve and makes
   its row from that table;
 - csv_write: `_write_scan_csv`, the `scan --format csv` writer, to a buffer;
@@ -159,11 +160,13 @@ def time_validate(args) -> dict:
 def scan_layers(n_max: int, census: Census, reps: int) -> dict:
     sieve_ms, sieve = best_ms(lambda: OddSieve(n_max), reps)
     orders = list(sieve.not_square_free())
-    read = {(p, a) for n in orders for p, a in sieve.factor(n) if a > 1}
+    read = _census_sylows(n_max, census)
+    for n in orders:    # untimed: puts each (p, a >= 2) the rows meet in read
+        _scan_row(n, sieve, read)
 
     def sylow_table():
-        table = _census_sylows(n_max, census, sieve)
-        for f in read - table.keys():
+        table = _census_sylows(n_max, census)
+        for f in read.keys() - table.keys():
             table[f] = _scan_sylow(*f)
         return table
 

@@ -32,6 +32,7 @@ from .constructors import (
     Modular,
     Product,
     _partition_count,
+    census_order,
     join_names,
     merge_completeness,
     p_group_catalog,
@@ -43,10 +44,10 @@ from .spectrum import (
     is_prime,
     phi_cyclic_prime_power,
     phi_sum,
+    primes_up_to,
     spectrum_cyclic,
     spectrum_product,
     stats_from_spectrum,
-    totient,
     undirected_from_sums,
 )
 
@@ -441,7 +442,7 @@ def _primes_up_to(limit: int) -> list[int]:
     if limit > SWEEP_PRIME_BOUND:
         raise ResourceError(f"a sweep over the primes up to {limit} is above the "
                             f"sweep prime bound {SWEEP_PRIME_BOUND}")
-    return [p for p in range(2, limit + 1) if is_prime(p)]
+    return primes_up_to(limit)
 
 
 def _check_rows(count: int, what: str) -> None:
@@ -480,14 +481,14 @@ def verify_lemma_2_4(p_max: int = DEFAULT_P_MAX, m_max: int = DEFAULT_M_MAX) -> 
     """Exact check of both phi recurrences and the closed form over the whole
     prime/exponent grid:
 
-        phi(C_(p^m))          = phi(C_(p^(m-1))) + totient(p^m)^2
+        phi(C_(p^m))          = phi(C_(p^(m-1))) + (p^(m-1)(p-1))^2
         phi(C_(p^(m-1)) x C_p) = p*phi(C_(p^(m-1))) + (p-1)(p-2)
         phi(C_(p^m))          = (p^(2m)(p-1) + 2) / (p+1)
     """
     rows = []
     bad = []
     for (p, m), (cur, split, prev) in sorted(_phi_grid(p_max, m_max).items()):
-        rec_i = cur == prev + totient(p ** m) ** 2
+        rec_i = cur == prev + (p ** (m - 1) * (p - 1)) ** 2
         closed = cur == phi_cyclic_prime_power(p, m)
         rec_ii = split == p * prev + (p - 1) * (p - 2)
         row = {"p": p, "m": m, "phi_cyclic": cur, "phi_split": split,
@@ -719,22 +720,21 @@ def _scan_sylow(p: int, a: int) -> _ScanSylow:
                       sums((p ** (2 * a + 1) + 1) // (p + 1), f"C{p ** a}"), candidates)
 
 
-def _census_sylows(n_max: int, census: Census | None, sieve: OddSieve
-                   ) -> dict[tuple[int, int], _ScanSylow]:
+def _census_sylows(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
     """The Sylow data, keyed by (p, a), of each order p^a the scan reads whose
     census directory, found by listing the root once, holds tables; built in
     the order the scan first reads them, p^a at n = p^a for a >= 2 and p at
-    9p (75 for p = 3), so the first order that fails raises. Each is its
-    catalog, tables admitted, reduced by _catalog_sylow as the claims reduce
-    theirs."""
+    9p (75 for p = 3), so the first order that fails raises; each directory's
+    order is read by census_order and factored by `factor`. Each is its
+    catalog, tables admitted, reduced by _catalog_sylow as the claims do."""
     if census is None or not Path(census.dir).is_dir():
         return {}
     first = {}      # the order that first reads (p, a)
     for d in Path(census.dir).iterdir():
-        q = int(d.name) if d.name.isdecimal() else 0
-        if str(q) != d.name or not q % 2 or not 1 < q <= n_max:
+        q = census_order(d.name)
+        if q is None or not q % 2 or not 1 < q <= n_max:
             continue
-        (p, a), *rest = sieve.factor(q)
+        (p, a), *rest = factor(q)
         n = q if a > 1 else 75 if p == 3 else 9 * p
         if not rest and n <= n_max and d.is_dir() and any(d.glob("*.cayley")):
             first[n] = (p, a)
@@ -836,7 +836,7 @@ def scan_rows(n_max: int, census: Census | None = None) -> Iterator[tuple]:
         raise ResourceError(f"a scan of the orders up to {n_max} is above the scan bound "
                             f"{SCAN_BOUND}")
     sieve = OddSieve(n_max)
-    sylows = _census_sylows(n_max, census, sieve)
+    sylows = _census_sylows(n_max, census)
 
     return (_scan_row(n, sieve, sylows) for n in sieve.not_square_free())
 

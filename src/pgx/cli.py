@@ -35,7 +35,7 @@ from .census import (
     scan_rows,
     verify,
 )
-from .constructors import Census, build_group, parse_group_spec
+from .constructors import Census, build_group, census_order, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_TABLE_CAP
 from .powergraph import build_directed, build_undirected, export, oracle_counts
@@ -326,7 +326,7 @@ def cmd_census_ingest(args: argparse.Namespace) -> int:
     census = _census(args.dir)
     rows = []
     for f in files:     # a table under <order>/ is checked against that order
-        entry = census.admit(f, int(f.parent.name) if f.parent.name.isdecimal() else None)
+        entry = census.admit(f, census_order(f.parent.name))
         stats = stats_from_spectrum(f.stem, entry.spectrum)
         rows.append({
             "file": f.relative_to(root).as_posix(),

@@ -721,6 +721,11 @@ class Census:
         return CatalogEntry(spec, path.name, report.mode)
 
 
+def census_order(name: str) -> int | None:
+    """The order q that a census subdirectory holds when its name is str(q), else None."""
+    return int(name) if name.isdecimal() and str(int(name)) == name else None
+
+
 def _partitions(k: int) -> list[tuple[int, ...]]:
     """Non-increasing partitions of k in descending lexicographic order."""
     if k == 0:

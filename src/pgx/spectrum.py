@@ -8,10 +8,10 @@ orders, and all three power-graph edge counts:
     mutual pairs     = (phi_sum - size) / 2
     undirected edges = order_sum - (phi_sum + size) / 2
 
-Everything in this module is arbitrary-precision Python integer arithmetic,
-and OddSieve keeps its tables in the standard library's `array` and
-`bytearray`; the divisions above must be exact and raise InvariantError
-otherwise.
+Everything in this module is exact Python integer arithmetic: the divisions
+above raise InvariantError unless exact. primes_up_to is pgx's one prime
+lister, `factor` factors one number and OddSieve a run of odd numbers; the
+sieves keep their tables in the standard library's `bytearray` and `array`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # Trial division runs over the primes below _TRIAL_BOUND only; a number with
 # no such factor that is below _TRIAL_BOUND**2 is prime.
 _TRIAL_BOUND = 1000
-_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND)
-                      if all(p % q for q in range(2, math.isqrt(p) + 1)))
 # Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
 # MR_EXACT_BELOW (Sorenson & Webster 2015); the bound itself is one.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -43,6 +41,20 @@ MR_EXACT_BELOW = 3317044064679887385961981
 # below 1e11, and does so about half the time for one near 1e12.
 RHO_STEP_BUDGET = 1 << 20
 _RHO_BATCH = 128
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by a sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    odd = bytearray(1) + b"\x01" * ((limit - 1) // 2)  # odd[i]: 2i + 1 is prime
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p >> 1]:
+            odd[p * p >> 1::p] = bytes(len(range(p * p >> 1, len(odd), p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), odd)]
+
+
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -173,40 +185,22 @@ class OddSieve:
 
     def __init__(self, n_max: int):
         size = (n_max + 1) // 2                         # index i holds n = 2i + 1
-        r = math.isqrt(n_max)
-        small = bytearray(1) + b"\x01" * ((r - 1) // 2)  # small[i]: 2i + 1 <= r is prime
-        for p in range(3, math.isqrt(r) + 1, 2):
-            if small[p >> 1]:
-                small[p * p >> 1::p] = bytes(len(range(p * p >> 1, len(small), p)))
         spf = array("i", [0]) * size
         square = bytearray(size)
-        # largest sieving prime first, so each entry ends with its smallest;
-        # the primes, and 1 at index 0, keep 0
-        for p in reversed(list(itertools.compress(range(1, r + 1, 2), small))):
+        # the odd primes up to sqrt(n_max) sieve, largest first, so each entry
+        # ends with its smallest; the primes, and 1 at index 0, keep 0
+        for p in reversed(primes_up_to(math.isqrt(n_max))[1:]):
             start = p * p >> 1                          # p^2, p^2 + 2p, ...
             spf[start::p] = array("i", [p]) * len(range(start, size, p))
             square[start::p * p] = b"\x01" * len(range(start, size, p * p))   # p^2, 3p^2, ...
         # spf[n >> 1] is the smallest prime factor of the odd n, or 0 when n
-        # is 1 or prime; indexing gives a Python int
+        # is 1 or prime, read as a Python int; census._scan_row is its reader
         self.spf = spf
         self._square = square
 
     def not_square_free(self) -> Iterator[int]:
         """The odd numbers up to n_max that are not square-free, ascending."""
         return itertools.compress(range(1, 2 * len(self._square), 2), self._square)
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        """factor(n) for an odd n from 1 to n_max."""
-        spf = self.spf
-        factors = []
-        while n > 1:
-            p = spf[n >> 1] or n
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            factors.append((p, a))
-        return factors
 
 
 def totient(m: int) -> int:

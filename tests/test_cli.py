@@ -20,6 +20,7 @@ from pgx.constructors import (
     GeneralizedQuaternion,
     Heisenberg,
     Modular,
+    census_order,
 )
 from pgx.errors import InputError
 from pgx.groups import GroupTable, write_cayley
@@ -918,6 +919,38 @@ def test_census_ingest_checks_each_table_against_its_order_directory(run_cli, tm
     write_cayley(q8, tmp_path / "loose" / "q8.cayley")
     code, out, _ = run_cli("census", "ingest", str(tmp_path / "loose"), "--format", "csv")
     assert code == 0 and "q8.cayley,q8,8,full" in out
+
+
+@pytest.mark.parametrize("even,odd", [("016", "081"), ("\u0661\u0666", "\u0668\u0661")],
+                         ids=["leading-zero", "arabic-indic-digits"])
+def test_a_census_directory_names_an_order_only_as_its_decimal_string(run_cli, tmp_path,
+                                                                     even, odd):
+    """Ingest, the catalogs and the scan read a directory as order q only when
+    its name is str(q): under 016/ or 16 in Arabic-Indic digits a Q8 table is
+    ingested at its own order, as a loose table is, and a Q16 table leaves the
+    order-16 catalog incomplete; a refused table under 081/ is never read."""
+    assert (census_order(even), census_order(odd), census_order("16")) == (None, None, 16)
+    (tmp_path / even).mkdir()
+    write_cayley(GeneralizedQuaternion(8).build(), tmp_path / even / "q8.cayley")
+    code, out, _ = run_cli("census", "ingest", str(tmp_path), "--format", "csv")
+    assert code == 0 and "q8.cayley,q8,8,full" in out
+    (tmp_path / even / "q8.cayley").unlink()
+    write_cayley(GeneralizedQuaternion(16).build(), tmp_path / even / "q16.cayley")
+    assert run_cli("census", "ingest", str(tmp_path))[0] == 0
+    prop_2_8 = ("verify", "prop-2.8", "--p", "2", "--n", "4", "--census-dir", str(tmp_path))
+    code, out, _ = run_cli(*prop_2_8)
+    assert code == 2 and "completeness: incomplete\n" in out
+    (tmp_path / even).rename(tmp_path / "16")
+    code, out, _ = run_cli(*prop_2_8)
+    assert code == 0 and "completeness: complete-via-ingested-census\n" in out
+    (tmp_path / odd).mkdir()
+    t = Cyclic(81).build().table.copy()
+    t[1, [2, 3]] = t[1, [3, 2]]
+    write_cayley(GroupTable(81, 0, table=t), tmp_path / odd / "bad.cayley")
+    scan = ("scan", "conjecture-2.9", "--n-max", "1000", "--format", "csv")
+    assert run_cli(*scan, "--census-dir", str(tmp_path))[0] == 0
+    (tmp_path / odd).rename(tmp_path / "81")
+    assert run_cli(*scan, "--census-dir", str(tmp_path))[0] == 3
 
 
 def _broken_table(p: int) -> GroupTable:

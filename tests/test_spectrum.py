@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgx.spectrum
+from pgx.census import SWEEP_PRIME_BOUND
 from pgx.errors import InputError, InvariantError, ResourceError
 from pgx.groups import GroupTable
 from pgx.spectrum import (
@@ -27,6 +28,7 @@ from pgx.spectrum import (
     order_sum,
     phi_cyclic_prime_power,
     phi_sum,
+    primes_up_to,
     spectrum_cyclic,
     spectrum_product,
     stats_from_spectrum,
@@ -127,14 +129,34 @@ def test_factor_and_is_prime_match_the_reference_up_to_20000():
         assert is_prime(n) == reference_is_prime(n), n
 
 
+def test_primes_up_to_lists_the_primes_as_is_prime_does():
+    expected = []
+    for limit in range(-1, 3001):
+        if is_prime(limit):
+            expected.append(limit)
+        assert primes_up_to(limit) == expected, limit
+
+
+def test_primes_up_to_the_sweep_bound_and_the_trial_division_primes():
+    assert len(primes_up_to(SWEEP_PRIME_BOUND)) == 1229
+    assert pgx.spectrum._SMALL_PRIMES == tuple(p for p in range(1000) if reference_is_prime(p))
+    assert len(pgx.spectrum._SMALL_PRIMES) == 168
+
+
 def _odd_not_square_free(n_max):
     return [n for n in range(1, n_max + 1, 2) if any(a > 1 for _, a in factor(n))]
 
 
+def _odd_spf(n_max):
+    """The smallest prime factor of each odd n up to n_max, as OddSieve.spf
+    holds it at n >> 1: 0 for 1 and for primes."""
+    return [0 if n == 1 or is_prime(n) else factor(n)[0][0] for n in range(1, n_max + 1, 2)]
+
+
 def test_odd_sieve_factors_as_factor_does_up_to_20000():
+    """The spf table that census._scan_row factors each order by."""
     sieve = OddSieve(20_000)
-    for n in range(1, 20_001, 2):
-        assert sieve.factor(n) == factor(n), n
+    assert list(sieve.spf) == _odd_spf(20_000)
     assert list(sieve.not_square_free()) == _odd_not_square_free(20_000)
 
 
@@ -143,8 +165,7 @@ def test_odd_sieve_reaches_n_max(n_max):
     """Squares of primes (9, 25, 3481 = 59^2) and a prime cube at n_max, the
     odd numbers just past them, and even n_max."""
     sieve = OddSieve(n_max)
-    for n in range(1, n_max + 1, 2):
-        assert sieve.factor(n) == factor(n), n
+    assert list(sieve.spf) == _odd_spf(n_max)
     assert list(sieve.not_square_free()) == _odd_not_square_free(n_max)
 
 
@@ -154,7 +175,7 @@ def test_odd_sieve_yields_plain_ints():
     orders = list(sieve.not_square_free())
     assert orders and all(type(n) is int for n in orders)
     for n in (1, 3, 59, 3481, 3483):
-        assert all(type(p) is int and type(a) is int for p, a in sieve.factor(n)), n
+        assert type(sieve.spf[n >> 1]) is int, n
 
 
 def test_factor_matches_the_reference_on_a_seeded_sample_below_1e12():
