@@ -2,6 +2,7 @@
 
     python3 scripts/time_layers.py build [--specs C4096 He13 ...] [--reps 7]
     python3 scripts/time_layers.py validate [--seeds 1 2 3] [--reps 5]
+    python3 scripts/time_layers.py graph [--seeds 1 2 3] [--reps 3]
     python3 scripts/time_layers.py scan [--n-max 3000 10000 1000000] [--reps 5] [--census-dir D]
     python3 scripts/time_layers.py claims [--p-max 97] [--m-max 12] [--reps 5]
     python3 scripts/time_layers.py start [--runs 7] [--top 8] [--census-dir D]
@@ -23,11 +24,21 @@ for each seed the io workload's generated census, its specs read from
 pgxbench/workloads.py. Each table is written once with `write_cayley` to a
 temporary directory and timed being read back with `read_cayley` and checked
 with `validate`, as `census ingest` reads and checks it; its order,
-validation mode (always `full`) and verdict are given too. Tables of more
-than one block are parsed and Latin-checked on up to two of the CPUs the
-process may use; `taskset -c 0` times them on one. After every read and
-check, each table is written --reps times to one file, as
-pgxbench/gencensus.py writes it, for its `write_ms` column.
+validation mode (always `full`) and verdict are given too. Two parts of the
+check have their own columns: generators_ms, the generator search, and
+light_ms, Light's test on what it finds; both are null where `validate`
+does not run them, below `_LIGHT_MIN_ORDER` (and light_ms where the search
+finds no generating set). The blocks of a table of more than one block are
+parsed, Latin-checked and put through Light's test on up to two of the CPUs
+the process may use; `taskset -c 0` times them on one. After every read and check, each
+table is written --reps times to one file, as pgxbench/gencensus.py writes
+it, for its `write_ms` column.
+
+graph: for each seed, the io workload's graph operations, as `pgx graph
+--out` runs them: build_ms is `build_directed` or `build_undirected` on a
+group whose element orders are not yet known, export_ms is `export` to a
+file opened for it in a temporary directory, with the labels of a DOT
+export made first, untimed, as the CLI makes them; bytes is the file's size.
 
 scan: for each n_max, the layers of `scan conjecture-2.9`:
 - sieve: `OddSieve(n_max)`;
@@ -87,7 +98,9 @@ from pgx.census import (CLAIMS, DEFAULT_M_MAX, DEFAULT_P_MAX, _census_sylows,  #
 from pgx.cli import _write_scan_csv  # noqa: E402
 from pgx.cli import main as cli_main  # noqa: E402
 from pgx.constructors import Census, build_group, parse_group_spec  # noqa: E402
-from pgx.groups import index_dtype, read_cayley, validate, write_cayley  # noqa: E402
+from pgx.groups import (_LIGHT_MIN_ORDER, GroupTable, _generators, _light,  # noqa: E402
+                        index_dtype, read_cayley, validate, write_cayley)
+from pgx.powergraph import build_directed, build_undirected, export  # noqa: E402
 from pgx.spectrum import OddSieve  # noqa: E402
 
 SPECS = ("C4096", "D2048", "Q2048", "SD2048", "M(11,2)", "M(5,5)", "He13",
@@ -142,19 +155,60 @@ def time_validate(args) -> dict:
             read_ms, _ = best_ms(lambda: read_cayley(path), args.reps)
             path.unlink()
             validate_ms, report = best_ms(lambda: validate(g), args.reps)
+            generators_ms = light_ms = gens = None
+            if g.size >= _LIGHT_MIN_ORDER:
+                generators_ms, gens = best_ms(lambda: _generators(g.table, g.identity), args.reps)
+            if gens is not None:
+                light_ms, _ = best_ms(lambda: _light(g.table, gens), args.reps)
             rows.append({"source": source, "table": name, "order": g.size,
                          "mode": report.mode, "ok": report.ok,
-                         "read_ms": read_ms, "validate_ms": validate_ms})
+                         "read_ms": read_ms, "validate_ms": validate_ms,
+                         "generators_ms": generators_ms, "light_ms": light_ms})
         # the timed rewrites come last: the kernel flushes the pages they dirty
         # in the background, which slowed the reads and checks timed after them
         path = Path(tmp) / "written.cayley"
         for row, (_, _, g) in zip(rows, tables):
             row["write_ms"], _ = best_ms(lambda: write_cayley(g, path), args.reps)
-    total_ms = {source: {k: round(sum(r[k] for r in rows if r["source"] == source), 3)
-                         for k in ("read_ms", "validate_ms", "write_ms")}
-                for source in dict.fromkeys(r["source"] for r in rows)}
     return {"reps": args.reps, "cpus": len(os.sched_getaffinity(0)), "tables": rows,
-            "total_ms": total_ms}
+            "total_ms": totals(rows, ("read_ms", "validate_ms", "generators_ms",
+                                      "light_ms", "write_ms"))}
+
+
+def totals(rows: list[dict], keys: tuple[str, ...]) -> dict:
+    """The sum of each key over the rows of each source, nulls left out."""
+    return {source: {k: round(sum(r[k] or 0 for r in rows if r["source"] == source), 3)
+                     for k in keys}
+            for source in dict.fromkeys(r["source"] for r in rows)}
+
+
+def time_graph(args) -> dict:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.out"
+        for seed in args.seeds:
+            ops, _ = workloads.build_round("io", seed)
+            for op in ops:
+                if op.kind != "graph":
+                    continue
+                _, spec, kind, fmt = op.argv[:4]
+                g = build_group(parse_group_spec(spec))
+                # a fresh group per rep, so that no rep finds the element orders known
+                fresh = iter([GroupTable(g.size, g.identity, table=g.table, name=g.name,
+                                         labels=g.label_recipe) for _ in range(args.reps)])
+                build = build_directed if kind == "directed" else build_undirected
+                build_ms, graph = best_ms(lambda: build(next(fresh)), args.reps)
+                if fmt == "dot":
+                    graph.labels    # made and checked first, untimed, as the CLI does
+
+                def to_file():
+                    with open(path, "w", encoding="utf-8") as fh:
+                        export(graph, fmt, fh)
+
+                export_ms, _ = best_ms(to_file, args.reps)
+                rows.append({"source": f"seed {seed}", "spec": spec, "kind": kind,
+                             "format": fmt, "order": g.size, "build_ms": build_ms,
+                             "export_ms": export_ms, "bytes": path.stat().st_size})
+    return {"reps": args.reps, "ops": rows, "total_ms": totals(rows, ("build_ms", "export_ms"))}
 
 
 def scan_layers(n_max: int, census: Census, reps: int) -> dict:
@@ -266,6 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     check.add_argument("--seeds", type=int, nargs="+", default=[1])
     check.add_argument("--reps", type=int, default=5)
     check.set_defaults(run=time_validate)
+    graph = sections.add_parser("graph", help="power graph build and export of io graph ops")
+    graph.add_argument("--seeds", type=int, nargs="+", default=[1])
+    graph.add_argument("--reps", type=int, default=3)
+    graph.set_defaults(run=time_graph)
     scan = sections.add_parser("scan", help="each layer of the conjecture-2.9 scan")
     scan.add_argument("--n-max", type=int, nargs="+", default=[3000, 10_000, 1_000_000])
     scan.add_argument("--reps", type=int, default=5)

@@ -9,12 +9,13 @@ and reduce mod n without overflow; element orders and every statistic derived
 from them are plain Python integers. numpy is imported by each function that
 makes or reads a table, so a command that builds no table never loads it.
 
-Tables larger than one block are parsed (`read_cayley`) and Latin-checked
-(`validate`) one block of rows or columns at a time, on as many threads as
-the process may use CPUs, up to two and up to one per block; numpy releases
-the GIL while it parses and sorts, so the blocks run side by side. There is
-no setting: with one CPU or one block the blocks run inline, in order, and a
-refused block stops the search, so later blocks are not parsed or sorted.
+Tables larger than one block are parsed (`read_cayley`), Latin-checked and
+put through Light's test (`validate`) one block of rows or columns at a
+time, on as many threads as the process may use CPUs, up to two and up to
+one per block; numpy releases the GIL while it parses, sorts and gathers, so
+the blocks run side by side. There is no setting: with one CPU or one block
+the blocks run inline, in order, and a refused block stops the search, so
+later blocks are not parsed or checked.
 """
 
 from __future__ import annotations
@@ -330,55 +331,69 @@ def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
     return None
 
 
-def _generators(t: np.ndarray, e: int) -> list[int]:
+def _generators(t: np.ndarray, e: int) -> list[int] | None:
     """Greedy generators of a Latin square with identity e: the least element
-    not yet reached, then the reached set W closed under products by
-    W <- W u W*W. There are at most floor(log2 n) of them: once W is closed,
-    each row h of W maps W onto W, so a new generator g gives |W| products
-    h*g outside W and at least doubles W."""
-    import numpy as np
+    not yet reached, then the reached set W closed under right multiplication
+    by the generators so far, each walked as its column. None if a new
+    generator fails to at least double W, which proves t is no group: in a
+    group W is the subgroup the generators make, and by Lagrange a subgroup
+    that properly contains it is at least twice as large. So there are at
+    most floor(log2 n) generators, and every element is a product of them."""
     n = t.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[e] = True
+    reached = bytearray(n)
+    reached[e] = 1
+    w = [e]
     gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached[gens[-1]] = True
-        size = 0
-        while True:
-            w = np.flatnonzero(reached)
-            if w.size in (size, n):
-                break
-            size = w.size
-            step = _block_step(size, 4 * _BLOCK)    # indexing casts each block to intp
-            for i in range(0, size, step):
-                reached[t[np.ix_(w[i:i + step], w)]] = True
+    columns: list[list[int]] = []
+    while len(w) < n:
+        g = reached.index(0)
+        gens.append(g)
+        columns.append(t[:, g].tolist())        # columns[j][h] = h*gens[j]
+        size = len(w)
+        # W is closed under the old generators, so only its products by g
+        # are new; after them, each new element is multiplied by every one
+        frontier, walked = w, columns[-1:]
+        while frontier:
+            found = []
+            for column in walked:
+                for y in map(column.__getitem__, frontier):
+                    if not reached[y]:
+                        reached[y] = 1
+                        found.append(y)
+            w += found
+            frontier, walked = found, columns
+        if len(w) < 2 * size:
+            return None
     return gens
 
 
 def _light(t: np.ndarray, gens: list[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a,
-    in row blocks of about 2^16 entries. The elements a that satisfy it are
-    closed under the product, so it holds for all a once it holds for a
-    generating set: the table is associative."""
+    in row blocks of about 2^16 entries, searched by `_first_hit`. The
+    elements a that satisfy it are closed under the product, so it holds for
+    all a once it holds for a generating set: the table is associative."""
     import numpy as np
     n = t.shape[0]
     a_y = t[gens]                                   # a_y[j, y] = gens[j]*y
     step = max(1, _BLOCK // (len(gens) * n))
-    for x0 in range(0, n, step):
+
+    def fails(x0: int) -> bool | None:
         rows = t[x0:x0 + step]
         # [x, j, y]: (x*a)*y gathers whole rows, x*(a*y) permutes the columns of rows
-        if not np.array_equal(t[rows[:, gens]], np.take(rows, a_y, axis=1)):
-            return False
-    return True
+        return None if np.array_equal(t[rows[:, gens]], np.take(rows, a_y, axis=1)) else True
+
+    return _first_hit(fails, range(0, n, step)) is None
 
 
 def _assoc_exact(t: np.ndarray, e: int) -> ValidationFailure | None:
     """Exact associativity of a Latin square with identity e: Light's test on
-    greedy generators, then, if it fails, the scan of `_assoc_full` to name
-    the first failing triple. Below `_LIGHT_MIN_ORDER` the scan decides alone."""
-    if t.shape[0] >= _LIGHT_MIN_ORDER and _light(t, _generators(t, e)):
-        return None
+    greedy generators, then, if it fails or the search finds t no group, the
+    scan of `_assoc_full` to name the first failing triple. Below
+    `_LIGHT_MIN_ORDER` the scan decides alone."""
+    if t.shape[0] >= _LIGHT_MIN_ORDER:
+        gens = _generators(t, e)
+        if gens is not None and _light(t, gens):
+            return None
     return _assoc_full(t)
 
 

@@ -7,8 +7,9 @@ over the dense Cayley table that walks each of them once by successive
 multiplication: x reaches the members of <x>, and x, y are mutual exactly
 when they generate the same cyclic subgroup. A graph is stored as one sorted
 row per cyclic subgroup, shared by all of its generators, and no n x n array
-is made: export formats each row once and writes each source as a slice of
-it, so its cost is linear in the bytes written.
+is made: export formats each row once, as a list of `name + end` pieces, and
+writes each source by joining its part of that list with its own head, so its
+cost is linear in the bytes written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, count
 from typing import TYPE_CHECKING, ClassVar, TextIO
 
 from .errors import InputError, InvariantError
@@ -158,9 +158,9 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
     DOT names vertices by their labels, made here if the group has a recipe
     for them (InputError if they repeat); CSV rows carry numeric indices with
     header src,dst (arcs) or a,b (edges, a < b). An empty graph yields a
-    valid document with no edge rows. Each row is formatted once, as a template
-    of `sep + name + end` pieces whose separator no name contains; a source
-    writes its part of the template with its own head in place of each `sep`.
+    valid document with no edge rows. Each row is formatted once, as a list
+    of `name + end` pieces; a source joins its part of the list with its own
+    head before each piece, and the joined text is written about every 64 KiB.
     """
     if not isinstance(graph, _PowerGraph):
         raise InputError(f"not a power graph: {graph!r}")
@@ -178,13 +178,16 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
         end, close = "\n", ""
     else:
         raise InputError(f"unknown graph export format {fmt!r} (use dot or edge-csv)")
-    used = set("".join(names) + end)
-    sep = next(c for c in map(chr, count()) if c not in used)
-    pieces = [sep + name + end for name in names]
-    templates = [("".join(map(pieces.__getitem__, row)),
-                  [0, *accumulate(len(pieces[y]) for y in row)]) for _, row in graph.rows]
+    pieces = [name + end for name in names]
+    rows = [list(map(pieces.__getitem__, row)) for _, row in graph.rows]
+    parts, held = [], 0
     for x, k, i in graph._sources():
-        template, offsets = templates[k]
-        part = (template[:offsets[i]] if directed else "") + template[offsets[i + 1]:]
-        sink.write(part.replace(sep, heads[x]))
-    sink.write(close)
+        row = rows[k]
+        # the leading "" puts the head before each piece
+        parts.append(heads[x].join(["", *row[:i], *row[i + 1:]] if directed
+                                   else ["", *row[i + 1:]]))
+        held += len(parts[-1])
+        if held >= 1 << 16:
+            sink.write("".join(parts))
+            parts, held = [], 0
+    sink.write("".join(parts) + close)

@@ -241,8 +241,10 @@ def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_p
     (("scan", "conjecture-2.9", "--n-max", "200"), [], [200]),
 ], ids=["main-theorem", "scan"])
 def test_each_order_is_factored_once(monkeypatch, run_cli, argv, factored, sieved):
-    """main-theorem factors its order once; the scan calls no `factor` but
-    sieves the odd numbers up to n_max once."""
+    """main-theorem factors its order once; the scan sieves the odd numbers
+    up to n_max once and factors no order. `_census_sylows` does call
+    `factor`, on each odd census directory name at most n_max, but the
+    shipped census holds only 16/, which is even and skipped before that."""
     calls, sieves = [], []
     real_factor, real_sieve = pgx.census.factor, pgx.census.OddSieve
     monkeypatch.setattr(pgx.census, "factor", lambda n: calls.append(n) or real_factor(n))

@@ -345,11 +345,62 @@ def validation_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(validation_cases())
 def test_validate_equals_the_exhaustive_reference(g):
-    assert validate(g) == reference_validate(g)
-    # the generator bound holds in every Latin square with an identity, so
-    # Light's test never needs more than floor(log2 n) generators
+    report = validate(g)
+    assert report == reference_validate(g)
+    # each generator at least doubles the reached set or the search stops,
+    # so Light's test never needs more than floor(log2 n) generators; on a
+    # group the search never stops early
     if groups._validate_structure(g.table, g.identity) is None:
-        assert len(groups._generators(g.table, g.identity)) <= g.size.bit_length() - 1
+        gens = groups._generators(g.table, g.identity)
+        assert gens is None or len(gens) <= g.size.bit_length() - 1
+        if report.ok:
+            assert gens is not None
+
+
+def closure_generators(t: np.ndarray, e: int) -> list[int]:
+    """Greedy generators by closing the reached set W under W*W: the least
+    element not yet reached, then W <- W u W*W until W stops growing. The
+    reference for the generators of `groups._generators` on group tables."""
+    n = t.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        size = 0
+        while (w := np.flatnonzero(reached)).size != size:
+            size = w.size
+            reached[t[np.ix_(w, w)]] = True
+    return gens
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_generators_equal_the_product_closure_on_groups(spec):
+    g = build_group(parse_group_spec(spec))
+    gens = groups._generators(g.table, g.identity)
+    assert gens == closure_generators(g.table, g.identity)
+    assert len(gens) <= g.size.bit_length() - 1
+
+
+def test_generator_search_refuses_a_loop_that_fails_to_double():
+    # a loop of order 6 times C8, on indices l*8 + h: a Latin square with
+    # identity and two-sided inverses, so it passes the structure checks.
+    # The generators 1 and 8 reach the 32 elements of loops 0..3; the third,
+    # 32, adds only the 16 of loops 4 and 5, so the 48 reached are less than
+    # twice 32: no group has such a step, so the search stops and the
+    # exhaustive scan names the failing triple.
+    loop = np.array([[0, 1, 2, 3, 4, 5], [1, 2, 3, 0, 5, 4], [2, 3, 4, 5, 0, 1],
+                     [3, 0, 5, 4, 1, 2], [4, 5, 0, 1, 2, 3], [5, 4, 1, 2, 3, 0]])
+    cyc = np.add.outer(np.arange(8), np.arange(8)) % 8
+    t = (loop[:, None, :, None] * 8 + cyc[None, :, None, :]).reshape(48, 48)
+    g = GroupTable(48, 0, table=t)
+    assert g.size >= groups._LIGHT_MIN_ORDER
+    assert groups._validate_structure(g.table, 0) is None
+    assert groups._generators(g.table, 0) is None
+    report = validate(g)
+    assert (report.failure.axiom, report.failure.witness) == ("associativity", (8, 8, 16))
+    assert report == reference_validate(g)
 
 
 def test_block_edit_of_order_1024_is_refused_with_its_first_failing_triple():
@@ -386,6 +437,35 @@ def test_latin_failure_from_a_late_block_names_the_first_line(axiom, monkeypatch
             report = validate(g)
             assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
             assert report == reference_validate(g)
+
+
+def test_light_failure_in_the_last_row_block_does_not_depend_on_the_cpu_count(monkeypatch):
+    # C1024 with one intercalate swapped, in rows 300, 812 and columns 100,
+    # 612: with the generator 1, Light's test fails on rows 299, 300, 811
+    # and 812 only. Relabelled so that they are the last four elements, every
+    # failure lies in the last of the 16 row blocks, which the threaded
+    # search must still reach
+    n = 1024
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    rows, cols = [300, 300, 812, 812], [100, 612, 100, 612]
+    t[rows, cols] = t[rows, cols[::-1]]
+    late = [299, 300, 811, 812]
+    old = [0, 1, *sorted(set(range(2, n)) - set(late)), *late]     # old[new label]
+    t = np.argsort(old)[t[np.ix_(old, old)]]
+    gens = groups._generators(t, 0)
+    assert gens == [1]
+    bad = [x for x in range(n) if not np.array_equal(t[t[x, gens]], t[x][t[gens]])]
+    step = max(1, groups._BLOCK // (len(gens) * n))
+    assert bad == [1020, 1021, 1022, 1023] and (bad[0] // step, -(-n // step)) == (15, 16)
+    g = GroupTable(n, 0, table=t)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(groups, "_cpus", lambda: cpus)
+        assert not groups._light(g.table, gens)
+        reports.append(validate(g))
+    assert reports[0] == reports[1] == reference_validate(g)
+    failure = reports[0].failure
+    assert (failure.axiom, failure.witness) == ("associativity", (1, 1020, 100))
 
 
 def test_element_orders_are_computed_once_and_shared_by_copy(monkeypatch):

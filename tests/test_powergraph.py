@@ -348,8 +348,9 @@ def test_pairs_and_counts_match_the_reference(g):
 
 
 def test_dot_export_of_control_character_labels(tmp_path):
-    """Labels hold \\x00 to \\x08, the characters a template separator would
-    be taken from first, so the separator must come from further on."""
+    """Labels hold \\x00 to \\x08, quotes, backslashes and DEL; DOT export
+    writes them as the per-pair reference does, since it joins whole quoted
+    names and searches them for no character."""
     labels = [chr(c) for c in range(9)] + ["\x0e\"", "a\x00b", "\x7f\\"]
     path = tmp_path / "c12.cayley"
     rows = "".join(" ".join(str((i + j) % 12) for j in range(12)) + "\n" for i in range(12))

@@ -1,4 +1,4 @@
-"""The layer-timing harness: its in-process sections run at their smallest
+"""The layer-timing harness: its in-process sections run at small
 settings and give the keys their readers expect, so the harness cannot drift
 from the private pgx names it imports. The start section stays out: one run
 of it starts 13 interpreters."""
@@ -36,12 +36,28 @@ def test_build_section_times_each_spec(harness, capsys):
 def test_validate_section_reads_checks_and_writes_each_table(harness):
     out = harness.time_validate(Namespace(seeds=[], reps=1))
     assert list(out) == ["reps", "cpus", "tables", "total_ms"]
-    timed = ["read_ms", "validate_ms", "write_ms"]
+    timed = ["read_ms", "validate_ms", "generators_ms", "light_ms", "write_ms"]
     assert len(out["tables"]) == len(list((REPO_ROOT / "census" / "16").glob("*.cayley"))) > 0
     for row in out["tables"]:
         assert list(row) == ["source", "table", "order", "mode", "ok", *timed]
         assert (row["source"], row["order"], row["mode"], row["ok"]) == ("census/16", 16, "full", True)
+        # order 16 is below the order at which validate runs Light's test
+        assert row["generators_ms"] is None and row["light_ms"] is None
     assert list(out["total_ms"]) == ["census/16"] and list(out["total_ms"]["census/16"]) == timed
+
+
+def test_graph_section_builds_and_exports_each_io_graph_op(harness):
+    out = harness.time_graph(Namespace(seeds=[1], reps=1))
+    assert list(out) == ["reps", "ops", "total_ms"]
+    graph_ops = [op for op in harness.workloads.build_round("io", 1)[0] if op.kind == "graph"]
+    assert len(out["ops"]) == len(graph_ops) > 0
+    for row, op in zip(out["ops"], graph_ops):
+        assert list(row) == ["source", "spec", "kind", "format", "order", "build_ms",
+                             "export_ms", "bytes"]
+        assert [row[k] for k in ("source", "spec", "kind", "format")] == ["seed 1", *op.argv[1:4]]
+        assert row["order"] == op.spec.order and row["bytes"] > 0
+    sums = {k: sum(r[k] for r in out["ops"]) for k in ("build_ms", "export_ms")}
+    assert out["total_ms"] == {"seed 1": pytest.approx(sums)}
 
 
 def test_scan_section_times_each_layer(harness):
