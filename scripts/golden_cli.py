@@ -144,6 +144,17 @@ def large_order_calls() -> list[list[str]]:
             for n in (3 ** 20 * 5 ** 20, (3 * 5 * 7 * 11 * 13 * 17) ** 4)]
 
 
+def catalog_calls() -> list[list[str]]:
+    """An odd order with a Sylow catalog of order p^4, in text and in JSON;
+    prop-2.8 on that catalog; and a census path that is a file, whose
+    report notes that no census table was read."""
+    return [["verify", "main-theorem", "--n", "405", *CENSUS],
+            ["verify", "main-theorem", "--n", "405", "--format", "json", *CENSUS],
+            ["verify", "prop-2.8", "--p", "3", "--n", "4", *CENSUS],
+            ["verify", "prop-2.2", "--p", "3", "--n", "3",
+             "--census-dir", "census/16/c16.cayley"]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -166,7 +177,8 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
-                      scan_calls(), label_calls(), export_calls(), large_order_calls()):
+                      scan_calls(), label_calls(), export_calls(), large_order_calls(),
+                      catalog_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

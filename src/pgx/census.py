@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from math import prod
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .constructors import (
@@ -31,11 +30,10 @@ from .constructors import (
     GroupSpec,
     Modular,
     Product,
-    _partition_count,
-    census_order,
     join_names,
     merge_completeness,
     p_group_catalog,
+    parametric_catalog_size,
 )
 from .errors import InputError, InvariantError, ResourceError
 from .spectrum import (
@@ -706,8 +704,8 @@ def _scan_sylow(p: int, a: int) -> _ScanSylow:
     copies of each element of order p^k >= p^2 of C_(p^(a-1)) and p^2 - 1 of
     order p, so its sigma is 1 + p(p-1) + p*(sigma(C_(p^(a-1))) - 1); M(a,p)
     shares its spectrum. Each phi is ((p-1)*sigma + 1)/p, as in every p-group.
-    The size is one group per partition of a, with He(p) and M(3,p) at a = 3
-    and M(a,p) above."""
+    The size and completeness are the catalog's own, from
+    parametric_catalog_size, which lists no group."""
     def sums(sigma: int, name: str) -> tuple[int, int, str]:
         return sigma, ((p - 1) * sigma + 1) // p, name
 
@@ -715,28 +713,26 @@ def _scan_sylow(p: int, a: int) -> _ScanSylow:
     if a > 1:
         split = 1 + p * (p - 1) + p * ((p ** (2 * a - 1) + 1) // (p + 1) - 1)
         candidates = [sums(split, spec.render()) for spec in _expected_p_group(p, a)]
-    return _ScanSylow(_partition_count(a) + (2 if a == 3 else 1 if a >= 4 else 0),
-                      Completeness.COMPLETE if a <= 3 else Completeness.INCOMPLETE,
+    return _ScanSylow(*parametric_catalog_size(p, a),
                       sums((p ** (2 * a + 1) + 1) // (p + 1), f"C{p ** a}"), candidates)
 
 
 def _census_sylows(n_max: int, census: Census | None) -> dict[tuple[int, int], _ScanSylow]:
     """The Sylow data, keyed by (p, a), of each order p^a the scan reads whose
-    census directory, found by listing the root once, holds tables; built in
+    census directory holds tables, as `Census.orders` lists them; built in
     the order the scan first reads them, p^a at n = p^a for a >= 2 and p at
-    9p (75 for p = 3), so the first order that fails raises; each directory's
-    order is read by census_order and factored by `factor`. Each is its
-    catalog, tables admitted, reduced by _catalog_sylow as the claims do."""
-    if census is None or not Path(census.dir).is_dir():
+    9p (75 for p = 3), so the first order that fails raises; each odd order
+    is factored by `factor`. Each is its catalog, tables admitted, reduced
+    by _catalog_sylow as the claims do."""
+    if census is None:
         return {}
     first = {}      # the order that first reads (p, a)
-    for d in Path(census.dir).iterdir():
-        q = census_order(d.name)
-        if q is None or not q % 2 or not 1 < q <= n_max:
+    for q in census.orders():
+        if not q % 2 or not 1 < q <= n_max:
             continue
         (p, a), *rest = factor(q)
         n = q if a > 1 else 75 if p == 3 else 9 * p
-        if not rest and n <= n_max and d.is_dir() and any(d.glob("*.cayley")):
+        if not rest and n <= n_max:
             first[n] = (p, a)
     return {(p, a): _catalog_sylow(p, a, census)[0] for p, a in map(first.get, sorted(first))}
 

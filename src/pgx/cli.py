@@ -35,7 +35,7 @@ from .census import (
     scan_rows,
     verify,
 )
-from .constructors import Census, build_group, census_order, parse_group_spec
+from .constructors import Census, build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_TABLE_CAP
 from .powergraph import build_directed, build_undirected, export, oracle_counts
@@ -131,7 +131,7 @@ def _census(directory: str | None) -> Census | None:
 def _note_missing_census(report: VerificationReport, census: Census | None) -> VerificationReport:
     """report, with a note naming the census directory when one is set but
     is not a directory, so that no census table was read."""
-    if census is not None and not Path(census.dir).is_dir():
+    if census is not None and not census.exists():
         report.notes.append(f"census directory {census.dir} is not a directory; "
                             "no census table was read")
     return report
@@ -317,16 +317,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_census_ingest(args: argparse.Namespace) -> int:
-    root = Path(args.dir)
-    if not root.is_dir():
+    root, census = Path(args.dir), Census(args.dir)
+    if not census.exists():
         raise InputError(f"census directory {root} does not exist")
-    files = sorted(root.rglob("*.cayley"))
-    if not files:
+    tables = census.every_table()
+    if not tables:
         raise InputError(f"no .cayley files found under {root}")
-    census = _census(args.dir)
     rows = []
-    for f in files:     # a table under <order>/ is checked against that order
-        entry = census.admit(f, census_order(f.parent.name))
+    for f, order in tables:     # a table under <order>/ is checked against that order
+        entry = census.admit(f, order)
         stats = stats_from_spectrum(f.stem, entry.spectrum)
         rows.append({
             "file": f.relative_to(root).as_posix(),

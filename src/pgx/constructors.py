@@ -1,4 +1,4 @@
-"""Structured group families, the group-spec mini-language, and p-group catalogs.
+"""Structured group families, the group-spec mini-language, p-group catalogs and their census.
 
 Each family is one frozen spec class that holds all of its facts: it
 validates its parameters on construction and gives its canonical name
@@ -702,9 +702,32 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Census:
-    """Census tables, laid out as <dir>/<order>/*.cayley."""
+    """Census tables, laid out as <dir>/<order>/*.cayley: the one reader of
+    that layout. Each order directory's name is read by census_order."""
 
     dir: str | Path
+
+    def exists(self) -> bool:
+        """Whether the root is a directory, so that any table could be read."""
+        return Path(self.dir).is_dir()
+
+    def tables(self, order: int) -> list[Path]:
+        """The tables under <dir>/<order>/, sorted; one stat when it is absent."""
+        order_dir = Path(self.dir) / str(order)
+        return sorted(order_dir.glob("*.cayley")) if order_dir.is_dir() else []
+
+    def orders(self) -> list[int]:
+        """The orders whose directories hold a table, from one listing of the root."""
+        if not self.exists():
+            return []
+        return [q for d in Path(self.dir).iterdir()
+                if (q := census_order(d.name)) is not None
+                and d.is_dir() and any(d.glob("*.cayley"))]
+
+    def every_table(self) -> list[tuple[Path, int | None]]:
+        """Every table at any depth under the root, sorted, each with the
+        order its directory names (census_order), else None."""
+        return [(f, census_order(f.parent.name)) for f in sorted(Path(self.dir).rglob("*.cayley"))]
 
     def admit(self, path: Path, order: int | None = None) -> CatalogEntry:
         """The table at path as a catalog entry, read once into its FileTable,
@@ -756,17 +779,50 @@ def _partition_count(k: int) -> int:
     return counts[k]
 
 
+def _nonabelian_families(p: int, k: int) -> list[GroupSpec]:
+    """The non-abelian families that the catalog of order p^k lists beside
+    its abelian groups: at k = 3 D8 and Q8, or He(p) and M(3,p) for odd p,
+    which complete it; at k >= 4 M(k,p), with D, Q and SD of order 2^k at
+    p = 2, a strict subset of the non-abelian classes."""
+    if k == 3:
+        return [Dihedral(8), GeneralizedQuaternion(8)] if p == 2 \
+            else [Heisenberg(p), Modular(3, p)]
+    if k < 4:
+        return []
+    return [Modular(k, p)] + ([Dihedral(2 ** k), GeneralizedQuaternion(2 ** k),
+                               Semidihedral(2 ** k)] if p == 2 else [])
+
+
+def _completeness(k: int, census_tables: bool) -> Completeness:
+    """Complete for k <= 3, where the catalog lists every class; above, complete
+    via the census when it holds tables of order p^k, else incomplete."""
+    if k <= 3:
+        return Completeness.COMPLETE
+    return Completeness.COMPLETE_VIA_CENSUS if census_tables else Completeness.INCOMPLETE
+
+
+def parametric_catalog_size(p: int, k: int) -> tuple[int, Completeness]:
+    """The entry count and completeness of p_group_catalog(p, k) with no
+    census, without listing its abelian groups: one abelian group per
+    partition of k, and the non-abelian families. The caller bounds k."""
+    return (_partition_count(k) + len(_nonabelian_families(p, k)),
+            _completeness(k, census_tables=False))
+
+
 def p_group_catalog(p: int, k: int, census: Census | None = None
                     ) -> tuple[list[CatalogEntry], Completeness]:
     """Known groups of order p^k as entries, each spectrum computed when first read.
 
-    Complete for k <= 3 (abelian + the classical non-abelian classes).
-    For k >= 4 the parametric families are a strict subset, so completeness
-    is 'incomplete' unless the census holds tables of the order. Each table
-    is admitted by census.admit; one whose spectrum exactly duplicates an
-    existing entry is dropped (the class is already represented). Raises
-    ResourceError, before listing any group, when the partitions of k exceed
-    CATALOG_BOUND.
+    The parametric entries are one abelian group per partition of k, then
+    the non-abelian families (_nonabelian_families); _completeness says when
+    they are every class. Each table the census holds at order p^k is
+    admitted by census.admit. One whose spectrum exactly duplicates an
+    existing entry is dropped because the rankings read only spectra, not
+    because its class is already listed: census/16 holds 14 classes, and
+    the order-16 catalog keeps 10 entries, as c4rc4 and q8xc2 share C4xC4's
+    spectrum and c4xc2rc2 and d8oc4 share C4xC2xC2's (ROADMAP item 1 would
+    decide completeness by a class count). Raises ResourceError, before
+    listing any group, when the partitions of k exceed CATALOG_BOUND.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -778,35 +834,14 @@ def p_group_catalog(p: int, k: int, census: Census | None = None
         raise ResourceError(
             f"order {p}^{k} has {'more than ' if k > 1000 else ''}{count} abelian groups, "
             f"one per partition of {k}, above the catalog bound {CATALOG_BOUND}")
-    specs: list[GroupSpec] = []
-    for part in _partitions(k):
-        specs.append(Cyclic(p ** k) if part == (k,) else Abelian(p, part))
-    if k == 3:
-        if p == 2:
-            specs.append(Dihedral(8))
-            specs.append(GeneralizedQuaternion(8))
-        else:
-            specs.append(Heisenberg(p))
-            specs.append(Modular(3, p))
-    elif k >= 4:
-        specs.append(Modular(k, p))
-        if p == 2:
-            specs.append(Dihedral(2 ** k))
-            specs.append(GeneralizedQuaternion(2 ** k))
-            specs.append(Semidihedral(2 ** k))
-    entries = [CatalogEntry(s, "parametric") for s in specs]
-    completeness = Completeness.COMPLETE if k <= 3 else Completeness.INCOMPLETE
-
-    if census is not None:
-        order_dir = Path(census.dir) / str(p ** k)
-        files = sorted(order_dir.glob("*.cayley")) if order_dir.is_dir() else []
-        if files:
-            seen = {e.spectrum for e in entries}
-            for f in files:
-                entry = census.admit(f, p ** k)
-                if entry.spectrum not in seen:
-                    seen.add(entry.spectrum)
-                    entries.append(entry)
-            completeness = (Completeness.COMPLETE if k <= 3
-                            else Completeness.COMPLETE_VIA_CENSUS)
-    return entries, completeness
+    specs = [Cyclic(p ** k) if part == (k,) else Abelian(p, part) for part in _partitions(k)]
+    entries = [CatalogEntry(s, "parametric") for s in specs + _nonabelian_families(p, k)]
+    files = [] if census is None else census.tables(p ** k)
+    if files:
+        seen = {e.spectrum for e in entries}
+        for f in files:
+            entry = census.admit(f, p ** k)
+            if entry.spectrum not in seen:
+                seen.add(entry.spectrum)
+                entries.append(entry)
+    return entries, _completeness(k, bool(files))

@@ -236,6 +236,55 @@ def test_scan_builds_the_catalog_of_a_census_prime_where_it_first_reads_it(tmp_p
         scan_rows(63, Census(tmp_path))
 
 
+@pytest.fixture
+def odd_census_root(tmp_path):
+    """A census root whose names look like orders but hold no table: a
+    regular file 81, an empty 243/, and a 729/ holding only notes.txt."""
+    (tmp_path / "81").write_text("not a directory\n")
+    (tmp_path / "243").mkdir()
+    (tmp_path / "729").mkdir()
+    (tmp_path / "729" / "notes.txt").write_text("no tables here\n")
+    return tmp_path
+
+
+def test_a_census_of_no_tables_leaves_the_catalogs_as_without_one(odd_census_root):
+    """Neither a file named 81, an empty 243/ nor a 729/ of no table adds an
+    entry to the catalogs of 3^4, 3^5 and 3^6 or makes them complete."""
+    census = Census(odd_census_root)
+    assert census.exists()
+    assert (census.orders(), census.every_table()) == ([], [])
+    for k in (4, 5, 6):
+        assert census.tables(3 ** k) == []
+        assert pgx.constructors.p_group_catalog(3, k, census) == \
+            pgx.constructors.p_group_catalog(3, k), k
+
+
+def test_a_scan_on_a_census_of_no_tables_builds_no_catalog(monkeypatch, odd_census_root):
+    """The scan reads no catalog from a census root that holds no table."""
+    expected = list(scan_rows(1000))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan built a catalog")
+
+    monkeypatch.setattr(pgx.census, "p_group_catalog", refuse)
+    assert list(scan_rows(1000, Census(odd_census_root))) == expected
+
+
+def test_census_ingest_of_a_root_of_no_tables_is_refused(run_cli, odd_census_root):
+    code, out, err = run_cli("census", "ingest", str(odd_census_root))
+    assert (code, out) == (3, "") and "no .cayley files found" in err
+
+
+def test_parametric_catalog_size_is_the_census_free_catalogs():
+    """The entry count and completeness that the scan reads without listing
+    a group are those of the listed catalog, at p = 2 as at odd p."""
+    for p in (2, 3, 5):
+        for k in range(1, 9):
+            entries, completeness = pgx.constructors.p_group_catalog(p, k)
+            assert pgx.constructors.parametric_catalog_size(p, k) == \
+                (len(entries), completeness), (p, k)
+
+
 @pytest.mark.parametrize("argv,factored,sieved", [
     (("verify", "main-theorem", "--n", "675"), [675], []),
     (("scan", "conjecture-2.9", "--n-max", "200"), [], [200]),
