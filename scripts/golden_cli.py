@@ -155,6 +155,19 @@ def catalog_calls() -> list[list[str]]:
              "--census-dir", "census/16/c16.cayley"]]
 
 
+def format_calls() -> list[list[str]]:
+    """The (command, format) pairs that no set above draws: census ingest in
+    JSON, stats above the cap (no oracle key) in JSON and CSV, and verify
+    reports in CSV; then the CSV scan to 2 * 10^4 on the shipped census, whose
+    stdout alone hashes to 12d84729...3e47."""
+    return [["census", "ingest", "census", "--format", "json"],
+            ["stats", "C5000", "--format", "json", *CENSUS],
+            ["stats", "C5000", "--format", "csv", *CENSUS],
+            ["verify", "main-theorem", "--n", "675", "--format", "csv", *CENSUS],
+            ["verify", "lemma-2.5", "--format", "csv", *CENSUS],
+            ["scan", "conjecture-2.9", "--n-max", "20000", "--format", "csv", *CENSUS]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -178,7 +191,7 @@ def run() -> None:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
                       scan_calls(), label_calls(), export_calls(), large_order_calls(),
-                      catalog_calls()):
+                      catalog_calls(), format_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

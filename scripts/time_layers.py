@@ -26,9 +26,8 @@ temporary directory and timed being read back with `read_cayley` and checked
 with `validate`, as `census ingest` reads and checks it; its order,
 validation mode (always `full`) and verdict are given too. Two parts of the
 check have their own columns: generators_ms, the generator search, and
-light_ms, Light's test on what it finds; both are null where `validate`
-does not run them, below `_LIGHT_MIN_ORDER` (and light_ms where the search
-finds no generating set). The blocks of a table of more than one block are
+light_ms, Light's test on what it finds, which is null where the search
+finds no generating set. The blocks of a table of more than one block are
 parsed, Latin-checked and put through Light's test on up to two of the CPUs
 the process may use; `taskset -c 0` times them on one. After every read and check, each
 table is written --reps times to one file, as pgxbench/gencensus.py writes
@@ -98,8 +97,8 @@ from pgx.census import (CLAIMS, DEFAULT_M_MAX, DEFAULT_P_MAX, _census_sylows,  #
 from pgx.cli import _write_scan_csv  # noqa: E402
 from pgx.cli import main as cli_main  # noqa: E402
 from pgx.constructors import Census, build_group, parse_group_spec  # noqa: E402
-from pgx.groups import (_LIGHT_MIN_ORDER, GroupTable, _generators, _light,  # noqa: E402
-                        index_dtype, read_cayley, validate, write_cayley)
+from pgx.groups import (GroupTable, _generators, _light, index_dtype, read_cayley,  # noqa: E402
+                        validate, write_cayley)
 from pgx.powergraph import build_directed, build_undirected, export  # noqa: E402
 from pgx.spectrum import OddSieve  # noqa: E402
 
@@ -155,9 +154,8 @@ def time_validate(args) -> dict:
             read_ms, _ = best_ms(lambda: read_cayley(path), args.reps)
             path.unlink()
             validate_ms, report = best_ms(lambda: validate(g), args.reps)
-            generators_ms = light_ms = gens = None
-            if g.size >= _LIGHT_MIN_ORDER:
-                generators_ms, gens = best_ms(lambda: _generators(g.table, g.identity), args.reps)
+            generators_ms, gens = best_ms(lambda: _generators(g.table, g.identity), args.reps)
+            light_ms = None
             if gens is not None:
                 light_ms, _ = best_ms(lambda: _light(g.table, gens), args.reps)
             rows.append({"source": source, "table": name, "order": g.size,

@@ -39,7 +39,7 @@ from .constructors import Census, build_group, parse_group_spec
 from .errors import InputError, InvariantError, ResourceError
 from .groups import DEFAULT_TABLE_CAP
 from .powergraph import build_directed, build_undirected, export, oracle_counts
-from .spectrum import GroupStats, OrderSpectrum, order_spectrum, stats_from_spectrum
+from .spectrum import order_spectrum, stats_from_spectrum
 
 _FORMATS = ("json", "csv", "text")
 
@@ -185,37 +185,19 @@ def _csv_table(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def render_stats(stats: GroupStats, fmt: str, oracle_checked: bool) -> str:
-    d = stats.to_json_dict()
-    if fmt == "csv":
-        return _csv_table([d])
-    if oracle_checked:
-        d["oracle"] = "consistent"
+def _write(fmt: str, doc: dict, rows: list[dict], text) -> None:
+    """Write a command's one document to stdout in --format fmt: doc as
+    indented JSON, rows as a CSV table, or the string text() returns. Only
+    `scan --format csv` passes it by, streaming its rows to `_write_scan_csv`."""
     if fmt == "json":
-        return json.dumps(d, indent=2) + "\n"
-    return "".join(f"{key}: {value}\n" for key, value in d.items())
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    elif fmt == "csv":
+        sys.stdout.write(_csv_table(rows))
+    else:
+        sys.stdout.write(text())
 
 
-def render_spectrum(name: str, s: OrderSpectrum, fmt: str) -> str:
-    pairs = s.items()
-    if fmt == "json":
-        return json.dumps({
-            "name": name,
-            "size": s.total,
-            "spectrum": {str(d): c for d, c in pairs},
-        }, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_table([{"order": d, "count": c} for d, c in pairs])
-    lines = [f"name: {name}", f"size: {s.total}"]
-    lines.extend(f"  {d}: {c}" for d, c in pairs)
-    return "\n".join(lines) + "\n"
-
-
-def render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_table(report.rows)
+def _report_text(report: VerificationReport) -> str:
     lines = [
         f"claim: {report.claim}",
         f"verdict: {report.verdict.value}",
@@ -246,7 +228,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     s = spec.spectrum()
     name = spec.render()
     stats = stats_from_spectrum(name, s)
-    oracle_checked = False
+    row = doc = stats.to_json_dict()
     if stats.size <= args.brute_cap:
         g = build_group(spec, args.brute_cap)
         if order_spectrum(g) != s:
@@ -258,14 +240,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
             raise InvariantError(
                 f"{name}: graph oracle counts {counts} disagree with "
                 f"spectrum formulas {expected}")
-        oracle_checked = True
-    sys.stdout.write(render_stats(stats, args.format, oracle_checked))
+        doc = {**row, "oracle": "consistent"}    # text and JSON only: the CSV row stays as is
+    _write(args.format, doc, [row], lambda: "".join(f"{k}: {v}\n" for k, v in doc.items()))
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
-    sys.stdout.write(render_spectrum(spec.render(), spec.spectrum(), args.format))
+    name, s = spec.render(), spec.spectrum()
+    pairs = s.items()
+    _write(args.format, {"name": name, "size": s.total, "spectrum": {str(d): c for d, c in pairs}},
+           [{"order": d, "count": c} for d, c in pairs],
+           lambda: "".join([f"name: {name}\nsize: {s.total}\n", *(f"  {d}: {c}\n" for d, c in pairs)]))
     return 0
 
 
@@ -301,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             settings.append(getattr(args, name))
     report = _note_missing_census(verify(args.claim, *settings), census)
-    sys.stdout.write(render_report(report, args.format))
+    _write(args.format, report.to_json_dict(), report.rows, lambda: _report_text(report))
     return report.exit_code
 
 
@@ -312,14 +298,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _write_scan_csv(sys.stdout, rows)
         return 0            # the scan is report-only
     report = _note_missing_census(scan_conjecture_2_9(args.n_max, census), census)
-    sys.stdout.write(render_report(report, args.format))
+    _write(args.format, report.to_json_dict(), report.rows, lambda: _report_text(report))
     return report.exit_code
 
 
 def cmd_census_ingest(args: argparse.Namespace) -> int:
     root, census = Path(args.dir), Census(args.dir)
     if not census.exists():
-        raise InputError(f"census directory {root} does not exist")
+        state = "is not a directory" if root.exists() else "does not exist"
+        raise InputError(f"census directory {root} {state}")
     tables = census.every_table()
     if not tables:
         raise InputError(f"no .cayley files found under {root}")
@@ -336,17 +323,8 @@ def cmd_census_ingest(args: argparse.Namespace) -> int:
             "phi_sum": stats.phi_sum,
             "undirected_edges": stats.undirected_edges,
         })
-    if args.format == "json":
-        sys.stdout.write(json.dumps({
-            "directory": str(root),
-            "count": len(rows),
-            "files": rows,
-        }, indent=2) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(_csv_table(rows))
-    else:
-        sys.stdout.write(f"ingested {len(rows)} Cayley tables from {root}\n\n")
-        sys.stdout.write(_text_table(rows))
+    _write(args.format, {"directory": str(root), "count": len(rows), "files": rows}, rows,
+           lambda: f"ingested {len(rows)} Cayley tables from {root}\n\n{_text_table(rows)}")
     return 0
 
 

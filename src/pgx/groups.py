@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
-_LIGHT_MIN_ORDER = 40         # below this order the n^3 scan is no slower than Light's test
 _BLOCK = 1 << 16              # entries per block of the parse, the Latin checks and the writer
 _MAX_THREADS = 2              # each holds about 1 MB of parse temporaries; only two were measured
 
@@ -371,7 +370,10 @@ def _light(t: np.ndarray, gens: list[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a,
     in row blocks of about 2^16 entries, searched by `_first_hit`. The
     elements a that satisfy it are closed under the product, so it holds for
-    all a once it holds for a generating set: the table is associative."""
+    all a once it holds for a generating set: the table is associative. The
+    table of order 1 has the empty generating set and passes."""
+    if not gens:
+        return True
     import numpy as np
     n = t.shape[0]
     a_y = t[gens]                                   # a_y[j, y] = gens[j]*y
@@ -386,14 +388,13 @@ def _light(t: np.ndarray, gens: list[int]) -> bool:
 
 
 def _assoc_exact(t: np.ndarray, e: int) -> ValidationFailure | None:
-    """Exact associativity of a Latin square with identity e: Light's test on
-    greedy generators, then, if it fails or the search finds t no group, the
-    scan of `_assoc_full` to name the first failing triple. Below
-    `_LIGHT_MIN_ORDER` the scan decides alone."""
-    if t.shape[0] >= _LIGHT_MIN_ORDER:
-        gens = _generators(t, e)
-        if gens is not None and _light(t, gens):
-            return None
+    """Exact associativity of a Latin square with identity e, decided by
+    Light's test on greedy generators at every order. Only a table that fails
+    it, or that the search finds no group, goes on to the scan of
+    `_assoc_full`, which names the first failing triple."""
+    gens = _generators(t, e)
+    if gens is not None and _light(t, gens):
+        return None
     return _assoc_full(t)
 
 

@@ -887,6 +887,10 @@ def test_census_ingest_json(run_cli, census_dir):
 def test_census_ingest_error_paths(run_cli, tmp_path):
     code, _, err = run_cli("census", "ingest", str(tmp_path / "missing"))
     assert code == 3 and "does not exist" in err
+    file = tmp_path / "file.cayley"         # said of a file as the notes of verify and scan say it
+    file.write_text("")
+    code, _, err = run_cli("census", "ingest", str(file))
+    assert code == 3 and f"census directory {file} is not a directory" in err
     empty = tmp_path / "empty"
     empty.mkdir()
     code, _, err = run_cli("census", "ingest", str(empty))

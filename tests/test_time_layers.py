@@ -41,8 +41,8 @@ def test_validate_section_reads_checks_and_writes_each_table(harness):
     for row in out["tables"]:
         assert list(row) == ["source", "table", "order", "mode", "ok", *timed]
         assert (row["source"], row["order"], row["mode"], row["ok"]) == ("census/16", 16, "full", True)
-        # order 16 is below the order at which validate runs Light's test
-        assert row["generators_ms"] is None and row["light_ms"] is None
+        # validate runs Light's test at every order, so every group table times both parts
+        assert row["generators_ms"] >= 0 and row["light_ms"] >= 0
     assert list(out["total_ms"]) == ["census/16"] and list(out["total_ms"]["census/16"]) == timed
 
 
