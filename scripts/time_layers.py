@@ -27,9 +27,11 @@ with `validate`, as `census ingest` reads and checks it; its order,
 validation mode (always `full`) and verdict are given too. Two parts of the
 check have their own columns: generators_ms, the generator search, and
 light_ms, Light's test on what it finds, which is null where the search
-finds no generating set. The blocks of a table of more than one block are
-parsed, Latin-checked and put through Light's test on up to two of the CPUs
-the process may use; `taskset -c 0` times them on one. After every read and check, each
+finds no generating set. On a group table validate_ms is little more than
+the two, since the Latin and inverse checks run only on a refused table. The
+blocks of a table of more than one block are parsed and put through Light's
+test on up to two of the CPUs the process may use; `taskset -c 0` times
+them on one. After every read and check, each
 table is written --reps times to one file, as pgxbench/gencensus.py writes
 it, for its `write_ms` column.
 

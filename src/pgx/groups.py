@@ -9,13 +9,17 @@ and reduce mod n without overflow; element orders and every statistic derived
 from them are plain Python integers. numpy is imported by each function that
 makes or reads a table, so a command that builds no table never loads it.
 
-Tables larger than one block are parsed (`read_cayley`), Latin-checked and
-put through Light's test (`validate`) one block of rows or columns at a
-time, on as many threads as the process may use CPUs, up to two and up to
-one per block; numpy releases the GIL while it parses, sorts and gathers, so
-the blocks run side by side. There is no setting: with one CPU or one block
-the blocks run inline, in order, and a refused block stops the search, so
-later blocks are not parsed or checked.
+`validate` proves a group one from its generators (`_is_group`); the
+Latin-square and inverse checks and the scan of every triple run only on a
+table that is no group, to name its first failing axiom and a witness.
+
+Tables larger than one block are parsed (`read_cayley`), put through Light's
+test and, when they are refused, Latin-checked one block of rows or columns
+at a time, on as many threads as the process may use CPUs, up to two and up
+to one per block; numpy releases the GIL while it parses, sorts and gathers,
+so the blocks run side by side. There is no setting: with one CPU or one
+block the blocks run inline, in order, and a refused block stops the search,
+so later blocks are not parsed or checked.
 """
 
 from __future__ import annotations
@@ -280,7 +284,9 @@ def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False
 
 
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
-    """Identity, Latin-square and two-sided-inverse checks on a dense table."""
+    """Identity, Latin-square and two-sided-inverse checks on a dense table,
+    in that order: the first failure, with its witness. `validate` runs them
+    only on a table that `_is_group` refuses."""
     import numpy as np
     n = t.shape[0]
     idx = np.arange(n)
@@ -331,13 +337,15 @@ def _assoc_full(t: np.ndarray) -> ValidationFailure | None:
 
 
 def _generators(t: np.ndarray, e: int) -> list[int] | None:
-    """Greedy generators of a Latin square with identity e: the least element
-    not yet reached, then the reached set W closed under right multiplication
-    by the generators so far, each walked as its column. None if a new
-    generator fails to at least double W, which proves t is no group: in a
-    group W is the subgroup the generators make, and by Lagrange a subgroup
+    """Greedy generators of a table with two-sided identity e, which need not
+    be a Latin square: the least element not yet reached, then the reached
+    set W closed under right multiplication by the generators so far, each
+    walked as its column (e*g = g, so each generator is reached). None if a
+    new generator fails to at least double W, which proves t is no group: in
+    a group W is the subgroup the generators make, and by Lagrange a subgroup
     that properly contains it is at least twice as large. So there are at
-    most floor(log2 n) generators, and every element is a product of them."""
+    most floor(log2 n) generators, and every element is a left-bracketed
+    product ((g1*g2)*...)*gk of them."""
     n = t.shape[0]
     reached = bytearray(n)
     reached[e] = 1
@@ -387,29 +395,37 @@ def _light(t: np.ndarray, gens: list[int]) -> bool:
     return _first_hit(fails, range(0, n, step)) is None
 
 
-def _assoc_exact(t: np.ndarray, e: int) -> ValidationFailure | None:
-    """Exact associativity of a Latin square with identity e, decided by
-    Light's test on greedy generators at every order. Only a table that fails
-    it, or that the search finds no group, goes on to the scan of
-    `_assoc_full`, which names the first failing triple."""
+def _is_group(t: np.ndarray, e: int) -> bool:
+    """Whether t is a group table with identity e, decided from its generators:
+    e is a two-sided identity, `_generators` finds a generating set, each
+    generator's row is a permutation (one sort of at most floor(log2 n)
+    rows), and Light's test passes. Light's argument holds in any table with
+    a two-sided identity, so t is associative; then the row of w*g is the row
+    of w composed with the row of g, and every element is a product of
+    generators, so every row is a permutation; and an associative table with
+    a two-sided identity and bijective rows is a group (ab = e and bc = e
+    give a = c). Each step that fails proves t no group."""
+    import numpy as np
+    idx = np.arange(t.shape[0])
+    if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
+        return False
     gens = _generators(t, e)
-    if gens is not None and _light(t, gens):
-        return None
-    return _assoc_full(t)
+    return (gens is not None and bool((np.sort(t[gens], axis=1) == idx).all())
+            and _light(t, gens))
 
 
 def validate(g: GroupTable) -> ValidationReport:
     """Check the group axioms on g, exhaustively ("full").
 
-    The identity, Latin-square and inverse checks scan the whole table.
-    Associativity is decided exactly by Light's test (Clifford & Preston,
-    The Algebraic Theory of Semigroups I, 1961): the identity
-    (x*a)*y = x*(a*y) is checked for all x, y and each a of a generating
-    set, in O(k n^2) for k <= log2 n generators; a failure is named by the
-    lexicographically first failing triple.
+    A group is proved one by `_is_group` in O(n^2 log n), with Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961) on a
+    generating set of at most log2 n elements. Only a table that is no group
+    goes on to the ordered checks that name its first failing axiom and
+    witness: `_validate_structure`, then the lexicographically first failing
+    triple of `_assoc_full`.
     """
-    t = g.table
-    failure = _validate_structure(t, g.identity) or _assoc_exact(t, g.identity)
+    t, e = g.table, g.identity
+    failure = None if _is_group(t, e) else _validate_structure(t, e) or _assoc_full(t)
     return ValidationReport("full", failure)
 
 

@@ -6,16 +6,16 @@ power of the other. Both follow from the cyclic subgroups, found in one pass
 over the dense Cayley table that walks each of them once by successive
 multiplication: x reaches the members of <x>, and x, y are mutual exactly
 when they generate the same cyclic subgroup. A graph is stored as one sorted
-row per cyclic subgroup, shared by all of its generators, and no n x n array
-is made: export formats each row once, as a list of `name + end` pieces, and
-writes each source by joining its part of that list with its own head, so its
-cost is linear in the bytes written.
+row per cyclic subgroup, shared by all of its generators, each of which is
+placed in it once, when the rows are made; no n x n array is made. Export
+formats each row once, as a list of `name + end` pieces, and writes each
+source by joining its part of that list with its own head, so its cost is
+linear in the bytes written.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, TextIO
 
@@ -61,19 +61,26 @@ def _cyclic_subgroups(g: GroupTable, cap: int) -> list[tuple[list[int], list[int
 
 
 def _graph_rows(g: GroupTable, cap: int, directed: bool):
-    """(rows, owner): rows[k] = (generators, sorted row) of the k-th cyclic
-    subgroup C_k, and owner[x] = k for each generator x of C_k. The row lists
-    C_k's members and, undirected, the generators of each cyclic subgroup
-    properly containing C_k: a generator's neighbours are its row less itself."""
+    """(rows, place): rows[k] is the sorted row of the k-th cyclic subgroup
+    C_k, and place[x] = (k, i) for each generator x of C_k, which is
+    rows[k][i]. The row lists C_k's members and, undirected, the generators of
+    each cyclic subgroup properly containing C_k: a generator's neighbours are
+    its row less itself."""
     subgroups = _cyclic_subgroups(g, cap)
-    owner_of = {x: k for k, (gens, _) in enumerate(subgroups) for x in gens}
-    owner = [owner_of[x] for x in range(g.size)]
+    owner = [0] * g.size
+    for k, (gens, _) in enumerate(subgroups):
+        for x in gens:
+            owner[x] = k
     extra: list[list[int]] = [[] for _ in subgroups]
     for k, (gens, members) in enumerate(() if directed else subgroups):
         for j in {owner[y] for y in members} - {k}:     # C_j is properly inside C_k
             extra[j] += gens
-    return [(gens, sorted(members + more))
-            for (gens, members), more in zip(subgroups, extra)], owner
+    rows = [sorted(members + more) for (_, members), more in zip(subgroups, extra)]
+    place: list[tuple[int, int]] = [(0, 0)] * g.size
+    for k, (gens, _) in enumerate(subgroups):
+        for x in gens:
+            place[x] = k, bisect_left(rows[k], x)
+    return rows, place
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +89,8 @@ class _PowerGraph:
     i of its row reaches the row less x (directed) or the part after x (undirected)."""
 
     size: int
-    rows: list[tuple[list[int], list[int]]]
-    owner: list[int]
+    rows: list[list[int]]
+    place: list[tuple[int, int]]
     group: GroupTable         # the labels' source, read only by DOT export
     name: str
     directed: ClassVar[bool]
@@ -92,20 +99,15 @@ class _PowerGraph:
     def labels(self) -> list[str] | None:
         return self.group.labels
 
-    def _sources(self) -> Iterator[tuple[int, int, int]]:
-        """(x, k, i) for each vertex x in order: its row's index k and its place i there."""
-        for x, k in enumerate(self.owner):
-            yield x, k, bisect_left(self.rows[k][1], x)
-
     def _count(self) -> int:
-        return sum(len(self.rows[k][1]) - (1 if self.directed else i + 1) for _, k, i in self._sources())
+        return sum(len(self.rows[k]) - (1 if self.directed else i + 1) for k, i in self.place)
 
     def _pairs(self) -> np.ndarray:
         """The pairs in lexicographic order, made from the rows when read."""
         import numpy as np
         rows, directed = self.rows, self.directed
-        pairs = [(x, y) for x, k, i in self._sources()
-                 for y in (rows[k][1][:i] if directed else []) + rows[k][1][i + 1:]]
+        pairs = [(x, y) for x, (k, i) in enumerate(self.place)
+                 for y in (rows[k][:i] if directed else []) + rows[k][i + 1:]]
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -159,8 +161,9 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
     for them (InputError if they repeat); CSV rows carry numeric indices with
     header src,dst (arcs) or a,b (edges, a < b). An empty graph yields a
     valid document with no edge rows. Each row is formatted once, as a list
-    of `name + end` pieces; a source joins its part of the list with its own
-    head before each piece, and the joined text is written about every 64 KiB.
+    of `name + end` pieces after a leading ""; a source joins its part of the
+    list with its own head before each piece, and the joined text is written
+    about every 64 KiB.
     """
     if not isinstance(graph, _PowerGraph):
         raise InputError(f"not a power graph: {graph!r}")
@@ -179,13 +182,19 @@ def export(graph: DirectedPowerGraph | UndirectedPowerGraph,
     else:
         raise InputError(f"unknown graph export format {fmt!r} (use dot or edge-csv)")
     pieces = [name + end for name in names]
-    rows = [list(map(pieces.__getitem__, row)) for _, row in graph.rows]
+    # the leading "" puts the head before each piece; x's own piece is at i + 1
+    rows = [["", *map(pieces.__getitem__, row)] for row in graph.rows]
     parts, held = [], 0
-    for x, k, i in graph._sources():
-        row = rows[k]
-        # the leading "" puts the head before each piece
-        parts.append(heads[x].join(["", *row[:i], *row[i + 1:]] if directed
-                                   else ["", *row[i + 1:]]))
+    for x, (k, i) in enumerate(graph.place):
+        row, head = rows[k], heads[x]
+        if directed:            # the whole row less x's piece, taken out and put back
+            del row[i + 1]
+            parts.append(head.join(row))
+            row.insert(i + 1, pieces[x])
+        else:                   # the part after x, with x's piece blanked as the lead
+            row[i + 1] = ""
+            parts.append(head.join(row[i + 1:]))
+            row[i + 1] = pieces[x]
         held += len(parts[-1])
         if held >= 1 << 16:
             sink.write("".join(parts))

@@ -25,7 +25,7 @@ from pgx.constructors import (
 from pgx.errors import InputError
 from pgx.groups import GroupTable, write_cayley
 from pgx.spectrum import order_sum, phi_sum
-from test_groups import block_edit
+from test_groups import ONE_SIDED_INVERSE, block_edit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -901,6 +901,34 @@ def test_census_ingest_error_paths(run_cli, tmp_path):
     (bad / "junk.cayley").write_text(f"order 3\nidentity 0\n{rows}\n")
     code, _, err = run_cli("census", "ingest", str(bad))
     assert code == 3 and "failed on witness" in err
+
+
+def _edited_c16(rows, cols, values) -> GroupTable:
+    t = Cyclic(16).build().table.copy()
+    t[rows, cols] = values(t)
+    return GroupTable(16, 0, table=t)
+
+
+@pytest.mark.parametrize("axiom,table,failure", [
+    ("identity", lambda: _edited_c16([0, 1], slice(None), lambda t: t[[1, 0]]),
+     "(0, 0): e*0 = 1 != 0"),
+    ("latin-row", lambda: _edited_c16(5, 3, lambda t: t[5, 4]),
+     "(5,): row 5 is not a permutation"),
+    ("latin-column", lambda: _edited_c16(7, [2, 12], lambda t: t[7, [12, 2]]),
+     "(2,): column 2 is not a permutation"),
+    ("inverse", lambda: GroupTable(5, 0, table=ONE_SIDED_INVERSE),
+     "(1, 2): right inverse 2 of 1 is not a left inverse"),
+    ("associativity", lambda: GroupTable(16, 0, table=block_edit(2, 4, 2, 4, 1)),
+     "(2, 2, 4): (2*2)*4 = 4 but 2*(2*4) = 5"),
+])
+def test_census_ingest_names_the_first_failing_axiom_of_a_refused_table(run_cli, tmp_path,
+                                                                        axiom, table, failure):
+    # a table that is no group fails the proof from its generators, and the
+    # ordered checks name its first failing axiom and witness on stderr
+    path = tmp_path / "bad.cayley"
+    write_cayley(table(), path)
+    assert run_cli("census", "ingest", str(tmp_path)) == \
+        (3, "", f"error: {path}: not a group table ({axiom} failed on witness {failure})\n")
 
 
 def test_census_ingest_checks_each_table_against_its_order_directory(run_cli, tmp_path,

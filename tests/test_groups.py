@@ -347,6 +347,8 @@ def validation_cases(draw):
 def test_validate_equals_the_exhaustive_reference(g):
     report = validate(g)
     assert report == reference_validate(g)
+    # the proof from the generators passes exactly on the groups
+    assert groups._is_group(g.table, g.identity) == report.ok
     # each generator at least doubles the reached set or the search stops,
     # so Light's test never needs more than floor(log2 n) generators; on a
     # group the search never stops early
@@ -417,11 +419,23 @@ def test_block_edit_of_order_1024_is_refused_with_its_first_failing_triple():
     assert report == reference_validate(g)
 
 
+def _spied_line_sorts(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """(table shape, columns) of each `_first_non_permutation` call from now on."""
+    sorts = []
+    first = groups._first_non_permutation
+    monkeypatch.setattr(groups, "_first_non_permutation", lambda t, idx, columns=False:
+                        sorts.append((t.shape, columns)) or first(t, idx, columns))
+    return sorts
+
+
 @pytest.mark.parametrize("axiom", ["latin-row", "latin-column"])
 def test_latin_failure_from_a_late_block_names_the_first_line(axiom, monkeypatch):
     # order 300 sorts 150 lines per block, so line 250 lies in the second
     # block; order 600 sorts 100 lines per block, so lines 250 and 450 fail
-    # in the third and the fifth, and the threaded map must name line 250
+    # in the third and the fifth, and the threaded map must name line 250.
+    # Every row stays a permutation in the column case: only the proof from
+    # the generators failing sends the table on to the sorts of every line
+    sorts = _spied_line_sorts(monkeypatch)
     for n, step, lines in ((300, 150, (250,)), (600, 100, (450, 250))):
         assert groups._block_step(n, groups._BLOCK) == step
         t = Cyclic(n).build().table.copy()
@@ -433,9 +447,72 @@ def test_latin_failure_from_a_late_block_names_the_first_line(axiom, monkeypatch
         g = GroupTable(n, 0, table=t)
         for cpus in (1, 2):
             monkeypatch.setattr(groups, "_cpus", lambda: cpus)
+            sorts.clear()
             report = validate(g)
             assert (report.failure.axiom, report.failure.witness) == (axiom, (250,))
+            assert sorts == [((n, n), False), ((n, n), True)][:1 + (axiom == "latin-column")]
             assert report == reference_validate(g)
+
+
+def test_a_group_is_proved_from_its_generators_without_sorting_every_line(monkeypatch,
+                                                                         census_dir):
+    # the census tables and an order-2048 group pass on their generators'
+    # rows and Light's test: no column and no whole table of rows is sorted
+    sorts = _spied_line_sorts(monkeypatch)
+    tables = [read_cayley(p) for p in sorted((census_dir / "16").glob("*.cayley"))]
+    tables.append(build_group(parse_group_spec("M(11,2)")))
+    assert len(tables) == 15 and tables[-1].size == 2048
+    assert all(validate(g).ok for g in tables)
+    assert sorts == []
+
+
+def test_a_non_permutation_row_off_the_generators_is_named_latin_row(monkeypatch):
+    # row 300 of D512, no generator's, repeats an entry: the generators' rows
+    # stay permutations, Light's test fails, and the ordered checks name it
+    g = build_group(parse_group_spec("D512"))
+    gens = groups._generators(g.table, g.identity)
+    t = g.table.copy()
+    t[300, 17] = t[300, 18]
+    assert 300 not in gens and (np.sort(t[gens], axis=1) == np.arange(512)).all()
+    bad = GroupTable(512, g.identity, table=t)
+    assert not groups._is_group(t, g.identity)
+    sorts = _spied_line_sorts(monkeypatch)
+    report = validate(bad)
+    assert (report.failure.axiom, report.failure.witness) == ("latin-row", (300,))
+    assert report == reference_validate(bad)
+    assert sorts == [((512, 512), False)]
+
+
+def test_a_monoid_passes_light_but_not_the_generator_rows():
+    # C7 with a zero z adjoined at index 1: associative with identity 0, and
+    # the generators z, then 2, double the reached set, so Light's test
+    # passes; z's row is not a permutation, and that alone refuses the table
+    c7 = [0, *range(2, 8)]                          # c7[c] = index of c in C7
+    t = np.ones((8, 8), dtype=np.int64)
+    for a in range(7):
+        t[c7[a], c7] = [c7[(a + b) % 7] for b in range(7)]
+    g = GroupTable(8, 0, table=t)
+    gens = groups._generators(t, 0)
+    assert gens == [1, 2] and groups._light(g.table, gens)
+    assert not groups._is_group(g.table, 0)
+    report = validate(g)
+    assert (report.failure.axiom, report.failure.witness) == ("latin-row", (1,))
+    assert report == reference_validate(g)
+
+
+def test_a_left_identity_that_is_not_a_right_one_is_refused():
+    # (r, h)(s, k) = (s, h + k) on {0, 1} x C8, at index 8r + h: associative,
+    # every row a permutation and (0, 0) a left identity, so only the check
+    # of the identity's column refuses it
+    t = np.add.outer(np.arange(16) % 8, np.arange(16)) % 8 + np.arange(16) // 8 * 8
+    g = GroupTable(16, 0, table=t)
+    gens = groups._generators(t, 0)
+    assert gens == [1, 8] and groups._light(g.table, gens)
+    assert (np.sort(t, axis=1) == np.arange(16)).all()
+    assert not groups._is_group(g.table, 0)
+    report = validate(g)
+    assert (report.failure.axiom, report.failure.witness) == ("identity", (8, 0))
+    assert report == reference_validate(g)
 
 
 def test_light_failure_in_the_last_row_block_does_not_depend_on_the_cpu_count(monkeypatch):
