@@ -168,6 +168,24 @@ def format_calls() -> list[list[str]]:
             ["scan", "conjecture-2.9", "--n-max", "20000", "--format", "csv", *CENSUS]]
 
 
+def product_calls() -> list[list[str]]:
+    """Long and mixed direct products: 24 atoms, above the cap, in text and
+    JSON; a census table between two cyclic factors, under the cap, so the
+    oracle runs; four families at four primes, whose spectrum has 32 orders;
+    a product spelled with uneven spaces; and a DOT export of four atoms."""
+    c2_24 = "x".join(["C2"] * 24)
+    mixed = "C4 x file:census/16/q16.cayley x C3"
+    families = "Ab(3;1,1)xM(4,5)xHe7xC11"
+    return [["stats", c2_24, *CENSUS],
+            ["stats", c2_24, "--format", "json", *CENSUS],
+            ["stats", mixed, *CENSUS],
+            ["stats", mixed, "--format", "csv", *CENSUS],
+            ["spectrum", families, *CENSUS],
+            ["spectrum", families, "--format", "json", *CENSUS],
+            ["stats", "C2 x C3xC5 x  C7", "--format", "json", *CENSUS],
+            ["graph", "C2xC2xC3xC2", "directed", "dot"]]
+
+
 def write_gen(gen: Path) -> None:
     for spec in GEN_SPECS:
         g = build_group(parse_group_spec(spec))
@@ -191,7 +209,7 @@ def run() -> None:
         write_gen(Path(tmp))
         for calls in (golden_calls(), later_calls(), settings_calls(), formula_calls(),
                       scan_calls(), label_calls(), export_calls(), large_order_calls(),
-                      catalog_calls(), format_calls()):
+                      catalog_calls(), format_calls(), product_calls()):
             for argv in calls:
                 line = f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
                 total.update(line.encode())

@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -92,8 +91,7 @@ class CensusMember:
 
     @property
     def spec(self) -> GroupSpec:
-        return reduce(Product, self.sylow_specs) if len(self.sylow_specs) > 1 \
-            else self.sylow_specs[0]
+        return Product(*self.sylow_specs) if len(self.sylow_specs) > 1 else self.sylow_specs[0]
 
     @property
     def is_cyclic(self) -> bool:

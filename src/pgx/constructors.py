@@ -15,7 +15,7 @@ and `write_cayley` make label strings. `build_group` refuses orders above the
 brute-force cap before any family builds its n-by-n table; a `file:` atom's
 order is known only from its table, so that file is read in full first.
 
-Spec grammar (whitespace-insensitive, `x` is a left-associative product):
+Spec grammar (whitespace-insensitive, `x` joins atoms into one flat product):
 
     C<m> | M(<n>,<p>) | D<order> | Q<order> | SD<order> | He<p>
         | Ab(<p>;<part,...>) | file:<path>
@@ -179,10 +179,6 @@ class GroupSpec:
     provides `order`, `render()` (the canonical spec string, which
     parse_group_spec reads back), `spectrum()` and `build()` (the dense table).
     """
-
-    def factors(self) -> list[GroupSpec]:
-        """The atoms of the spec, left to right."""
-        return [self]
 
 
 @dataclass(frozen=True)
@@ -504,49 +500,34 @@ def join_names(names: list[str]) -> str:
     return (" x " if any(name.startswith("file:") for name in names) else "x").join(names)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Product(GroupSpec):
-    """A direct product. Equality, hash and repr go by the atoms, not the
-    nesting, so that they never recurse."""
+    """A direct product: its atoms, left to right, in one flat tuple. A
+    product passed in is spliced in, atom by atom, since x is associative."""
 
-    left: GroupSpec
-    right: GroupSpec
+    atoms: tuple[GroupSpec, ...]
 
-    def factors(self) -> list[GroupSpec]:
-        """The atoms, left to right, walked with a stack: a spec of thousands
-        of atoms nests as deep."""
-        atoms, stack = [], [self]
-        while stack:
-            spec = stack.pop()
-            if isinstance(spec, Product):
-                stack += (spec.right, spec.left)
-            else:
-                atoms.append(spec)
-        return atoms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Product):
-            return NotImplemented
-        return self.factors() == other.factors()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.factors()))
+    def __init__(self, *specs: GroupSpec) -> None:
+        atoms = tuple(a for s in specs for a in (s.atoms if isinstance(s, Product) else (s,)))
+        if len(atoms) < 2:      # its render would not parse back to it
+            raise InputError(f"a product needs two or more atoms, got {len(atoms)}")
+        object.__setattr__(self, "atoms", atoms)
 
     def __repr__(self) -> str:
-        return f"Product({', '.join(map(repr, self.factors()))})"
+        return f"Product({', '.join(map(repr, self.atoms))})"
 
     @property
     def order(self) -> int:
-        return prod(f.order for f in self.factors())
+        return prod(f.order for f in self.atoms)
 
     def render(self) -> str:
-        return join_names([f.render() for f in self.factors()])
+        return join_names([f.render() for f in self.atoms])
 
     def spectrum(self) -> OrderSpectrum:
-        return reduce(spectrum_product, [f.spectrum() for f in self.factors()])
+        return reduce(spectrum_product, [f.spectrum() for f in self.atoms])
 
     def build(self) -> GroupTable:
-        return reduce(direct_product, [f.build() for f in self.factors()])
+        return reduce(direct_product, [f.build() for f in self.atoms])
 
 
 # the atoms written as a prefix and one integer
@@ -630,19 +611,19 @@ def parse_group_spec(text: str) -> GroupSpec:
                 return family(read_int())
         raise error(f"unrecognized group atom starting with {s[pos]!r}", pos)
 
-    spec = parse_atom()
+    atoms = [parse_atom()]
     while True:
         skip_ws()
         if pos >= n:
             break
         if s[pos] == "x":
             pos += 1
-            spec = Product(spec, parse_atom())
+            atoms.append(parse_atom())
         else:
             raise error(f"expected 'x' or end of spec, got {s[pos]!r}", pos)
     # a file's order is bounded by the table it holds, which is read when first needed
-    _check_order("product", prod(f.order for f in spec.factors() if not isinstance(f, FileTable)))
-    return spec
+    _check_order("product", prod(f.order for f in atoms if not isinstance(f, FileTable)))
+    return Product(*atoms) if len(atoms) > 1 else atoms[0]
 
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:

@@ -13,13 +13,13 @@ makes or reads a table, so a command that builds no table never loads it.
 Latin-square and inverse checks and the scan of every triple run only on a
 table that is no group, to name its first failing axiom and a witness.
 
-Tables larger than one block are parsed (`read_cayley`), put through Light's
-test and, when they are refused, Latin-checked one block of rows or columns
-at a time, on as many threads as the process may use CPUs, up to two and up
-to one per block; numpy releases the GIL while it parses, sorts and gathers,
-so the blocks run side by side. There is no setting: with one CPU or one
-block the blocks run inline, in order, and a refused block stops the search,
-so later blocks are not parsed or checked.
+Tables larger than one block are parsed (`read_cayley`) and put through
+Light's test one block of rows at a time, on as many threads as the process
+may use CPUs, up to two and up to one per block; numpy releases the GIL
+while it parses and gathers, so the blocks run side by side. There is no
+setting: with one CPU or one block the blocks run inline, in order, and a
+refused block stops the search, so later blocks are not parsed or checked.
+The Latin check of a refused table is one sort of all its rows or columns.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
 DEFAULT_TABLE_CAP = 4096      # brute-force cap: build tables up to this order
-_BLOCK = 1 << 16              # entries per block of the parse, the Latin checks and the writer
+_BLOCK = 1 << 16              # entries per block of the parse, Light's test and the writer
 _MAX_THREADS = 2              # each holds about 1 MB of parse temporaries; only two were measured
 
 _T = TypeVar("_T")
@@ -268,19 +268,12 @@ class ValidationReport:
 
 def _first_non_permutation(t: np.ndarray, idx: np.ndarray, columns: bool = False) -> int | None:
     """The first row (or column) of the square table t that is not a
-    permutation of idx = 0..n-1, or None. Lines are sorted in C-contiguous
-    blocks of about 2^16 entries, searched by `_first_hit`; a block of columns
-    is copied row by row and transposed in cache, since a strided copy or sort
-    of whole columns is several times slower."""
-    step = _block_step(len(idx), _BLOCK)
-
-    def first_bad(i0: int) -> int | None:
-        block = t[:, i0:i0 + step].copy().T.copy() if columns else t[i0:i0 + step].copy()
-        block.sort(axis=1)
-        bad = (block != idx).any(axis=1)
-        return i0 + int(bad.argmax()) if bad.any() else None
-
-    return _first_hit(first_bad, range(0, len(idx), step))
+    permutation of idx = 0..n-1, or None: one sort of every line. It runs
+    only on a table that `_is_group` refused, to name the failing line."""
+    lines = (t.T if columns else t).copy()        # in C order, so each line sorts in place
+    lines.sort(axis=1)
+    bad = (lines != idx).any(axis=1)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def _validate_structure(t: np.ndarray, e: int) -> ValidationFailure | None:
@@ -501,14 +494,14 @@ def read_cayley(path: str | Path) -> GroupTable:
 
     lineno, first = lines[0][0], lines[0][1].decode()
     parts = first.split()
-    if len(parts) != 2 or parts[0] != "order" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "order" or not parts[1].isdecimal():
         raise fail(lineno, f"expected 'order N', got {first!r}")
     n = int(parts[1])
     if n < 1:
         raise fail(lineno, "order must be positive")
     lineno, second = lines[1][0], lines[1][1].decode()
     parts = second.split()
-    if len(parts) != 2 or parts[0] != "identity" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "identity" or not parts[1].isdecimal():
         raise fail(lineno, f"expected 'identity i', got {second!r}")
     e = int(parts[1])
     if not 0 <= e < n:

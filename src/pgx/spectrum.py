@@ -20,7 +20,7 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import InputError, InvariantError, ResourceError
@@ -412,15 +412,7 @@ class GroupStats:
             raise InvariantError(f"{self.name}: edge identity violated")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "sigma": self.sigma,
-            "phi_sum": self.phi_sum,
-            "directed_arcs": self.directed_arcs,
-            "mutual_edges": self.mutual_edges,
-            "undirected_edges": self.undirected_edges,
-        }
+        return asdict(self)
 
 
 def stats_from_spectrum(name: str, s: OrderSpectrum) -> GroupStats:

@@ -903,6 +903,18 @@ def test_census_ingest_error_paths(run_cli, tmp_path):
     assert code == 3 and "failed on witness" in err
 
 
+@pytest.mark.parametrize("header,line", [("order \u00b2\nidentity 0", "1: expected 'order N'"),
+                                         ("order 2\nidentity \u00b9", "2: expected 'identity i'")])
+def test_a_header_digit_int_cannot_read_is_an_input_error(run_cli, tmp_path, header, line):
+    # str.isdigit() accepts a superscript digit, which int() refuses
+    path = tmp_path / "2" / "sup.cayley"
+    path.parent.mkdir()
+    path.write_text(f"{header}\n0 1\n1 0\n")
+    for argv in (("census", "ingest", str(tmp_path)), ("stats", f"file:{path}")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "") and f"{path}:{line}" in err, argv
+
+
 def _edited_c16(rows, cols, values) -> GroupTable:
     t = Cyclic(16).build().table.copy()
     t[rows, cols] = values(t)

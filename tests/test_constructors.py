@@ -127,6 +127,24 @@ def test_deep_product_equality_hash_and_repr_do_not_recurse():
     assert len({spec, again, parse_group_spec("C2xC3")}) == 2
 
 
+def test_a_product_is_one_flat_tuple_of_atoms():
+    a, b, c, d = Cyclic(2), Dihedral(8), FileTable("k4.cayley"), Heisenberg(3)
+    nested = Product(Product(a, b), Product(c, d))
+    assert nested.atoms == (a, b, c, d)
+    parsed = parse_group_spec("C2xD8x file:k4.cayley xHe3")
+    assert nested == parsed and hash(nested) == hash(parsed)
+    assert Product(a, b) != Product(b, a)
+    for few in ((), (a,)):
+        with pytest.raises(InputError, match=f"a product needs two or more atoms, got {len(few)}"):
+            Product(*few)
+    # a member of a three-prime order is one product of its Sylow atoms
+    members, _ = enumerate_nilpotent(4 * 9 * 5, factor(4 * 9 * 5), None)
+    assert len(members) == 4
+    for m in members:
+        assert m.spec == Product(*m.sylow_specs)
+        assert len(m.spec.atoms) == 3 and not any(isinstance(f, Product) for f in m.spec.atoms)
+
+
 def test_render_spec_file_products_keep_spaces():
     spec = Product(Cyclic(2), FileTable("tables/k4.cayley"))
     assert spec.render() == "C2 x file:tables/k4.cayley"
@@ -581,7 +599,7 @@ def test_specs_refuse_orders_above_the_printable_bound():
                  lambda: parse_group_spec(f"C{2 ** 6999}xC4")):
         with pytest.raises(ResourceError, match="group order above 2\\^7000"):
             make()
-    assert parse_group_spec(f"C{2 ** 6999} x file:k4.cayley").left == Cyclic(2 ** 6999)
+    assert parse_group_spec(f"C{2 ** 6999} x file:k4.cayley").atoms[0] == Cyclic(2 ** 6999)
     with pytest.raises(InputError, match="an integer of 2109 digits is longer than any group "
                                          "order a spec may name \\(position 1\\)"):
         parse_group_spec("C" + "1" * 2109)

@@ -430,9 +430,9 @@ def _spied_line_sorts(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
 
 @pytest.mark.parametrize("axiom", ["latin-row", "latin-column"])
 def test_latin_failure_from_a_late_block_names_the_first_line(axiom, monkeypatch):
-    # order 300 sorts 150 lines per block, so line 250 lies in the second
-    # block; order 600 sorts 100 lines per block, so lines 250 and 450 fail
-    # in the third and the fifth, and the threaded map must name line 250.
+    # order 300 parses 150 lines per block, so line 250 lies in the second
+    # block; at order 600 lines 250 and 450 fail, and the one sort of every
+    # line must name line 250, on one CPU or two.
     # Every row stays a permutation in the column case: only the proof from
     # the generators failing sends the table on to the sorts of every line
     sorts = _spied_line_sorts(monkeypatch)
@@ -600,6 +600,9 @@ def test_cayley_comments_and_whitespace(tmp_path):
 @pytest.mark.parametrize("body,fragment", [
     ("", "truncated"),
     ("order x\nidentity 0\n", "expected 'order N'"),
+    # digits that str.isdigit() accepts but int() cannot read
+    ("order \u00b2\nidentity 0\n0 1\n1 0\n", "broken.cayley:1: expected 'order N'"),
+    ("order 2\nidentity \u00b9\n0 1\n1 0\n", "broken.cayley:2: expected 'identity i'"),
     ("size 2\nidentity 0\n0 1\n1 0\n", "expected 'order N'"),
     ("order 2\nidentity 5\n0 1\n1 0\n", "out of range"),
     ("order 2\nidentity 0\n0 1\n", "expected 2 table rows"),
@@ -634,6 +637,7 @@ def test_cayley_parse_errors(tmp_path, body, fragment):
     "# a comment\rorder 2\nidentity 0\n0 1\n1 0\n",                # a CR ends the comment
     "\x1c order 2 \x1f\nidentity 0\n\x1d\n0 1\x1e\n1 0\n",          # ASCII that str.strip() strips
     "\u00a0# comment\norder 2\n\u3000\nidentity 0\n0 1\n1 0\nlabels e \u00e9\u2003\n",
+    "order \u0662\nidentity \u0660\n0 1\n1 0\n",                   # Arabic-Indic header digits
 ])
 def test_read_cayley_keeps_the_lines_of_a_text_mode_read(tmp_path, body):
     path = tmp_path / "g.cayley"
